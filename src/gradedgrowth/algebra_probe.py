@@ -210,26 +210,15 @@ def _next_level_subspace(p, quotient, idx, m, k_basis, epsilon, params, prev_dim
 
 
 def _translate(quotient, sub: Subspace, x: int) -> Subspace:
-    perm, coef = quotient.right_translation(quotient.labels[x])
-    rows = []
-    for row in sub.rows:
-        moved = np.zeros(quotient.dim, dtype=np.int64)
-        np.add.at(moved, perm, (row * coef) % quotient.prime)
-        rows.append(moved % quotient.prime)
-    return span(quotient, rows)
+    return Subspace(quotient, quotient.translate_rows(sub.rows, quotient.labels[x]))
 
 
 def right_mul_subspace(quotient, sub: Subspace, elements: list[dict], p: int) -> Subspace:
-    rows = []
     m = quotient.group.order
-    for row in sub.rows:
-        for terms in elements:
-            out = np.zeros(quotient.dim, dtype=np.int64)
-            for g, c in terms.items():
-                perm, coef = quotient.right_translation(g % m)
-                np.add.at(out, perm, (row * coef * c) % p)
-            rows.append(out % p)
-    return span(quotient, rows) if rows else zero_subspace(quotient)
+    blocks = [sum((c * quotient.translate_rows(sub.rows, g % m) for g, c in terms.items()),
+                  np.zeros_like(sub.rows)) % p
+              for terms in elements]
+    return Subspace(quotient, np.vstack(blocks)) if blocks else zero_subspace(quotient)
 
 
 def _inv_terms(terms: dict, m: int) -> dict:
@@ -263,8 +252,7 @@ def _echelon_complement_in(ambient_sub: Subspace, b: Subspace) -> Subspace:
     if inter.rank == 0:
         return ambient_sub
     pivots = set(inter.pivots())
-    keep = [row for row in ambient_sub.rows
-            if int(np.nonzero(row)[0][0]) not in pivots]
+    keep = [row for row, c in zip(ambient_sub.rows, ambient_sub.pivots()) if c not in pivots]
     cand = span(ambient_sub.ambient, keep) if keep else zero_subspace(ambient_sub.ambient)
     # fall back to column-greedy completion if the pivot heuristic fell short
     if cand.rank + inter.rank != ambient_sub.rank or intersect(cand, b).rank != 0:

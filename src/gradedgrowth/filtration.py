@@ -16,13 +16,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from sympy import divisors, mobius
 
 from . import budgets
 from .errors import ContractError, ResourceBudgetError
 from .groups import GroupOracle
-from .subspace import (Ambient, Subspace, full_subspace, intersect, rank_mod_p,
-                       rref, span, sum_subspaces, zero_subspace)
+from .subspace import (Ambient, Subspace, full_subspace, intersect, pivot_columns,
+                       rank_mod_p, rref, span)
 
 MAGNUS_DEFAULT_TRUNCATION = 12
 MAGNUS_MAX_GENERATORS = 3
@@ -52,6 +51,7 @@ class FiniteGroupAlgebra(Ambient):
         super().__init__(labels, prime)
         self.group = group
         self._tables: dict = {}
+        self._gathers: dict = {}
 
     def right_translation(self, h):
         cached = self._tables.get(h)
@@ -62,6 +62,18 @@ class FiniteGroupAlgebra(Ambient):
             cached = (perm, coef)
             self._tables[h] = cached
         return cached
+
+    def translate_rows(self, rows: np.ndarray, h) -> np.ndarray:
+        """Every row times h at once.  Right multiplication by h permutes the
+        basis with unit coefficients, so it is the gather by the inverse
+        permutation."""
+        gather = self._gathers.get(h)
+        if gather is None:
+            perm, _ = self.right_translation(h)
+            gather = np.empty_like(perm)
+            gather[perm] = np.arange(perm.size)
+            self._gathers[h] = gather
+        return rows[:, gather]
 
     def generator_elements(self) -> list:
         e = self.group.identity
@@ -123,22 +135,23 @@ def aug_ladder(alg: FiniteGroupAlgebra) -> AugmentationLadder:
     power = Subspace(alg, aug_rows)
     powers = [full, power]
     gens = alg.generator_elements()
-    translations = [alg.right_translation(s) for s in gens]
     while True:
         prev = powers[-1]
-        rows = []
-        for row in prev.rows:
-            for perm, coef in translations:
-                moved = np.zeros(n, dtype=np.int64)
-                np.add.at(moved, perm, (row * coef) % p)
-                rows.append((moved - row) % p)
-        nxt = span(alg, rows) if rows else zero_subspace(alg)
+        nxt = Subspace(alg, _times_generators_minus_one(alg, prev.rows, gens))
         if nxt.rank == prev.rank:
             break
         powers.append(nxt)
     dims = [s.rank for s in powers]
     graded = [dims[i] - dims[i + 1] for i in range(len(dims) - 1)]
     return AugmentationLadder(alg, powers, graded, dims[-1])
+
+
+def _times_generators_minus_one(alg: FiniteGroupAlgebra, rows: np.ndarray,
+                                gens: list) -> np.ndarray:
+    """The blocks rows * (s - 1) over the generators s, stacked; for a right
+    ideal they span its product with the augmentation ideal."""
+    blocks = [(alg.translate_rows(rows, s) - rows) % alg.prime for s in gens]
+    return np.vstack(blocks) if blocks else rows[:0]
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +420,26 @@ def witt_ranks(k: int, n_max: int) -> list[int]:
         raise ContractError("need k >= 2")
     out = []
     for n in range(1, n_max + 1):
-        total = sum(int(mobius(d)) * k ** (n // d) for d in divisors(n))
+        total = sum(_mobius(d) * k ** (n // d) for d in range(1, n + 1) if n % d == 0)
         if total % n:
             raise ContractError("necklace count failed to divide evenly")
         out.append(total // n)
     return out
+
+
+def _mobius(n: int) -> int:
+    """Moebius function by trial division: 0 unless n is squarefree, else
+    (-1) to the number of its prime factors."""
+    mu = 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    return -mu if n > 1 else mu
 
 
 def aperiodic_word_count(k: int, n: int) -> int:
@@ -441,25 +469,19 @@ def _identity_last_echelon(i_sub: Subspace):
     perm = list(range(1, n)) + [0]
     inv_perm = np.argsort(perm)
     rows = rref(i_sub.rows[:, perm], amb.prime)
-    pivots = [int(np.nonzero(r)[0][0]) for r in rows]
-    return perm, inv_perm, rows, pivots
+    return perm, inv_perm, rows, pivot_columns(rows)
 
 
-def _project_to_complement(vec, perm, inv_perm, rows, pivots, p):
-    w = (vec[perm]).copy() % p
-    for row, c in zip(rows, pivots):
-        if w[c]:
-            w = (w - w[c] * row) % p
-    return w[inv_perm]
+def _project_to_complement(vecs, perm, inv_perm, rows, pivots, p):
+    """Remainders of the vectors (one per row) after elimination against the
+    identity-last echelon rows, in one product as in Subspace.reduce_vector."""
+    w = vecs[:, perm] % p
+    return ((w - w[:, pivots] @ rows) % p)[:, inv_perm]
 
 
 def is_right_ideal(alg: FiniteGroupAlgebra, i_sub: Subspace) -> bool:
-    gens = alg.generator_elements()
-    for row in i_sub.rows:
-        for s in gens:
-            if not i_sub.contains_vector(alg.apply_right(row, {s: 1})):
-                return False
-    return True
+    return all(i_sub.contains_vector(alg.translate_rows(i_sub.rows, s))
+               for s in alg.generator_elements())
 
 
 def rs_generators(alg: FiniteGroupAlgebra, i_sub: Subspace, s_elements: list) -> list[np.ndarray]:
@@ -474,21 +496,15 @@ def rs_generators(alg: FiniteGroupAlgebra, i_sub: Subspace, s_elements: list) ->
     if i_sub.contains_vector(e_vec):
         raise ContractError("1 lies in the ideal: no unital complement")
     perm, inv_perm, rows, pivots = _identity_last_echelon(i_sub)
-    pivot_set = set(pivots)
+    pivot_set = set(pivots.tolist())
     complement_coords = [perm[j] for j in range(alg.dim) if j not in pivot_set]
-    out = []
+    targets = [alg.index[alg.group.mul(alg.labels[coord], s)]
+               for coord in complement_coords for s in s_elements]
+    vecs = np.zeros((len(targets), alg.dim), dtype=np.int64)
+    vecs[np.arange(len(targets)), targets] = 1
     p = alg.prime
-    for coord in complement_coords:
-        f = alg.labels[coord]
-        for s in s_elements:
-            fs = alg.index[alg.group.mul(f, s)]
-            vec = np.zeros(alg.dim, dtype=np.int64)
-            vec[fs] = 1
-            proj = _project_to_complement(vec, perm, inv_perm, rows, pivots, p)
-            gen = (vec - proj) % p
-            if np.any(gen):
-                out.append(gen)
-    return out
+    gens = (vecs - _project_to_complement(vecs, perm, inv_perm, rows, pivots, p)) % p
+    return [gen for gen in gens if np.any(gen)]
 
 
 def right_ideal_closure(alg: FiniteGroupAlgebra, vectors) -> Subspace:
@@ -496,11 +512,15 @@ def right_ideal_closure(alg: FiniteGroupAlgebra, vectors) -> Subspace:
     current = span(alg, list(vectors))
     gens = alg.generator_elements()
     while True:
-        rows = [alg.apply_right(row, {s: 1}) for row in current.rows for s in gens]
-        grown = sum_subspaces(current, span(alg, rows)) if rows else current
+        grown = _plus_translates(alg, current.rows, gens)
         if grown.rank == current.rank:
             return grown
         current = grown
+
+
+def _plus_translates(alg: FiniteGroupAlgebra, rows: np.ndarray, elements: list) -> Subspace:
+    """Span of the rows together with every row times each element."""
+    return Subspace(alg, np.vstack([rows] + [alg.translate_rows(rows, s) for s in elements]))
 
 
 def rs_step_bound(alg: FiniteGroupAlgebra, i_sub: Subspace,
@@ -512,25 +532,17 @@ def rs_step_bound(alg: FiniteGroupAlgebra, i_sub: Subspace,
     e_vec[0] = 1
     if i_sub.contains_vector(e_vec):
         raise ContractError("1 lies in the ideal: no unital complement")
-    p = alg.prime
-    gens = alg.generator_elements()
     # I*w is spanned by I*(s-1) over the generators
-    rows = []
-    for row in i_sub.rows:
-        for s in gens:
-            rows.append((alg.apply_right(row, {s: 1}) - row) % p)
-    i_w = span(alg, rows) if rows else zero_subspace(alg)
+    i_w = Subspace(alg, _times_generators_minus_one(alg, i_sub.rows, alg.generator_elements()))
     lhs = i_sub.rank - i_w.rank
 
     perm, inv_perm, ech, pivots = _identity_last_echelon(i_sub)
-    pivot_set = set(pivots)
+    pivot_set = set(pivots.tolist())
     complement_coords = [perm[j] for j in range(alg.dim) if j not in pivot_set]
     f_rows = np.zeros((len(complement_coords), alg.dim), dtype=np.int64)
     for r, coord in enumerate(complement_coords):
         f_rows[r, coord] = 1
-    f_sub = Subspace(alg, f_rows)
-    fs_rows = [alg.apply_right(row, {s: 1}) for row in f_sub.rows for s in s_elements]
-    grown = sum_subspaces(f_sub, span(alg, fs_rows))
+    grown = _plus_translates(alg, f_rows, s_elements)
     rhs = intersect(grown, i_sub).rank
     return lhs <= rhs, lhs, rhs
 

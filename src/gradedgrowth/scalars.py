@@ -12,6 +12,10 @@ from fractions import Fraction
 
 from .errors import ContractError
 
+# Odd-p elimination adds up to (p-1)**2 per entry per step without reducing,
+# so int64 has room for 2**30 steps below this bound.
+PRIME_BOUND = 1 << 16
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -28,13 +32,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_prime(p: int) -> int:
+    """p itself, if it is a prime below PRIME_BOUND; ContractError otherwise."""
+    if not (p < PRIME_BOUND and is_prime(p)):
+        raise ContractError(f"coefficient field needs a prime p < 2**16, got {p}")
+    return p
+
+
 class PrimeField:
     """GF(p) for p < 2**16, scalars canonicalized to 0..p-1."""
 
     def __init__(self, p: int):
-        if not is_prime(p) or p >= 1 << 16:
-            raise ContractError(f"coefficient field needs a prime p < 2**16, got {p}")
-        self.p = p
+        self.p = check_prime(p)
         self.zero = 0
         self.one = 1 % p
 

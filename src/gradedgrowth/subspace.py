@@ -7,6 +7,21 @@ ambient supplies the enumeration and the right-multiplication structure:
 either a word-metric ball of an infinite group carrying the deformed
 (lambda-twisted) product, or a finite group algebra.
 
+Echelon forms come from one engine, ``rref``, with two inner loops that
+return the same canonical int64 matrix:
+
+- p = 2: rows are packed 64 columns to a uint64 word; each step finds the
+  next pivot column with one OR over the remaining rows and clears it with
+  one XOR over the rows that hold it (after M4RI, Albrecht-Bard-Hart 2010);
+- odd p: each step reduces only the pivot column and the pivot row mod p
+  and subtracts the unreduced update from the other rows; the whole matrix
+  is reduced at the end (delayed reduction, after FFLAS-FFPACK).
+
+Every entry point (``rref``, ``Ambient``, ``scalars.PrimeField``) applies
+the one prime bound p < 2**16 of ``scalars.check_prime``.  The odd-p loop
+rests on it: (p-1)**2 < 2**32 per step leaves int64 room for 2**30 steps
+before a reduction is due.
+
 Also houses the two invariance defects: the rank defect
 (rank(F + FS) - rank F)/rank F for subspaces, and the counting defect
 (#(F u FS) - #F)/#F for finite subsets of a group.
@@ -20,41 +35,101 @@ import numpy as np
 
 from .errors import ContractError, OutOfRangeError
 from .groups import GroupOracle, WordMetricBall
-from .scalars import is_prime
+from .scalars import check_prime
+
+
+# Delayed reduction lets odd-p entries drift below zero until the tracked
+# bound on their magnitude reaches this; int64 holds twice as much.
+_HEADROOM = 1 << 62
 
 
 def rref(mat: np.ndarray, p: int) -> np.ndarray:
     """Canonical reduced row echelon form over GF(p); zero rows trimmed."""
-    A = (np.asarray(mat, dtype=np.int64) % p).copy()
+    check_prime(p)
+    A = np.asarray(mat, dtype=np.int64)
     if A.ndim != 2:
         raise ContractError("need a 2-d matrix")
+    if p == 2:
+        return _rref_gf2(A)
+    return _rref_odd(A % p, p)
+
+
+def _rref_gf2(A: np.ndarray) -> np.ndarray:
+    """GF(2) elimination on rows packed 64 columns to a uint64 word.
+
+    Each step jumps straight to the next pivot column (the lowest bit set in
+    any remaining row) and clears it from every other row with one XOR of
+    the words from the pivot's word on; the words to its left are zero in
+    the pivot row.
+    """
     rows, cols = A.shape
+    nwords = -(-cols // 64)
+    packed = np.zeros((rows, 8 * nwords), dtype=np.uint8)
+    packed[:, : -(-cols // 8)] = np.packbits(A & 1, axis=1, bitorder="little")
+    B = packed.view("<u8")
+    r = w = 0
+    while r < rows:
+        live = np.bitwise_or.reduce(B[r:, w:], axis=0)
+        nz = np.flatnonzero(live)
+        if not nz.size:
+            break
+        w += int(nz[0])
+        low = int(live[nz[0]])
+        bit = np.uint64(low & -low)
+        hits = (B[:, w] & bit).nonzero()[0]
+        piv = hits[hits.searchsorted(r)]
+        if piv != r:
+            B[[r, piv]] = B[[piv, r]]
+        others = hits[hits != piv]
+        if others.size:
+            B[others, w:] ^= B[r, w:]
+        r += 1
+    bits = np.unpackbits(B[:r].view(np.uint8), axis=1, count=cols, bitorder="little")
+    return bits.astype(np.int64)
+
+
+def _rref_odd(A: np.ndarray, p: int) -> np.ndarray:
+    """Odd-p elimination with delayed reduction: only the pivot column and
+    the pivot row are brought into 0..p-1 at each step; the other rows take
+    the update unreduced and the whole matrix is reduced once at the end, or
+    sooner if the tracked bound on |entries| would leave int64."""
+    rows, cols = A.shape
+    step = (p - 1) * (p - 1)
+    bound = p - 1
     r = 0
     for c in range(cols):
-        piv = -1
-        for i in range(r, rows):
-            if A[i, c]:
-                piv = i
-                break
-        if piv < 0:
+        A[:, c] %= p
+        hits = A[:, c].nonzero()[0]
+        k = hits.searchsorted(r)
+        if k == hits.size:
             continue
+        piv = hits[k]
         if piv != r:
             A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        A[r] = (A[r] * inv) % p
-        col = A[:, c].copy()
-        col[r] = 0
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            A[nz] = (A[nz] - np.outer(col[nz], A[r])) % p
+        pivot_row = A[r, c:] % p
+        A[r, c:] = pivot_row * pow(int(pivot_row[0]), -1, p) % p
+        others = hits[hits != piv]
+        if others.size:
+            if bound > _HEADROOM - step:
+                A %= p
+                bound = p - 1
+            A[others, c:] -= A[others, c, None] * A[r, c:]
+            bound += step
         r += 1
         if r == rows:
             break
-    return A[:r]
+    return A[:r] % p
 
 
 def rank_mod_p(mat: np.ndarray, p: int) -> int:
     return rref(mat, p).shape[0]
+
+
+def pivot_columns(rows: np.ndarray) -> np.ndarray:
+    """Column of the leading entry of each (nonzero) echelon row."""
+    if not rows.shape[0]:
+        return np.zeros(0, dtype=np.intp)
+    return np.argmax(rows != 0, axis=1)
 
 
 class Ambient:
@@ -64,8 +139,7 @@ class Ambient:
     prime: int
 
     def __init__(self, labels, prime: int):
-        if not is_prime(prime):
-            raise ContractError(f"{prime} is not prime")
+        check_prime(prime)
         self.labels = tuple(labels)
         self.index = {g: i for i, g in enumerate(self.labels)}
         self.prime = prime
@@ -150,7 +224,7 @@ class BallAmbient(Ambient):
 class Subspace:
     """Immutable canonical-echelon subspace of an ambient enumeration."""
 
-    __slots__ = ("ambient", "rows")
+    __slots__ = ("ambient", "rows", "_pivots")
 
     def __init__(self, ambient: Ambient, rows: np.ndarray, *, _canonical=False):
         if rows.size and rows.shape[1] != ambient.dim:
@@ -161,29 +235,33 @@ class Subspace:
         rows.setflags(write=False)
         self.ambient = ambient
         self.rows = rows
+        self._pivots = pivot_columns(rows)
 
     @property
     def rank(self) -> int:
         return self.rows.shape[0]
 
     def pivots(self) -> list[int]:
-        return [int(np.nonzero(row)[0][0]) for row in self.rows]
+        return self._pivots.tolist()
 
     def contains_vector(self, v: np.ndarray) -> bool:
+        """Whether v, or every row of a block v, lies in the subspace."""
         return not np.any(self.reduce_vector(v))
 
     def reduce_vector(self, v: np.ndarray) -> np.ndarray:
-        """Remainder of v after elimination against the echelon rows."""
+        """Remainder of v after elimination against the echelon rows; v may
+        also be a block with one vector per row.
+
+        Each echelon row is 0 at every other row's pivot, so the sequential
+        elimination subtracts exactly v[pivot] times each row, in one product.
+        """
         p = self.ambient.prime
-        w = (np.asarray(v, dtype=np.int64) % p).copy()
-        for row, c in zip(self.rows, self.pivots()):
-            if w[c]:
-                w = (w - w[c] * row) % p
-        return w
+        w = np.asarray(v, dtype=np.int64) % p
+        return (w - w[..., self._pivots] @ self.rows) % p
 
     def __le__(self, other: "Subspace") -> bool:
         _check_same_ambient(self, other)
-        return all(other.contains_vector(r) for r in self.rows)
+        return other.contains_vector(self.rows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ambient is other.ambient

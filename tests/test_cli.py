@@ -169,6 +169,17 @@ class TestExitCodes:
         assert main(["growth", "--group", "nope", "--p", "2",
                      "--out", str(tmp_path / "x")]) == 4
 
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["tsv", "json"])
+    def test_prime_above_bound_is_4(self, fmt):
+        # int64 elimination would overflow past 2**32; the bound is 2**16
+        proc = subprocess.run([sys.executable, "-m", "gradedgrowth.cli", "growth",
+                               "--group", "c4", "--p", "4294967311"] + fmt,
+                              capture_output=True, text=True)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "p < 2**16" in proc.stderr
+
     def test_search_failure_is_5(self, tmp_path):
         assert main(["folner", "--group", "free2", "--bound", "1/2",
                      "--max-radius", "6", "--out", str(tmp_path / "x")]) == 5
