@@ -9,12 +9,12 @@ from fractions import Fraction
 
 from gradedgrowth.algebra_probe import algebra_tiling_probe
 from gradedgrowth.registry import get_group
-from gradedgrowth.tiling import ZdQuotient, build_transversal, verify_certificate
+from gradedgrowth.tiling import build_transversal, congruence_quotient, verify_certificate
 
 
 def summarize(cert, oracle):
-    omega = ZdQuotient(oracle, 2**cert.quotient_level)
-    verdict = verify_certificate(cert, oracle, omega)
+    omega = congruence_quotient(oracle, cert.modulus)
+    verdict, _ = verify_certificate(cert, oracle, omega)
     print(f"group={cert.group} quotient={cert.quotient_name} "
           f"|T|={len(cert.transversal)} defect={cert.defect} "
           f"delta={cert.delta} zeta={cert.zeta} height_cap={cert.height_cap}")

@@ -21,8 +21,8 @@ from .filtration import (AugmentationLadder, FiniteGroupAlgebra, aug_ladder,
                          jennings_hilbert_coeffs, jennings_series, magnus_deg,
                          rs_generators, rs_step_bound, witt_ranks)
 from .tiling import (ThetaParams, TilingCertificate, build_transversal,
-                     folner_search, greedy_fill, inverse_envelope,
-                     quotient_chain, theta, verify_certificate)
+                     congruence_quotient, folner_search, greedy_fill,
+                     inverse_envelope, quotient_chain, theta, verify_certificate)
 from .algebra_probe import algebra_tiling_probe
 from .gs import GSCertificate, GSPresentation, gs_certificate, gs_value, relator_degrees
 from .registry import get_group, load_registry, make_group

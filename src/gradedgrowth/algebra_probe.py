@@ -21,6 +21,7 @@ from .groups import Cyclic, FreeAbelian, ball
 from .subspace import (BallAmbient, Subspace, full_subspace, intersect, span,
                        sum_subspaces, zero_subspace)
 from .filtration import FiniteGroupAlgebra
+from .serialize import frac_from_json, frac_json, reading
 from .tiling import ThetaParams, pick_delta, pick_zeta, worst_case_height
 
 
@@ -66,7 +67,8 @@ def algebra_tiling_probe(p: int, k_basis: list[dict], epsilon,
     """Run the subspace pipeline for GF(p)[Z] with the congruence ideal chain.
 
     k_basis: basis of the test subspace K as {exponent: coefficient} maps;
-    every basis element must be invertible (a single monomial).  The probe
+    every basis element must be invertible (a single monomial), and the
+    unit is adjoined when no basis element is a multiple of it.  The probe
     scans chain levels until the carved complement achieves defect < epsilon
     or the level budget runs out.
     """
@@ -78,10 +80,8 @@ def algebra_tiling_probe(p: int, k_basis: list[dict], epsilon,
     for terms in k_basis:
         if not _is_invertible_element(terms):
             raise ContractError("K must have a basis of invertible elements")
-    exponents = sorted({g for terms in k_basis for g, c in terms.items() if c})
-    if {0} != {min(exponents + [0])} and 0 not in exponents:
+    if 0 not in {g for terms in k_basis for g, c in terms.items() if c}:
         k_basis = [{0: 1}] + list(k_basis)  # adjoin the unit
-        exponents = sorted(set(exponents) | {0})
 
     k_dim = len(k_basis)
     delta = pick_delta(k_dim, epsilon)
@@ -267,16 +267,13 @@ def _echelon_complement_in(ambient_sub: Subspace, b: Subspace) -> Subspace:
 
 
 def probe_report_jsonable(report: ProbeReport) -> dict:
-    def frac(x):
-        return None if x is None else {"num": x.numerator, "den": x.denominator}
-
     return {
         "certificate_type": "algebra_tiling_probe",
         "experimental": True,
         "prime": report.prime,
-        "epsilon": frac(report.epsilon),
-        "delta": frac(report.delta),
-        "zeta": frac(report.zeta),
+        "epsilon": frac_json(report.epsilon),
+        "delta": frac_json(report.delta),
+        "zeta": frac_json(report.zeta),
         "height_cap": report.height_cap,
         "quotient_level": report.quotient_level,
         "omega_dim": report.omega_dim,
@@ -286,9 +283,9 @@ def probe_report_jsonable(report: ProbeReport) -> dict:
                 "step": st.step,
                 "level_dim": st.level_dim,
                 "s": st.s,
-                "mu": frac(st.mu),
-                "nu": frac(st.nu),
-                "alpha": frac(st.alpha),
+                "mu": frac_json(st.mu),
+                "nu": frac_json(st.nu),
+                "alpha": frac_json(st.alpha),
                 "mu_at_least_delta": st.mu_at_least_delta,
                 "coverage_identity_ok": st.coverage_identity_ok,
                 "boundary_bound_ok": st.boundary_bound_ok,
@@ -297,7 +294,35 @@ def probe_report_jsonable(report: ProbeReport) -> dict:
         ],
         "complement_found": report.complement_found,
         "complement_dim": report.complement_dim,
-        "defect": frac(report.defect),
+        "defect": None if report.defect is None else frac_json(report.defect),
         "defect_below_epsilon": report.defect_below_epsilon,
         "all_step_assertions_held": report.all_step_assertions_held,
     }
+
+
+def monomial_probe_json(p: int, exponents: list[int], epsilon,
+                        chain_base: int = 2) -> dict:
+    """The probe for K spanned by the monomials t**e, e in exponents, as
+    JSON that embeds its configuration, so that it can be re-run."""
+    epsilon = Fraction(epsilon)
+    report = algebra_tiling_probe(p, [{e: 1} for e in exponents], epsilon,
+                                  chain_base=chain_base)
+    payload = probe_report_jsonable(report)
+    payload["config"] = {"command": "tile-algebra-probe", "p": p,
+                         "k_exponents": list(exponents),
+                         "epsilon": frac_json(epsilon),
+                         "chain_base": chain_base}
+    return payload
+
+
+def verify_probe_json(payload: dict) -> dict:
+    """Re-run the probe from the report's embedded config and compare the
+    whole report; lists the top-level fields that differ."""
+    with reading("probe report config"):
+        config = payload["config"]
+        args = (config["p"], config["k_exponents"], frac_from_json(config["epsilon"]),
+                config["chain_base"])
+    rerun = monomial_probe_json(*args)
+    mismatched = sorted(key for key in set(payload) | set(rerun)
+                        if payload.get(key) != rerun.get(key))
+    return {"mismatched_fields": mismatched, "matches": not mismatched}

@@ -1,13 +1,19 @@
 """Memory-budget knobs.
 
-The environment variable GRADEDGROWTH_BUDGET_MB, when set, scales down the
-default caps of the memory-heavy operations (ball BFS, finite group algebra
-construction, quotient enumeration).
+The environment variable GRADEDGROWTH_BUDGET_MB, when set to a positive
+integer, replaces the default caps of exactly two operations: the ball BFS
+(`ball_cap`) and the chain of tiling quotients (`quotient_cap`), each at
+20,000 elements per megabyte.  The cap on finite group algebras
+(`algebra_cap`, 2,048 elements) does not read it; only an explicit override
+such as `growth --max-order` changes that cap.  Any other value of the
+variable raises ContractError.
 """
 
 from __future__ import annotations
 
 import os
+
+from .errors import ContractError
 
 DEFAULT_BALL_CAP = 10_000_000
 DEFAULT_ALGEBRA_CAP = 2048
@@ -23,9 +29,12 @@ def _env_mb() -> int | None:
     if not raw:
         return None
     try:
-        return max(1, int(raw))
+        mb = int(raw)
     except ValueError:
-        return None
+        mb = 0
+    if mb < 1:
+        raise ContractError(f"GRADEDGROWTH_BUDGET_MB must be a positive integer, got {raw!r}")
+    return mb
 
 
 def ball_cap(override: int | None = None) -> int:
@@ -33,7 +42,7 @@ def ball_cap(override: int | None = None) -> int:
         return override
     mb = _env_mb()
     if mb is not None:
-        return max(1000, mb * _BALL_ELEMS_PER_MB)
+        return mb * _BALL_ELEMS_PER_MB
     return DEFAULT_BALL_CAP
 
 
@@ -48,5 +57,5 @@ def quotient_cap(override: int | None = None) -> int:
         return override
     mb = _env_mb()
     if mb is not None:
-        return max(1000, mb * _QUOTIENT_ELEMS_PER_MB)
+        return mb * _QUOTIENT_ELEMS_PER_MB
     return DEFAULT_QUOTIENT_CAP

@@ -14,23 +14,23 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebra_probe import algebra_tiling_probe, probe_report_jsonable
+from .algebra_probe import monomial_probe_json, verify_probe_json
 from .errors import (ContractError, GradedGrowthError, ResourceBudgetError,
                      SearchFailedError)
 from .filtration import (aug_ladder, build_group_algebra, growth_report,
                          quotient_agreement_dims, right_ideal_closure,
                          rs_generators, rs_step_bound)
-from .groups import FreeAbelian, Heisenberg, HeisenbergMod, ZdMod, ball, find_dead_ends
-from .gs import GSCertificate, GSPresentation, gs_certificate, gs_value, relator_degrees
+from .groups import ball, find_dead_ends
+from .gs import GSCertificate, GSPresentation, gs_certificate, relator_degrees
 from .hecke import crystal_monomial_check, delta, hecke_mul, untwist
 from .registry import get_group, load_registry
 from .scalars import GF, ZZ
-from .serialize import (dumps, element_from_json, element_json, frac_from_json,
-                        frac_json, parse_fraction)
+from .serialize import dumps, element_json, frac_json, parse_fraction, reading
 from .subspace import set_defect
-from .tiling import (HeisenbergQuotient, ZdQuotient, build_transversal,
+from .tiling import (TilingCertificate, build_transversal, congruence_quotient,
                      folner_search, verify_certificate)
 
+import dataclasses
 import json
 import random
 
@@ -124,15 +124,10 @@ def _cmd_growth(args) -> int:
     else:
         base = args.quotient_base
         level = args.quotient_level
-        if isinstance(oracle, FreeAbelian):
-            quot = lambda m: ZdMod(oracle.d, m)
-        elif isinstance(oracle, Heisenberg):
-            quot = lambda m: HeisenbergMod(m)
-        else:
-            raise ContractError(f"no finite quotients built in for {oracle.name}")
         ladders = []
         for lvl in (level, level + 1):
-            alg = build_group_algebra(quot(base**lvl), args.p, max_order=args.max_order)
+            finite = congruence_quotient(oracle, base**lvl).finite
+            alg = build_group_algebra(finite, args.p, max_order=args.max_order)
             ladders.append(aug_ladder(alg).graded_dims)
         dims = quotient_agreement_dims(ladders)
         power_dims = None
@@ -195,46 +190,6 @@ def _cmd_folner(args) -> int:
     return 0
 
 
-def _tiling_cert_json(cert) -> dict:
-    return {
-        "certificate_type": "tiling",
-        "group": cert.group,
-        "quotient_name": cert.quotient_name,
-        "quotient_level": cert.quotient_level,
-        "omega_size": cert.omega_size,
-        "epsilon": frac_json(cert.epsilon),
-        "delta": frac_json(cert.delta),
-        "zeta": frac_json(cert.zeta),
-        "height_cap": cert.height_cap,
-        "k": [element_json(g) for g in cert.k],
-        "tower_sizes": [len(level) for level in cert.tower],
-        "tower": [[element_json(g) for g in level] for level in cert.tower],
-        "trace": [
-            {
-                "step": row["step"], "level_size": row["level_size"],
-                "s": row["s"], "mu": frac_json(row["mu"]),
-                "nu": frac_json(row["nu"]), "alpha": frac_json(row["alpha"]),
-                "hypotheses_ok": row["hypotheses_ok"],
-                "hypothesis_failures": row["hypothesis_failures"],
-                "mu_at_least_delta": row["mu_at_least_delta"],
-                "coverage_identity_ok": row["coverage_identity_ok"],
-                "boundary_bound_ok": row["boundary_bound_ok"],
-                "maximality_ok": row["maximality_ok"],
-            }
-            for row in cert.trace
-        ],
-        "placements": [
-            {"level": u, "center": element_json(x),
-             "tile": [element_json(g) for g in piece]}
-            for u, x, piece in cert.placements
-        ],
-        "remainder": [element_json(g) for g in cert.remainder],
-        "transversal": [element_json(g) for g in cert.transversal],
-        "defect": frac_json(cert.defect),
-        "defect_decimal": round(float(cert.defect), 12),
-    }
-
-
 def _cmd_tile(args) -> int:
     oracle = get_group(args.group, args.registry)
     epsilon = parse_fraction(args.epsilon)
@@ -244,7 +199,7 @@ def _cmd_tile(args) -> int:
         k = ball(oracle, 1).elements
     cert = build_transversal(oracle, k, epsilon, chain_base=args.chain_base,
                              max_quotients=args.max_quotients)
-    payload = _tiling_cert_json(cert)
+    payload = cert.to_json()
     payload["config"] = {"command": "tile", "group": args.group,
                          "epsilon": frac_json(epsilon),
                          "k_radius": args.k_radius if args.k_radius is not None else 1,
@@ -255,14 +210,8 @@ def _cmd_tile(args) -> int:
 
 def _cmd_tile_algebra_probe(args) -> int:
     exponents = [int(t) for t in args.k_exponents.split(",") if t.strip()]
-    basis = [{e: 1} for e in exponents]
-    epsilon = parse_fraction(args.epsilon)
-    report = algebra_tiling_probe(args.p, basis, epsilon, chain_base=args.chain_base)
-    payload = probe_report_jsonable(report)
-    payload["config"] = {"command": "tile-algebra-probe", "p": args.p,
-                         "k_exponents": exponents,
-                         "epsilon": frac_json(epsilon),
-                         "chain_base": args.chain_base}
+    payload = monomial_probe_json(args.p, exponents, parse_fraction(args.epsilon),
+                                  chain_base=args.chain_base)
     _write(dumps(payload), args.out)
     return 0
 
@@ -340,21 +289,6 @@ def _cmd_rs_check(args) -> int:
     return 0
 
 
-def _gs_cert_json(cert: GSCertificate) -> dict:
-    return {
-        "certificate_type": "gs",
-        "is_GS": cert.is_gs,
-        "t": frac_json(cert.t),
-        "value": frac_json(cert.value),
-        "grid": cert.grid,
-        "d": cert.presentation.d,
-        "degrees": list(cert.presentation.degrees),
-        "p": cert.presentation.p,
-        "tail_note": cert.presentation.tail_note,
-        "assumed_min_degree": cert.assumed_min_degree,
-    }
-
-
 def _cmd_gs(args) -> int:
     config = {"command": "gs", "d": args.d, "degrees": args.degrees,
               "presentation": args.presentation, "p": args.p,
@@ -382,9 +316,8 @@ def _cmd_gs(args) -> int:
                                   tail_note=args.tail_note)
     cert = gs_certificate(presentation, grid=args.grid)
     if assumed is not None:
-        cert = GSCertificate(cert.presentation, cert.is_gs, cert.t, cert.value,
-                             cert.grid, assumed_min_degree=assumed)
-    payload = _gs_cert_json(cert)
+        cert = dataclasses.replace(cert, assumed_min_degree=assumed)
+    payload = cert.to_json()
     payload["config"] = config
     _write(dumps(payload), args.out)
     return 0
@@ -408,54 +341,22 @@ def _cmd_groups(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.certificate, "r", encoding="utf-8") as fh:
+    with open(args.certificate, "r", encoding="utf-8") as fh, reading("certificate"):
         payload = json.load(fh)
-    kind = payload.get("certificate_type")
+        kind = payload["certificate_type"]
     if kind == "gs":
-        pres = GSPresentation(payload["d"], tuple(payload["degrees"]),
-                              p=payload.get("p"))
-        t = frac_from_json(payload["t"])
-        value = frac_from_json(payload["value"])
-        recomputed = gs_value(pres, t)
-        ok = recomputed == value and (payload["is_GS"] == (value < 0))
+        ok, recomputed = GSCertificate.from_json(payload).verify()
         result = {"recomputed_value": frac_json(recomputed), "matches": ok}
     elif kind == "tiling":
-        oracle = get_group(payload["group"], args.registry)
-        level = payload["quotient_level"]
-        base = payload.get("config", {}).get("chain_base", 2)
-        if isinstance(oracle, FreeAbelian):
-            omega = ZdQuotient(oracle, base**level)
-        elif isinstance(oracle, Heisenberg):
-            omega = HeisenbergQuotient(oracle, base**level)
-        else:
-            raise ContractError("cannot rebuild the quotient for this group")
-        transversal = [element_from_json(g) for g in payload["transversal"]]
-        k = [element_from_json(g) for g in payload["k"]]
-        pieces = [[element_from_json(g) for g in pl["tile"]]
-                  for pl in payload["placements"]]
-        remainder = [element_from_json(g) for g in payload["remainder"]]
-        flat = [g for piece in pieces for g in piece] + remainder
-        disjoint = len(set(flat)) == len(flat)
-        matches = sorted(map(repr, flat)) == sorted(map(repr, transversal))
-        projected = {omega.project(g) for g in transversal}
-        bijective = len(projected) == len(transversal) == omega.size()
-        recount = set_defect(transversal, k, oracle)
-        ok = (disjoint and matches and bijective
-              and recount == frac_from_json(payload["defect"])
-              and recount < frac_from_json(payload["epsilon"]))
-        result = {
-            "disjoint_decomposition": disjoint,
-            "decomposition_matches_transversal": matches,
-            "projection_bijective": bijective,
-            "defect_recount": frac_json(recount),
-            "matches": ok,
-        }
+        cert = TilingCertificate.from_json(payload)
+        oracle = get_group(cert.group, args.registry)
+        checks, recount = verify_certificate(cert, oracle,
+                                             congruence_quotient(oracle, cert.modulus))
+        result = {key: ok for key, ok in checks.items()
+                  if key not in ("defect_recount_matches", "defect_below_epsilon")}
+        result.update(defect_recount=frac_json(recount), matches=all(checks.values()))
     elif kind == "algebra_tiling_probe":
-        required = {"steps", "complement_found", "defect", "experimental"}
-        ok = required <= set(payload) and payload["experimental"] is True
-        forbidden = [k for k in payload if "theorem" in k.lower()]
-        ok = ok and not forbidden
-        result = {"schema_ok": ok, "matches": ok}
+        result = verify_probe_json(payload)
     else:
         raise ContractError(f"unknown certificate type {kind!r}")
     out = {"config": {"command": "verify", "certificate": args.certificate},

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import budgets
 from .errors import ContractError, ResourceBudgetError
-from .groups import GroupOracle
+from .groups import GroupOracle, ball
 from .subspace import (Ambient, Subspace, full_subspace, intersect, pivot_columns,
                        rank_mod_p, rref, span)
 
@@ -42,7 +42,7 @@ class FiniteGroupAlgebra(Ambient):
             raise ResourceBudgetError(
                 f"group order {group.order} exceeds algebra cap {cap}"
             )
-        labels = _bfs_enumeration(group)
+        labels = ball(group, group.order).elements
         if len(labels) != group.order:
             raise ContractError(
                 f"generators of {group.name} do not generate: reached "
@@ -78,23 +78,6 @@ class FiniteGroupAlgebra(Ambient):
     def generator_elements(self) -> list:
         e = self.group.identity
         return [self.group.multiply(e, s) for s in self.group.generator_symbols]
-
-
-def _bfs_enumeration(group: GroupOracle) -> list:
-    seen = {group.identity}
-    order = [group.identity]
-    frontier = [group.identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in group.generator_symbols:
-                h = group.multiply(g, s)
-                if h not in seen:
-                    seen.add(h)
-                    order.append(h)
-                    nxt.append(h)
-        frontier = nxt
-    return order
 
 
 def build_group_algebra(group: GroupOracle, p: int,
@@ -440,21 +423,6 @@ def _mobius(n: int) -> int:
             mu = -mu
         d += 1
     return -mu if n > 1 else mu
-
-
-def aperiodic_word_count(k: int, n: int) -> int:
-    """Brute-force oracle: aperiodic length-n words over k letters, / n."""
-    count = 0
-    for code in range(k**n):
-        word = []
-        c = code
-        for _ in range(n):
-            word.append(c % k)
-            c //= k
-        if all(word != word[d:] + word[:d] for d in range(1, n)):
-            count += 1
-    assert count % n == 0
-    return count // n
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import ContractError
 from .filtration import MAGNUS_DEFAULT_TRUNCATION, magnus_deg
+from .serialize import frac_from_json, frac_json, reading
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,36 @@ class GSCertificate:
     value: Fraction
     grid: int
     assumed_min_degree: int | None = None
+
+    def to_json(self) -> dict:
+        return {
+            "certificate_type": "gs",
+            "is_GS": self.is_gs,
+            "t": frac_json(self.t),
+            "value": frac_json(self.value),
+            "grid": self.grid,
+            "d": self.presentation.d,
+            "degrees": list(self.presentation.degrees),
+            "p": self.presentation.p,
+            "tail_note": self.presentation.tail_note,
+            "assumed_min_degree": self.assumed_min_degree,
+        }
+
+    @classmethod
+    def from_json(cls, payload: dict) -> "GSCertificate":
+        with reading("Golod-Shafarevich certificate"):
+            pres = GSPresentation(payload["d"], tuple(payload["degrees"]), p=payload.get("p"),
+                                  tail_note=payload.get("tail_note"))
+            return cls(pres, payload["is_GS"], frac_from_json(payload["t"]),
+                       frac_from_json(payload["value"]), payload.get("grid"),
+                       payload.get("assumed_min_degree"))
+
+    def verify(self) -> tuple[bool, Fraction]:
+        """Recompute the series at the witness t; the certificate holds iff
+        the value matches and is_gs says whether it is negative.  Returns
+        the verdict and the recomputed value."""
+        recomputed = gs_value(self.presentation, self.t)
+        return recomputed == self.value and self.is_gs == (self.value < 0), recomputed
 
 
 def gs_value(pres: GSPresentation, t: Fraction) -> Fraction:

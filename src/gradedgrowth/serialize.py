@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .errors import ContractError
@@ -27,6 +28,15 @@ def element_from_json(v):
     if isinstance(v, list):
         return tuple(element_from_json(x) for x in v)
     return v
+
+
+@contextmanager
+def reading(what: str):
+    """Turn a missing or ill-typed field of outside JSON into a ContractError."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ContractError(f"malformed {what}: {exc!r}") from exc
 
 
 def dumps(obj) -> str:

@@ -31,12 +31,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import budgets
 from .errors import ContractError, SearchFailedError
-from .groups import FreeAbelian, GroupOracle, Heisenberg, HeisenbergMod, ball
+from .groups import FreeAbelian, GroupOracle, Heisenberg, HeisenbergMod, ZdMod, ball
+from .serialize import element_from_json, element_json, frac_from_json, frac_json, reading
 from .subspace import set_defect
 
 
@@ -74,10 +76,6 @@ def theta(params: ThetaParams, mu: Fraction, nu: Fraction,
 # Folner search
 
 
-def _l1_ball(oracle: GroupOracle, radius: int) -> list:
-    return ball(oracle, radius).elements
-
-
 def _zd_box(d: int, side: int) -> list:
     return [tuple(p) for p in itertools.product(range(side), repeat=d)]
 
@@ -92,7 +90,7 @@ def folner_search(oracle: GroupOracle, k: Sequence, bound: Fraction,
         raise ContractError("bound must be positive")
     k = list(k)
     for r in range(1, max_radius + 1):
-        candidates = [_l1_ball(oracle, r)]
+        candidates = [ball(oracle, r).elements]
         if isinstance(oracle, FreeAbelian):
             candidates.append(_zd_box(oracle.d, r))
         for f in candidates:
@@ -108,52 +106,43 @@ def folner_search(oracle: GroupOracle, k: Sequence, bound: Fraction,
 
 
 class QuotientSet:
-    """A finite quotient G/N with full coset listing, exact right action and
-    a section lifting cosets back to the group."""
+    """A congruence quotient G/N of an infinite group, held as the finite
+    oracle `finite` on the reduced coordinates: full coset listing (in the
+    finite oracle's order), projection, and a section lifting cosets back
+    to the group.  Subclasses supply the exact right action."""
 
-    def __init__(self, oracle: GroupOracle, name: str):
+    def __init__(self, oracle: GroupOracle, finite: GroupOracle):
         self.oracle = oracle
-        self.name = name
+        self.finite = finite
+        self.m = finite.m
+        self.name = f"{oracle.name} mod {self.m}"
 
-    @property
+    @cached_property
     def elements(self) -> list:
-        raise NotImplementedError
+        return list(self.finite.elements())
 
     def project(self, g):
-        raise NotImplementedError
-
-    def act(self, coset, g):
-        """Right action: coset of x goes to the coset of x g."""
-        raise NotImplementedError
+        return tuple(a % self.m for a in g)
 
     def section(self, coset):
-        raise NotImplementedError
+        return tuple(coset)
 
     def size(self) -> int:
-        return len(self.elements)
+        return self.finite.order
+
+
+# The two subclasses differ only in `act`.  They stay separate classes, each
+# defining its own `act`, because the benchmark's tracer (perfbench/tracer.py)
+# counts quotient actions by wrapping ZdQuotient.act and
+# HeisenbergQuotient.act by name.
 
 
 class ZdQuotient(QuotientSet):
     """Z^d / (mZ)^d."""
 
-    def __init__(self, oracle: FreeAbelian, m: int):
-        super().__init__(oracle, f"{oracle.name} mod {m}")
-        self.m = m
-        self.d = oracle.d
-        self._elements = [tuple(p) for p in itertools.product(range(m), repeat=oracle.d)]
-
-    @property
-    def elements(self):
-        return self._elements
-
-    def project(self, g):
-        return tuple(a % self.m for a in g)
-
     def act(self, coset, g):
+        """Right action: coset of x goes to the coset of x g."""
         return tuple((a + b) % self.m for a, b in zip(coset, g))
-
-    def section(self, coset):
-        return tuple(coset)
 
 
 class HeisenbergQuotient(QuotientSet):
@@ -161,41 +150,27 @@ class HeisenbergQuotient(QuotientSet):
     finite-index congruence subgroup; the chain over m = base**k has
     trivial intersection)."""
 
-    def __init__(self, oracle: Heisenberg, m: int):
-        super().__init__(oracle, f"heisenberg mod {m}")
-        self.m = m
-        self._finite = HeisenbergMod(m)
-        self._elements = list(self._finite.elements())
-
-    @property
-    def elements(self):
-        return self._elements
-
-    def project(self, g):
-        return tuple(a % self.m for a in g)
-
     def act(self, coset, g):
-        return self._finite.mul(coset, self.project(g))
+        return self.finite.mul(coset, self.project(g))
 
-    def section(self, coset):
-        return tuple(coset)
+
+def congruence_quotient(oracle: GroupOracle, m: int) -> QuotientSet:
+    """The quotient of a built-in infinite group by its congruence subgroup
+    of level m: Z^d -> (Z/m)^d, Heisenberg -> Heisenberg over Z/m."""
+    if isinstance(oracle, FreeAbelian):
+        return ZdQuotient(oracle, ZdMod(oracle.d, m))
+    if isinstance(oracle, Heisenberg):
+        return HeisenbergQuotient(oracle, HeisenbergMod(m))
+    raise ContractError(f"no congruence quotients built in for {oracle.name}")
 
 
 def quotient_chain(oracle: GroupOracle, base: int = 2,
                    max_size: int | None = None):
     """Built-in nested chains with trivial intersection; yields (level, quotient)."""
     cap = budgets.quotient_cap(max_size)
-    if isinstance(oracle, FreeAbelian):
-        make = lambda m: ZdQuotient(oracle, m)
-        size = lambda m: m**oracle.d
-    elif isinstance(oracle, Heisenberg):
-        make = lambda m: HeisenbergQuotient(oracle, m)
-        size = lambda m: m**3
-    else:
-        raise ContractError(f"no built-in quotient chain for {oracle.name}")
     level = 1
-    while size(base**level) <= cap:
-        yield level, make(base**level)
+    while (omega := congruence_quotient(oracle, base**level)).size() <= cap:
+        yield level, omega
         level += 1
 
 
@@ -357,18 +332,12 @@ def _tower_candidates(oracle: GroupOracle, omega: QuotientSet, base: int,
                       max_ball_radius: int = 12):
     """Deterministic candidate stream for tower levels: chain-aligned boxes
     (they pack the quotient exactly), then word-metric balls."""
-    if isinstance(omega, ZdQuotient):
-        side = base
-        while side <= omega.m:
-            yield _zd_box(omega.d, side)
-            side *= base
-    elif isinstance(omega, HeisenbergQuotient):
-        side = base
-        while side <= omega.m:
-            yield [tuple(p) for p in itertools.product(range(side), repeat=3)]
-            side *= base
+    side = base
+    while side <= omega.m:
+        yield _zd_box(len(omega.finite.identity), side)
+        side *= base
     for r in range(1, max_ball_radius + 1):
-        yield _l1_ball(oracle, r)
+        yield ball(oracle, r).elements
 
 
 def _level_ok(oracle: GroupOracle, omega: QuotientSet, candidate: list,
@@ -384,7 +353,7 @@ def _level_ok(oracle: GroupOracle, omega: QuotientSet, candidate: list,
     # almost-invariance of every earlier (larger) level against this one
     for prev in previous:
         envelope = inverse_envelope(prev, candidate, oracle)
-        if Fraction(len(prev | envelope)) >= params.zeta * len(prev):
+        if Fraction(len(set(prev) | envelope)) >= params.zeta * len(prev):
             return False
     return True
 
@@ -393,11 +362,23 @@ def _level_ok(oracle: GroupOracle, omega: QuotientSet, candidate: list,
 # certificates
 
 
+_TRACE_FRACTIONS = ("mu", "nu", "alpha")
+
+
+def _elements_json(elements) -> list:
+    return [element_json(g) for g in elements]
+
+
+def _elements_from_json(values) -> list:
+    return [element_from_json(v) for v in values]
+
+
 @dataclass(frozen=True)
 class TilingCertificate:
     group: str
     quotient_name: str
     quotient_level: int
+    modulus: int  # the quotient is congruence_quotient(group, modulus)
     omega_size: int
     epsilon: Fraction
     delta: Fraction
@@ -410,6 +391,61 @@ class TilingCertificate:
     remainder: list
     transversal: list
     defect: Fraction
+
+    def to_json(self) -> dict:
+        """The certificate's JSON form.  The modulus is not a field of it:
+        it is chain_base ** quotient_level, with chain_base taken from the
+        "config" the CLI adds."""
+        return {
+            "certificate_type": "tiling",
+            "group": self.group,
+            "quotient_name": self.quotient_name,
+            "quotient_level": self.quotient_level,
+            "omega_size": self.omega_size,
+            "epsilon": frac_json(self.epsilon),
+            "delta": frac_json(self.delta),
+            "zeta": frac_json(self.zeta),
+            "height_cap": self.height_cap,
+            "k": _elements_json(self.k),
+            "tower_sizes": [len(level) for level in self.tower],
+            "tower": [_elements_json(level) for level in self.tower],
+            "trace": [{**row, **{key: frac_json(row[key]) for key in _TRACE_FRACTIONS}}
+                      for row in self.trace],
+            "placements": [
+                {"level": u, "center": element_json(x), "tile": _elements_json(piece)}
+                for u, x, piece in self.placements
+            ],
+            "remainder": _elements_json(self.remainder),
+            "transversal": _elements_json(self.transversal),
+            "defect": frac_json(self.defect),
+            "defect_decimal": round(float(self.defect), 12),
+        }
+
+    @classmethod
+    def from_json(cls, payload: dict) -> "TilingCertificate":
+        with reading("tiling certificate"):
+            level = payload["quotient_level"]
+            return cls(
+                group=payload["group"],
+                quotient_name=payload["quotient_name"],
+                quotient_level=level,
+                modulus=payload.get("config", {}).get("chain_base", 2) ** level,
+                omega_size=payload["omega_size"],
+                epsilon=frac_from_json(payload["epsilon"]),
+                delta=frac_from_json(payload["delta"]),
+                zeta=frac_from_json(payload["zeta"]),
+                height_cap=payload["height_cap"],
+                k=_elements_from_json(payload["k"]),
+                tower=[_elements_from_json(members) for members in payload["tower"]],
+                trace=[{**row, **{key: frac_from_json(row[key]) for key in _TRACE_FRACTIONS}}
+                       for row in payload["trace"]],
+                placements=[(pl["level"], element_from_json(pl["center"]),
+                             _elements_from_json(pl["tile"]))
+                            for pl in payload["placements"]],
+                remainder=_elements_from_json(payload["remainder"]),
+                transversal=_elements_from_json(payload["transversal"]),
+                defect=frac_from_json(payload["defect"]),
+            )
 
 
 def build_transversal(oracle: GroupOracle, k: Sequence, epsilon,
@@ -523,7 +559,7 @@ def _attempt_quotient(oracle, omega, level, k, epsilon, params,
         return None
     return TilingCertificate(
         group=oracle.name, quotient_name=omega.name, quotient_level=level,
-        omega_size=n, epsilon=epsilon, delta=params.delta, zeta=params.zeta,
+        modulus=omega.m, omega_size=n, epsilon=epsilon, delta=params.delta, zeta=params.zeta,
         height_cap=t_cap, k=list(k), tower=tower, trace=trace,
         placements=lifted_placements, remainder=remainder,
         transversal=transversal, defect=defect,
@@ -531,10 +567,11 @@ def _attempt_quotient(oracle, omega, level, k, epsilon, params,
 
 
 def verify_certificate(cert: TilingCertificate, oracle: GroupOracle,
-                       omega: QuotientSet) -> dict:
+                       omega: QuotientSet) -> tuple[dict, Fraction]:
     """Re-verify a certificate from its own data: the decomposition is
     disjoint, the projection restricted to the transversal is a bijection,
-    and the defect recounts to the recorded value."""
+    and the defect recounts to the recorded value.  Returns the checks and
+    the recounted defect."""
     pieces = [tuple(piece) for _, _, piece in cert.placements]
     flat = [g for piece in pieces for g in piece] + list(cert.remainder)
     disjoint = len(set(flat)) == len(flat)
@@ -548,4 +585,4 @@ def verify_certificate(cert: TilingCertificate, oracle: GroupOracle,
         "projection_bijective": bijective,
         "defect_recount_matches": recount == cert.defect,
         "defect_below_epsilon": recount < cert.epsilon,
-    }
+    }, recount

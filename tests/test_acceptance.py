@@ -24,7 +24,7 @@ from gradedgrowth.hecke import HeckeElement, crystal_monomial_check, delta, \
 from gradedgrowth.registry import P_GROUP_NAMES, get_group, load_registry
 from gradedgrowth.scalars import GF
 from gradedgrowth.subspace import BallAmbient, invariance_defect, set_defect, span
-from gradedgrowth.tiling import ZdQuotient, build_transversal, verify_certificate
+from gradedgrowth.tiling import build_transversal, congruence_quotient, verify_certificate
 
 import numpy as np
 
@@ -139,9 +139,10 @@ def test_criterion_05_tiling_certificate():
         assert row["coverage_identity_ok"]
         assert row["boundary_bound_ok"]
         assert row["maximality_ok"]
-    omega = ZdQuotient(z2, 2**cert.quotient_level)
-    verdict = verify_certificate(cert, z2, omega)
+    omega = congruence_quotient(z2, 2**cert.quotient_level)
+    verdict, recount = verify_certificate(cert, z2, omega)
     assert all(verdict.values()), verdict
+    assert recount == cert.defect
     elapsed = time.monotonic() - start
     assert elapsed < 300.0, f"took {elapsed:.1f}s"
 

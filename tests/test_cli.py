@@ -158,6 +158,50 @@ class TestVerifyRoundTrip:
         assert main(["verify", "--certificate", str(cert),
                      "--out", str(tmp_path / "v.json")]) == 0
 
+    def test_tampered_probe_report_fails(self, tmp_path):
+        cert = tmp_path / "probe.json"
+        main(["tile-algebra-probe", "--p", "2", "--epsilon", "1/2",
+              "--out", str(cert)])
+        payload = json.loads(cert.read_text())
+        payload["steps"][0]["s"] += 1
+        cert.write_text(json.dumps(payload))
+        out = tmp_path / "v.json"
+        assert main(["verify", "--certificate", str(cert), "--out", str(out)]) == 4
+        assert json.loads(out.read_text())["result"]["mismatched_fields"] == ["steps"]
+
+    @pytest.mark.parametrize("command,field", [
+        (["tile", "--group", "z", "--epsilon", "1/2"], "k"),
+        (["gs", "--d", "2", "--degrees", "5"], "t"),
+        (["tile-algebra-probe", "--p", "2", "--epsilon", "1/2"], "config"),
+    ], ids=["tiling", "gs", "probe"])
+    def test_missing_field_is_4(self, tmp_path, command, field):
+        cert = tmp_path / "cert.json"
+        assert main(command + ["--out", str(cert)]) == 0
+        payload = json.loads(cert.read_text())
+        del payload[field]
+        cert.write_text(json.dumps(payload))
+        assert main(["verify", "--certificate", str(cert),
+                     "--out", str(tmp_path / "v.json")]) == 4
+
+    @pytest.mark.parametrize("text", ["[]", "not json"])
+    def test_not_a_certificate_is_4(self, tmp_path, text):
+        cert = tmp_path / "cert.json"
+        cert.write_text(text)
+        assert main(["verify", "--certificate", str(cert),
+                     "--out", str(tmp_path / "v.json")]) == 4
+
+    def test_tampered_tiling_certificate_fails(self, tmp_path):
+        cert = tmp_path / "cert.json"
+        assert main(["tile", "--group", "z", "--epsilon", "1/2",
+                     "--out", str(cert)]) == 0
+        payload = json.loads(cert.read_text())
+        payload["defect"]["num"] += 1
+        cert.write_text(json.dumps(payload))
+        out = tmp_path / "v.json"
+        assert main(["verify", "--certificate", str(cert), "--out", str(out)]) == 4
+        result = json.loads(out.read_text())["result"]
+        assert result["matches"] is False and result["projection_bijective"] is True
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self):
@@ -189,6 +233,13 @@ class TestExitCodes:
         code = main(["deadends", "--group", "z3", "--radius", "30",
                      "--out", str(tmp_path / "x")])
         assert code == 3
+
+    @pytest.mark.parametrize("value", ["lots", "0", "-5"])
+    def test_invalid_budget_is_4(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("GRADEDGROWTH_BUDGET_MB", value)
+        code = main(["deadends", "--group", "z2", "--radius", "3",
+                     "--out", str(tmp_path / "x")])
+        assert code == 4
 
     def test_console_script_installed(self):
         proc = subprocess.run([sys.executable, "-m", "gradedgrowth.cli",

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from gradedgrowth.errors import ContractError, ResourceBudgetError
-from gradedgrowth.filtration import (aperiodic_word_count, aug_ladder,
-                                     build_group_algebra, free_graded_dims,
+from gradedgrowth.filtration import (aug_ladder, build_group_algebra, free_graded_dims,
                                      graded_dims_via_jennings, growth_report,
                                      jennings_hilbert_coeffs, jennings_series,
                                      magnus_deg, quotient_agreement_dims,
@@ -14,6 +13,21 @@ from gradedgrowth.filtration import (aperiodic_word_count, aug_ladder,
 from gradedgrowth.groups import HeisenbergMod, ZdMod
 from gradedgrowth.registry import P_GROUP_NAMES, get_group
 from gradedgrowth.subspace import span
+
+
+def aperiodic_word_count(k: int, n: int) -> int:
+    """Brute-force oracle: aperiodic length-n words over k letters, / n."""
+    count = 0
+    for code in range(k**n):
+        word = []
+        c = code
+        for _ in range(n):
+            word.append(c % k)
+            c //= k
+        if all(word != word[d:] + word[:d] for d in range(1, n)):
+            count += 1
+    assert count % n == 0
+    return count // n
 
 
 class TestGroupAlgebra:

@@ -1,10 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gradedgrowth.errors import ContractError
-from gradedgrowth.gs import (GSPresentation, gs_certificate, gs_value,
+from gradedgrowth.gs import (GSCertificate, GSPresentation, gs_certificate, gs_value,
                              relator_degrees)
 
 
@@ -91,3 +92,17 @@ class TestRelatorDegrees:
 
     def test_assume_min_degree(self):
         assert relator_degrees(["xX"], 2, trunc=4, assume_min_degree=True) == [5]
+
+
+class TestCertificateJson:
+    def test_round_trip_and_verify(self):
+        cert = gs_certificate(GSPresentation(2, (5, 6, 7), p=2, tail_note="none"))
+        payload = json.loads(json.dumps(cert.to_json()))
+        assert GSCertificate.from_json(payload) == cert
+        assert cert.verify() == (True, cert.value)
+
+    def test_tampered_value_fails(self):
+        cert = gs_certificate(GSPresentation(2, ()))
+        payload = cert.to_json()
+        payload["value"]["num"] += 1
+        assert GSCertificate.from_json(payload).verify() == (False, cert.value)

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from gradedgrowth.algebra_probe import algebra_tiling_probe, probe_report_jsonable
+from gradedgrowth.algebra_probe import (algebra_tiling_probe, monomial_probe_json,
+                                        probe_report_jsonable, verify_probe_json)
 from gradedgrowth.errors import ContractError
 
 
@@ -47,3 +48,20 @@ class TestProbe:
             assert {"step", "level_dim", "s", "mu", "nu", "alpha",
                     "mu_at_least_delta", "coverage_identity_ok",
                     "boundary_bound_ok"} <= set(step)
+
+    def test_unit_adjoined_for_nonnegative_exponents(self):
+        without_unit = monomial_probe_json(2, [1, 2], Fraction(1, 2))
+        with_unit = monomial_probe_json(2, [0, 1, 2], Fraction(1, 2))
+        assert without_unit.pop("config") != with_unit.pop("config")
+        assert without_unit == with_unit
+        assert with_unit["k_dim"] == 3
+
+    def test_verify_reruns_the_whole_report(self):
+        payload = monomial_probe_json(2, [0, 1], Fraction(1, 2))
+        assert verify_probe_json(payload) == {"mismatched_fields": [], "matches": True}
+        payload["complement_dim"] += 1
+        assert verify_probe_json(payload) == {"mismatched_fields": ["complement_dim"],
+                                              "matches": False}
+        del payload["config"]
+        with pytest.raises(ContractError):
+            verify_probe_json(payload)

@@ -1,14 +1,16 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gradedgrowth.errors import ContractError, SearchFailedError
-from gradedgrowth.groups import FreeGroup, Heisenberg
+from gradedgrowth.groups import FreeGroup, Heisenberg, HeisenbergMod, ZdMod
 from gradedgrowth.subspace import set_defect
-from gradedgrowth.tiling import (HeisenbergQuotient, ThetaParams, ZdQuotient,
-                                 build_transversal, folner_search, greedy_fill,
+from gradedgrowth.tiling import (HeisenbergQuotient, ThetaParams, TilingCertificate,
+                                 ZdQuotient, _level_ok, build_transversal,
+                                 congruence_quotient, folner_search, greedy_fill,
                                  inverse_envelope, pick_delta, pick_zeta,
                                  quotient_chain, theta, verify_certificate,
                                  worst_case_height)
@@ -110,7 +112,7 @@ class TestFolnerSearch:
 class TestGreedyFill:
     def test_z8_hand_run(self, z1):
         # threshold delta * #K = 1.2 admits the 1-point overlap at center 3
-        omega = ZdQuotient(z1, 8)
+        omega = congruence_quotient(z1, 8)
         k = [(0,), (1,), (2,), (3,)]
         res = greedy_fill(omega, set(), k, k, ThetaParams(Fraction(3, 10), Fraction(2)))
         assert res.centers == [(0,), (3,)]
@@ -120,14 +122,14 @@ class TestGreedyFill:
         assert res.maximality_ok
 
     def test_full_b_rejected(self, z1):
-        omega = ZdQuotient(z1, 8)
+        omega = congruence_quotient(z1, 8)
         full = set(omega.elements)
         with pytest.raises(ContractError):
             greedy_fill(omega, full, [(0,), (1,)], [(0,)],
                         ThetaParams(Fraction(1, 4), Fraction(3, 2)))
 
     def test_perfect_box_packing(self, z2):
-        omega = ZdQuotient(z2, 16)
+        omega = congruence_quotient(z2, 16)
         box = [(a, b) for a in range(4) for b in range(4)]
         res = greedy_fill(omega, set(), box, box,
                           ThetaParams(Fraction(1, 10), Fraction(2)))
@@ -137,13 +139,13 @@ class TestGreedyFill:
         assert res.mu_at_least_delta and res.coverage_identity_ok
 
     def test_injectivity_precondition(self, z1):
-        omega = ZdQuotient(z1, 4)
+        omega = congruence_quotient(z1, 4)
         with pytest.raises(ContractError):
             greedy_fill(omega, set(), [(0,), (4,)], [(0,)],
                         ThetaParams(Fraction(1, 4), Fraction(3, 2)))
 
     def test_tiles_partition_covered_growth(self, z1):
-        omega = ZdQuotient(z1, 8)
+        omega = congruence_quotient(z1, 8)
         k = [(0,), (1,), (2,), (3,)]
         res = greedy_fill(omega, set(), k, k, ThetaParams(Fraction(3, 10), Fraction(2)))
         union = set()
@@ -169,14 +171,14 @@ class TestRecipeConstants:
 
 class TestQuotients:
     def test_zd_quotient_action(self, z2):
-        q = ZdQuotient(z2, 4)
+        q = congruence_quotient(z2, 4)
         assert q.act((3, 3), (1, 1)) == (0, 0)
         assert q.project((5, -1)) == (1, 3)
         assert q.section((2, 1)) == (2, 1)
 
     def test_heisenberg_quotient_action_well_defined(self):
         h = Heisenberg()
-        q = HeisenbergQuotient(h, 4)
+        q = congruence_quotient(h, 4)
         g = (1, 2, 3)
         n_rep = (4, 0, 0)  # lies in the kernel
         x = (0, 1, 0)
@@ -190,14 +192,43 @@ class TestQuotients:
         with pytest.raises(ContractError):
             list(quotient_chain(FreeGroup(2)))
 
+    def test_congruence_quotient_families(self, z2):
+        q = congruence_quotient(z2, 4)
+        assert type(q) is ZdQuotient and q.name == "z2 mod 4"
+        assert q.elements == list(ZdMod(2, 4).elements()) and q.size() == 16
+        h = congruence_quotient(Heisenberg(), 4)
+        assert type(h) is HeisenbergQuotient and h.name == "heisenberg mod 4"
+        assert h.elements == list(HeisenbergMod(4).elements()) and h.size() == 64
+
+    def test_congruence_quotient_unsupported_group(self):
+        with pytest.raises(ContractError):
+            congruence_quotient(FreeGroup(2), 4)
+
+
+class TestTowerLevel:
+    def test_level_checked_against_a_previous_level(self, z1):
+        # a 16-interval passes the boundary bound against K = {0, +-1}; the
+        # larger level [0, 64) then grows to the 79 points [-15, 64) under
+        # the inverse envelope, within zeta = 2 but not zeta = 65/64
+        omega = congruence_quotient(z1, 64)
+        k = [(0,), (1,), (-1,)]
+        candidate = [(i,) for i in range(16)]
+        previous = [[(i,) for i in range(64)]]
+        loose = ThetaParams(Fraction(1, 32), Fraction(2))
+        tight = ThetaParams(Fraction(1, 32), Fraction(65, 64))
+        assert _level_ok(z1, omega, candidate, k, Fraction(1, 2), loose, previous)
+        assert not _level_ok(z1, omega, candidate, k, Fraction(1, 2), tight, previous)
+
 
 class TestBuildTransversal:
     def test_z_line(self, z1):
         cert = build_transversal(z1, [(0,), (1,), (-1,)], Fraction(1, 2))
         assert len(cert.transversal) == 2**cert.quotient_level
         assert cert.defect < Fraction(1, 2)
-        omega = ZdQuotient(z1, 2**cert.quotient_level)
-        assert all(verify_certificate(cert, z1, omega).values())
+        omega = congruence_quotient(z1, 2**cert.quotient_level)
+        checks, recount = verify_certificate(cert, z1, omega)
+        assert all(checks.values())
+        assert recount == cert.defect
 
     def test_z2_acceptance_shape(self, z2):
         cert = build_transversal(z2, K2, Fraction(1, 2))
@@ -223,10 +254,16 @@ class TestBuildTransversal:
 
     def test_verification_catches_tampering(self, z1):
         cert = build_transversal(z1, [(0,), (1,), (-1,)], Fraction(1, 2))
-        omega = ZdQuotient(z1, 2**cert.quotient_level)
-        report = verify_certificate(cert, z1, omega)
+        omega = congruence_quotient(z1, 2**cert.quotient_level)
+        report, _ = verify_certificate(cert, z1, omega)
         assert report["projection_bijective"]
         tampered = cert.__class__(**{**cert.__dict__,
                                      "transversal": cert.transversal[:-1]})
-        bad = verify_certificate(tampered, z1, omega)
+        bad, _ = verify_certificate(tampered, z1, omega)
         assert not bad["projection_bijective"]
+
+    def test_json_round_trip(self, z1):
+        cert = build_transversal(z1, [(0,), (1,), (-1,)], Fraction(1, 2))
+        assert cert.modulus == 2**cert.quotient_level
+        payload = json.loads(json.dumps(cert.to_json()))
+        assert TilingCertificate.from_json(payload) == cert
