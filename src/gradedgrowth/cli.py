@@ -297,16 +297,16 @@ def _cmd_gs(args) -> int:
               "tail_note": args.tail_note}
     assumed = None
     if args.presentation:
-        with open(args.presentation, "r", encoding="utf-8") as fh:
+        with reading("presentation"), open(args.presentation, "r", encoding="utf-8") as fh:
             pres = json.load(fh)
-        relators = pres["relators"]
+            relators = pres["relators"]
+            d = len(pres["generators"])
         if args.p is None:
             raise ContractError("--p is required with --presentation")
         degrees = relator_degrees(relators, args.p, args.max_deg,
                                   assume_min_degree=args.assume_min_degree)
         if args.assume_min_degree and any(d == args.max_deg + 1 for d in degrees):
             assumed = args.max_deg + 1
-        d = len(pres["generators"])
     else:
         if args.d is None:
             raise ContractError("need either --presentation or --d")
@@ -341,7 +341,7 @@ def _cmd_groups(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.certificate, "r", encoding="utf-8") as fh, reading("certificate"):
+    with reading("certificate"), open(args.certificate, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
         kind = payload["certificate_type"]
     if kind == "gs":

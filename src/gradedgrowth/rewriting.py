@@ -65,16 +65,20 @@ class RewritingSystem:
         return RewritingSystem(alphabet, tuple(rules), complete, status,
                                tuple(generators), tuple(relators), rule_map, lens)
 
-    def reduce(self, word: str) -> str:
-        """Unique normal form when complete; some irreducible descendant else.
+    def reduce(self, word: str, prefix: str = "") -> str:
+        """Unique normal form of prefix + word when complete; some irreducible
+        descendant else.
 
         Stack-based: symbols are shifted in one at a time and rule left sides
         are only ever matched against a suffix of the stack.  This is sound
         because the stack below the newest symbol is already irreducible.
+        The stack starts as `prefix`, which must be irreducible: then no
+        rule fires while its letters are shifted, so starting from it gives
+        the same result as shifting it in, without the work.
         """
         rule_map = self._rule_map
         lens = self._lhs_lens
-        out = ""
+        out = prefix
         rest = list(reversed(word))
         while rest:
             out += rest.pop()
@@ -332,11 +336,14 @@ class RewritingGroup(GroupOracle):
         return ""
 
     def multiply(self, g: str, s: str) -> str:
+        """The normal form of g s.  g must be a normal form (irreducible):
+        it is taken as the reduction stack as it stands, and only the
+        letters of s are shifted through it."""
         if s not in self.generator_symbols:
             raise ContractError(f"unknown generator symbol {s!r}")
         if s in self.system.alphabet:
-            return self.system.reduce(g + s)
-        return self.system.reduce(g + self._inverse_word[s.lower()])
+            return self.system.reduce(s, g)
+        return self.system.reduce(self._inverse_word[s.lower()], g)
 
     def mul(self, g: str, h: str) -> str:
         return self.system.reduce(g + h)

@@ -32,9 +32,12 @@ def element_from_json(v):
 
 @contextmanager
 def reading(what: str):
-    """Turn a missing or ill-typed field of outside JSON into a ContractError."""
+    """Turn an unreadable file, or a missing or ill-typed field of outside
+    JSON, into a ContractError."""
     try:
         yield
+    except OSError as exc:
+        raise ContractError(f"cannot read {what}: {exc}") from exc
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ContractError(f"malformed {what}: {exc!r}") from exc
 

@@ -30,10 +30,13 @@ by direct count, never assumed from the recipe.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import budgets
 from .errors import ContractError, SearchFailedError
@@ -109,17 +112,29 @@ class QuotientSet:
     """A congruence quotient G/N of an infinite group, held as the finite
     oracle `finite` on the reduced coordinates: full coset listing (in the
     finite oracle's order), projection, and a section lifting cosets back
-    to the group.  Subclasses supply the exact right action."""
+    to the group.  Subclasses supply the exact right action, on one coset
+    (`act`) and on arrays of cosets, as coset indices (`act_indices`).
+
+    Cosets are numbered 0..n-1 in `elements` order, which for both
+    families is mixed radix in m over the coordinates, the first one most
+    significant."""
 
     def __init__(self, oracle: GroupOracle, finite: GroupOracle):
         self.oracle = oracle
         self.finite = finite
         self.m = finite.m
         self.name = f"{oracle.name} mod {self.m}"
+        width = len(finite.identity)
+        self._radix = self.m ** np.arange(width - 1, -1, -1, dtype=np.int64)
 
     @cached_property
     def elements(self) -> list:
         return list(self.finite.elements())
+
+    def index(self, cosets) -> np.ndarray:
+        """Positions in `elements` of cosets whose coordinates run along the
+        last axis."""
+        return np.asarray(cosets, dtype=np.int64) @ self._radix
 
     def project(self, g):
         return tuple(a % self.m for a in g)
@@ -131,10 +146,10 @@ class QuotientSet:
         return self.finite.order
 
 
-# The two subclasses differ only in `act`.  They stay separate classes, each
-# defining its own `act`, because the benchmark's tracer (perfbench/tracer.py)
-# counts quotient actions by wrapping ZdQuotient.act and
-# HeisenbergQuotient.act by name.
+# Each subclass defines its own `act`, although both could share one through
+# `finite.mul`, because the benchmark's tracer (perfbench/tracer.py) counts
+# quotient actions by wrapping ZdQuotient.act and HeisenbergQuotient.act by
+# name.
 
 
 class ZdQuotient(QuotientSet):
@@ -144,6 +159,12 @@ class ZdQuotient(QuotientSet):
         """Right action: coset of x goes to the coset of x g."""
         return tuple((a + b) % self.m for a, b in zip(coset, g))
 
+    def act_indices(self, cosets: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Indices of x k for the rows x of `cosets` and the rows k of an
+        array of projected elements, as one row per x."""
+        return sum((cosets[:, i, None] + k[:, i]) % self.m * r
+                   for i, r in enumerate(self._radix))
+
 
 class HeisenbergQuotient(QuotientSet):
     """Heisenberg group modulo the kernel of reduction mod m (a normal,
@@ -152,6 +173,15 @@ class HeisenbergQuotient(QuotientSet):
 
     def act(self, coset, g):
         return self.finite.mul(coset, self.project(g))
+
+    def act_indices(self, cosets: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Indices of x k for the rows x of `cosets` and the rows k of an
+        array of projected elements, as one row per x:
+        (a, b, c)(d, e, f) = (a + d, b + e, c + f + ae)."""
+        a, b, c = (cosets[:, i, None] for i in range(3))
+        d, e, f = k.T
+        m = self.m
+        return ((a + d) % m * m + (b + e) % m) * m + (c + f + a * e) % m
 
 
 def congruence_quotient(oracle: GroupOracle, m: int) -> QuotientSet:
@@ -176,6 +206,10 @@ def quotient_chain(oracle: GroupOracle, base: int = 2,
 
 # ---------------------------------------------------------------------------
 # the greedy covering step
+
+
+# tile indices computed at once by greedy_fill (a few MB of int64 at most)
+_TILE_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -204,7 +238,8 @@ def greedy_fill(omega: QuotientSet, b: set, k: Sequence, l: Sequence,
 
     Preconditions: the projection must be injective on K (checked; by
     cancellation this is equivalent to injectivity of k -> xk for every x),
-    and the bookkeeping inputs nu = #B/#Omega, alpha must lie in [0, 1).
+    B must consist of cosets as `omega.elements` lists them (checked), and
+    the bookkeeping inputs nu = #B/#Omega, alpha must lie in [0, 1).
     The conclusions (mu >= delta, the coverage identity and the boundary
     bound through one theta step) are checked exactly; when the covering
     step's hypotheses fail the violations are recorded instead of asserted.
@@ -217,6 +252,8 @@ def greedy_fill(omega: QuotientSet, b: set, k: Sequence, l: Sequence,
     pk = [omega.project(x) for x in k]
     if len(set(pk)) != len(k):
         raise ContractError("projection is not injective on K")
+    if not set(b).issubset(omega.elements):
+        raise ContractError("B must be a set of cosets of the quotient")
     nu = Fraction(len(b), n) if nu is None else Fraction(nu)
     if not 0 <= nu < 1:
         raise ContractError("need nu in [0, 1): B may not exhaust the quotient")
@@ -244,16 +281,32 @@ def greedy_fill(omega: QuotientSet, b: set, k: Sequence, l: Sequence,
     if len(bl_star) > alpha * n:
         failures.append(f"#(BL*) = {len(bl_star)} exceeds alpha * #Omega = {alpha * n}")
 
-    threshold = params.delta * len(k)
-    covered = set(b)
+    # The scan runs on coset indices: the region built so far is a mask over
+    # the quotient, and the tile xK is a row of indices (distinct, since the
+    # projection is injective on K).  Tiles are computed a block of centres
+    # at a time; overlaps are integers, so floor(delta #K) is the threshold.
+    threshold = math.floor(params.delta * len(k))
+    elements = omega.elements
+    k_rows = np.array(pk, dtype=np.int64)
+    block = max(1, _TILE_BLOCK_ENTRIES // len(k))
+
+    def tile_blocks():
+        for start in range(0, n, block):
+            centres = np.array(elements[start:start + block], dtype=np.int64)
+            yield omega.act_indices(centres, k_rows)
+
+    in_region = np.zeros(n, dtype=bool)
+    if b:
+        in_region[omega.index(list(b))] = True
     centers = []
     tiles = []
-    for x in omega.elements:
-        tile = {omega.act(x, g) for g in k}
-        if len(tile & covered) <= threshold:
+    for x, tile in zip(elements, itertools.chain.from_iterable(tile_blocks())):
+        fresh = tile[~in_region[tile]]
+        if len(tile) - len(fresh) <= threshold:
             centers.append(x)
-            tiles.append(tile - covered)
-            covered |= tile
+            tiles.append({elements[i] for i in fresh})
+            in_region[fresh] = True
+    covered = {elements[i] for i in np.flatnonzero(in_region)}
     s = len(centers)
 
     mu = (Fraction(len(covered), n) - nu) / (1 - alpha)
@@ -266,9 +319,10 @@ def greedy_fill(omega: QuotientSet, b: set, k: Sequence, l: Sequence,
     coverage_ok = Fraction(len(covered), n) == nu_out
     bsl_star = {omega.act(c, x) for c in covered for x in inv_l}
     boundary_ok = Fraction(len(bsl_star), n) <= alpha_out
+    # recounted against the final cover, not inferred from the scan
     maximality_ok = all(
-        len({omega.act(x, g) for g in k} & covered) > threshold
-        for x in omega.elements
+        np.all(np.count_nonzero(in_region[rows], axis=1) > threshold)
+        for rows in tile_blocks()
     )
     return GreedyFillResult(
         centers=centers, covered=covered, mu=mu, s=s,

@@ -224,6 +224,16 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "p < 2**16" in proc.stderr
 
+    def test_presentation_without_relators_is_4(self, tmp_path):
+        pres = tmp_path / "pres.json"
+        pres.write_text(json.dumps({"generators": ["x", "y"]}))
+        assert main(["gs", "--presentation", str(pres), "--p", "2",
+                     "--out", str(tmp_path / "x")]) == 4
+
+    def test_missing_certificate_file_is_4(self, tmp_path):
+        assert main(["verify", "--certificate", str(tmp_path / "absent.json"),
+                     "--out", str(tmp_path / "x")]) == 4
+
     def test_search_failure_is_5(self, tmp_path):
         assert main(["folner", "--group", "free2", "--bound", "1/2",
                      "--max-radius", "6", "--out", str(tmp_path / "x")]) == 5

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gradedgrowth.errors import ContractError
+from gradedgrowth.groups import ball
 from gradedgrowth.rewriting import (RewritingGroup, RewritingSystem,
                                     confluence_check, knuth_bendix,
                                     reduce_word, triangle_group)
@@ -139,3 +140,42 @@ class TestRewritingGroup:
         # registry uses {"generators": [...], "relators": [...]} presentations
         assert t335.system.generators == ("x", "y")
         assert "xyxyxyxyxy" in t335.system.relators
+
+
+def reduce_from_scratch(group, g, s):
+    """g s reduced by shifting every letter of g again: the reference for
+    the incremental multiply."""
+    word = s if s in group.system.alphabet else group._inverse_word[s.lower()]
+    return group.system.reduce(g + word)
+
+
+@pytest.fixture(scope="module")
+def presented_balls(t334, t335):
+    dihedral = RewritingGroup("ab", ["aa", "bb", "ababab"], name="d3")
+    return [(group, ball(group, radius).elements)
+            for group, radius in ((t334, 9), (t335, 9), (dihedral, 3))]
+
+
+class TestIncrementalMultiply:
+    @given(st.data())
+    def test_multiply_matches_reduce_from_scratch(self, presented_balls, data):
+        group, elements = data.draw(st.sampled_from(presented_balls))
+        g = data.draw(st.sampled_from(elements))
+        for s in group.generator_symbols:
+            assert group.multiply(g, s) == reduce_from_scratch(group, g, s)
+        word = data.draw(st.text(alphabet=group.system.alphabet, max_size=10))
+        assert group.system.reduce(word, g) == group.system.reduce(g + word)
+
+    def test_ball_spheres_match_from_scratch_bfs(self, t334):
+        spheres = [[""]]
+        seen = {""}
+        for _ in range(12):
+            nxt = []
+            for g in spheres[-1]:
+                for s in t334.generator_symbols:
+                    h = reduce_from_scratch(t334, g, s)
+                    if h not in seen:
+                        seen.add(h)
+                        nxt.append(h)
+            spheres.append(nxt)
+        assert ball(t334, 12).by_sphere == spheres

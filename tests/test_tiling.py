@@ -1,17 +1,20 @@
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
+from typing import Sequence
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from gradedgrowth.errors import ContractError, SearchFailedError
-from gradedgrowth.groups import FreeGroup, Heisenberg, HeisenbergMod, ZdMod
+from gradedgrowth.groups import FreeAbelian, FreeGroup, Heisenberg, HeisenbergMod, ZdMod
 from gradedgrowth.subspace import set_defect
-from gradedgrowth.tiling import (HeisenbergQuotient, ThetaParams, TilingCertificate,
-                                 ZdQuotient, _level_ok, build_transversal,
-                                 congruence_quotient, folner_search, greedy_fill,
-                                 inverse_envelope, pick_delta, pick_zeta,
+from gradedgrowth.tiling import (GreedyFillResult, HeisenbergQuotient, QuotientSet,
+                                 ThetaParams, TilingCertificate, ZdQuotient, _level_ok,
+                                 build_transversal, congruence_quotient, folner_search,
+                                 greedy_fill, inverse_envelope, pick_delta, pick_zeta,
                                  quotient_chain, theta, verify_certificate,
                                  worst_case_height)
 
@@ -138,6 +141,13 @@ class TestGreedyFill:
         assert len(res.covered) == 256
         assert res.mu_at_least_delta and res.coverage_identity_ok
 
+    def test_b_outside_the_listing_rejected(self, z1):
+        # (-1,) is the coset (7,) written another way; its index would be -1
+        omega = congruence_quotient(z1, 8)
+        with pytest.raises(ContractError):
+            greedy_fill(omega, {(-1,)}, [(0,), (1,)], [(0,)],
+                        ThetaParams(Fraction(1, 4), Fraction(3, 2)))
+
     def test_injectivity_precondition(self, z1):
         omega = congruence_quotient(z1, 4)
         with pytest.raises(ContractError):
@@ -155,6 +165,146 @@ class TestGreedyFill:
             total += len(t)
         assert union == res.covered
         assert total == len(res.covered)
+
+
+# The set-based covering pass that greedy_fill replaced, kept verbatim as the
+# reference the indexed scan is compared against.
+def reference_greedy_fill(omega: QuotientSet, b: set, k: Sequence, l: Sequence,
+                          params: ThetaParams, nu: Fraction | None = None,
+                          alpha: Fraction | None = None) -> GreedyFillResult:
+    """One covering pass with tiles xK over the quotient.
+
+    Preconditions: the projection must be injective on K (checked; by
+    cancellation this is equivalent to injectivity of k -> xk for every x),
+    and the bookkeeping inputs nu = #B/#Omega, alpha must lie in [0, 1).
+    The conclusions (mu >= delta, the coverage identity and the boundary
+    bound through one theta step) are checked exactly; when the covering
+    step's hypotheses fail the violations are recorded instead of asserted.
+    """
+    k = list(k)
+    l = list(l)
+    if not k:
+        raise ContractError("K must be nonempty")
+    n = omega.size()
+    pk = [omega.project(x) for x in k]
+    if len(set(pk)) != len(k):
+        raise ContractError("projection is not injective on K")
+    nu = Fraction(len(b), n) if nu is None else Fraction(nu)
+    if not 0 <= nu < 1:
+        raise ContractError("need nu in [0, 1): B may not exhaust the quotient")
+
+    inv_k = [omega.oracle.inv(x) for x in k]
+    inv_l = [omega.oracle.inv(x) for x in l]
+    bk_star = {omega.act(c, x) for c in b for x in inv_k}
+    bl_star = {omega.act(c, x) for c in b for x in inv_l}
+    if alpha is None:
+        alpha = Fraction(max(len(bk_star), len(bl_star)), n)
+    else:
+        alpha = Fraction(alpha)
+    if not 0 <= alpha < 1:
+        raise ContractError("need alpha in [0, 1)")
+
+    failures = []
+    if Fraction(len(b), n) != nu:
+        failures.append(f"#B = {len(b)} is not nu * #Omega = {nu * n}")
+    k_cosets = set(pk)
+    kl_star = {omega.act(c, x) for c in k_cosets for x in inv_l}
+    if len(kl_star) > params.zeta * len(k):
+        failures.append(f"#(KL*) = {len(kl_star)} exceeds zeta * #K = {params.zeta * len(k)}")
+    if len(bk_star) > alpha * n:
+        failures.append(f"#(BK*) = {len(bk_star)} exceeds alpha * #Omega = {alpha * n}")
+    if len(bl_star) > alpha * n:
+        failures.append(f"#(BL*) = {len(bl_star)} exceeds alpha * #Omega = {alpha * n}")
+
+    threshold = params.delta * len(k)
+    covered = set(b)
+    centers = []
+    tiles = []
+    for x in omega.elements:
+        tile = {omega.act(x, g) for g in k}
+        if len(tile & covered) <= threshold:
+            centers.append(x)
+            tiles.append(tile - covered)
+            covered |= tile
+    s = len(centers)
+
+    mu = (Fraction(len(covered), n) - nu) / (1 - alpha)
+    # same map as theta(), but tolerating mu < delta so the violation can be
+    # recorded instead of raised
+    gain = mu * (1 - alpha)
+    nu_out = nu + gain
+    alpha_out = alpha + gain * params.zeta / (1 - params.delta)
+
+    coverage_ok = Fraction(len(covered), n) == nu_out
+    bsl_star = {omega.act(c, x) for c in covered for x in inv_l}
+    boundary_ok = Fraction(len(bsl_star), n) <= alpha_out
+    maximality_ok = all(
+        len({omega.act(x, g) for g in k} & covered) > threshold
+        for x in omega.elements
+    )
+    return GreedyFillResult(
+        centers=centers, covered=covered, mu=mu, s=s,
+        nu_in=nu, alpha_in=alpha, nu_out=nu_out, alpha_out=alpha_out,
+        tiles=tiles,
+        hypotheses_ok=not failures, hypothesis_failures=failures,
+        mu_at_least_delta=mu >= params.delta,
+        coverage_identity_ok=coverage_ok,
+        boundary_bound_ok=boundary_ok,
+        maximality_ok=maximality_ok,
+    )
+
+
+DIFFERENTIAL_QUOTIENTS = [congruence_quotient(FreeAbelian(1), 16),
+                          congruence_quotient(FreeAbelian(2), 8),
+                          congruence_quotient(Heisenberg(), 2),
+                          congruence_quotient(Heisenberg(), 4)]
+
+
+def _lift(omega, coset, data):
+    """A group element over the coset: each coordinate moved by a multiple of m."""
+    return tuple(a + omega.m * data.draw(st.integers(-2, 2)) for a in coset)
+
+
+def _outcome(fill, *args):
+    try:
+        return fill(*args)
+    except ContractError as exc:
+        return ("ContractError", str(exc))
+
+
+class TestGreedyFillDifferential:
+    @given(st.data())
+    def test_matches_set_based_reference(self, data):
+        omega = data.draw(st.sampled_from(DIFFERENTIAL_QUOTIENTS))
+        n = omega.size()
+        cosets = st.sampled_from(omega.elements)
+        k_cosets = data.draw(st.lists(cosets, min_size=1, max_size=max(1, n // 3),
+                                      unique=True))
+        k = [_lift(omega, c, data) for c in k_cosets]
+        l = [_lift(omega, c, data) for c in data.draw(st.lists(cosets, max_size=6))]
+        b = set(data.draw(st.lists(cosets, max_size=n - 1, unique=True)))
+        # delta * #K is a multiple of 1/4, so overlaps hit the threshold exactly
+        delta = Fraction(data.draw(st.integers(1, 4 * len(k) - 1)), 4 * len(k))
+        zeta = data.draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(4)]))
+        params = ThetaParams(delta, zeta)
+        nu = alpha = None
+        if data.draw(st.booleans()):
+            nu = Fraction(data.draw(st.sampled_from([len(b), n - 1])), n)
+            alpha = Fraction(data.draw(st.integers(0, n - 1)), n)
+        args = (omega, b, k, l, params, nu, alpha)
+        fast, ref = _outcome(greedy_fill, *args), _outcome(reference_greedy_fill, *args)
+        if isinstance(ref, tuple):
+            assert fast == ref
+            return
+        for field in dataclasses.fields(GreedyFillResult):
+            assert getattr(fast, field.name) == getattr(ref, field.name), field.name
+
+    @pytest.mark.parametrize("omega", DIFFERENTIAL_QUOTIENTS, ids=lambda q: q.name)
+    def test_indices_follow_the_listing(self, omega):
+        assert list(omega.index(omega.elements)) == list(range(omega.size()))
+        g = tuple(range(3, 3 + len(omega.elements[0])))
+        acted = omega.act_indices(np.array(omega.elements), np.array([omega.project(g)]))
+        assert list(acted[:, 0]) == list(omega.index([omega.act(x, g) for x in omega.elements]))
 
 
 class TestRecipeConstants:
