@@ -17,9 +17,9 @@ import sys
 from .algebra_probe import monomial_probe_json, verify_probe_json
 from .errors import (ContractError, GradedGrowthError, ResourceBudgetError,
                      SearchFailedError)
-from .filtration import (aug_ladder, build_group_algebra, growth_report,
-                         quotient_agreement_dims, right_ideal_closure,
-                         rs_generators, rs_step_bound)
+from .filtration import (aug_ladder, build_group_algebra, congruence_graded_dims,
+                         growth_report, quotient_agreement_dims,
+                         right_ideal_closure, rs_generators, rs_step_bound)
 from .groups import ball, find_dead_ends
 from .gs import GSCertificate, GSPresentation, gs_certificate, relator_degrees
 from .hecke import crystal_monomial_check, delta, hecke_mul, untwist
@@ -124,12 +124,9 @@ def _cmd_growth(args) -> int:
     else:
         base = args.quotient_base
         level = args.quotient_level
-        ladders = []
-        for lvl in (level, level + 1):
-            finite = congruence_quotient(oracle, base**lvl).finite
-            alg = build_group_algebra(finite, args.p, max_order=args.max_order)
-            ladders.append(aug_ladder(alg).graded_dims)
-        dims = quotient_agreement_dims(ladders)
+        dims = quotient_agreement_dims(
+            [congruence_graded_dims(oracle, base**lvl, args.p, args.max_order)
+             for lvl in (level, level + 1)])
         power_dims = None
         note = (f"agreement prefix of quotient levels {level} and {level + 1} "
                 f"(base {base})")
@@ -382,7 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--quotient-base", type=int, default=2)
     p.add_argument("--quotient-level", type=int, default=2)
-    p.add_argument("--max-order", type=int, default=None)
+    p.add_argument("--max-order", type=int, default=None,
+                   help="order cap on each congruence quotient of an infinite "
+                        "group (default 2048)")
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_growth)

@@ -3,8 +3,9 @@
 Pieces: finite group algebras over GF(p) with exact structure tables; the
 descending ladder of augmentation-ideal powers and its graded dimensions;
 the fastest-descending p-central (Jennings) series of a finite p-group with
-the product-formula Hilbert coefficients that must reproduce the ladder
-dimensions; truncated Magnus valuations over GF(p) for free-group words;
+the product-formula Hilbert coefficients that reproduce the ladder
+dimensions, also on the p-parts of congruence quotients of infinite groups;
+truncated Magnus valuations over GF(p) for free-group words;
 graded dimensions of the free group algebra; Witt necklace ranks; ideal
 generators in the style of Reidemeister-Schreier together with the
 single-step growth bound; and growth reports with Fekete-style estimates.
@@ -20,8 +21,10 @@ import numpy as np
 from . import budgets
 from .errors import ContractError, ResourceBudgetError
 from .groups import GroupOracle, ball
+from .scalars import check_prime
 from .subspace import (Ambient, Subspace, full_subspace, intersect, pivot_columns,
                        rank_mod_p, rref, span)
+from .tiling import congruence_quotient
 
 MAGNUS_DEFAULT_TRUNCATION = 12
 MAGNUS_MAX_GENERATORS = 3
@@ -37,11 +40,7 @@ class FiniteGroupAlgebra(Ambient):
     def __init__(self, group: GroupOracle, prime: int, max_order: int | None = None):
         if group.order is None:
             raise ContractError(f"{group.name} has no finite enumeration")
-        cap = budgets.algebra_cap(max_order)
-        if group.order > cap:
-            raise ResourceBudgetError(
-                f"group order {group.order} exceeds algebra cap {cap}"
-            )
+        _check_algebra_order(group.order, max_order)
         labels = ball(group, group.order).elements
         if len(labels) != group.order:
             raise ContractError(
@@ -52,6 +51,7 @@ class FiniteGroupAlgebra(Ambient):
         self.group = group
         self._tables: dict = {}
         self._gathers: dict = {}
+        self._complement: tuple = (None, None)  # (ideal, _unital_complement)
 
     def right_translation(self, h):
         cached = self._tables.get(h)
@@ -83,6 +83,12 @@ class FiniteGroupAlgebra(Ambient):
 def build_group_algebra(group: GroupOracle, p: int,
                         max_order: int | None = None) -> FiniteGroupAlgebra:
     return FiniteGroupAlgebra(group, p, max_order)
+
+
+def _check_algebra_order(order: int, max_order: int | None) -> None:
+    cap = budgets.algebra_cap(max_order)
+    if order > cap:
+        raise ResourceBudgetError(f"group order {order} exceeds algebra cap {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +284,26 @@ def _poly_mul(a: list[int], b: list[int], max_deg: int) -> list[int]:
 
 
 def graded_dims_via_jennings(group: GroupOracle, p: int) -> list[int]:
-    """Ladder dimensions of GF(p)G computed through the Jennings series.
+    """Ladder dimensions of GF(p)G for a p-group G, by the Jennings series.
 
     The product formula reproduces aug_ladder exactly on every small built-in
-    p-group (tested); it is the only tractable route once the group order
-    makes dense linear algebra infeasible.
-    """
+    p-group (tested); with no dense algebra, it is how growth on infinite
+    groups gets its dims (congruence_graded_dims)."""
     series = jennings_series(group, p)
     return jennings_hilbert_coeffs(series.dims, p)
+
+
+def congruence_graded_dims(oracle: GroupOracle, m: int, p: int,
+                           max_order: int | None = None) -> list[int]:
+    """Graded dims of GF(p)Q for the level-m congruence quotient Q, (Z/m)^d or
+    Heisenberg over Z/m, checked like build_group_algebra: modulus, cap, prime.
+    Q = P x R with P the same group over Z/m_p and #R prime to p; the
+    augmentation ideal of GF(p)R is idempotent, so only P counts."""
+    _check_algebra_order(congruence_quotient(oracle, m).size(), max_order)
+    check_prime(p)
+    m_p = math.gcd(m, p ** m.bit_length())  # the largest power of p dividing m
+    return ([1] if m_p == 1 else
+            graded_dims_via_jennings(congruence_quotient(oracle, m_p).finite, p))
 
 
 # ---------------------------------------------------------------------------
@@ -452,22 +470,31 @@ def is_right_ideal(alg: FiniteGroupAlgebra, i_sub: Subspace) -> bool:
                for s in alg.generator_elements())
 
 
+def _unital_complement(alg: FiniteGroupAlgebra, i_sub: Subspace):
+    """Checks that I is a right ideal of alg without 1; returns its identity-
+    last echelon data and the coordinates spanning its echelon complement F.
+    The algebra keeps the last answer: rs-check asks twice about each ideal."""
+    if i_sub.ambient is not alg:
+        raise ContractError("ideal must live in the given group algebra")
+    if alg._complement[0] == i_sub:
+        return alg._complement[1]
+    if not is_right_ideal(alg, i_sub):
+        raise ContractError("subspace is not a right ideal")
+    perm, inv_perm, rows, pivots = _identity_last_echelon(i_sub)
+    pivot_set = set(pivots.tolist())
+    if alg.dim - 1 in pivot_set:  # the identity coordinate is a pivot row
+        raise ContractError("1 lies in the ideal: no unital complement")
+    complement = [perm[j] for j in range(alg.dim) if j not in pivot_set]
+    alg._complement = (i_sub, (perm, inv_perm, rows, pivots, complement))
+    return alg._complement[1]
+
+
 def rs_generators(alg: FiniteGroupAlgebra, i_sub: Subspace, s_elements: list) -> list[np.ndarray]:
     """Generators {f s - proj_F(f s)} of the right ideal I, where F is the
     echelon complement of I containing 1 and proj_F projects along I."""
-    if i_sub.ambient is not alg:
-        raise ContractError("ideal must live in the given group algebra")
-    if not is_right_ideal(alg, i_sub):
-        raise ContractError("subspace is not a right ideal")
-    e_vec = np.zeros(alg.dim, dtype=np.int64)
-    e_vec[0] = 1
-    if i_sub.contains_vector(e_vec):
-        raise ContractError("1 lies in the ideal: no unital complement")
-    perm, inv_perm, rows, pivots = _identity_last_echelon(i_sub)
-    pivot_set = set(pivots.tolist())
-    complement_coords = [perm[j] for j in range(alg.dim) if j not in pivot_set]
+    perm, inv_perm, rows, pivots, complement = _unital_complement(alg, i_sub)
     targets = [alg.index[alg.group.mul(alg.labels[coord], s)]
-               for coord in complement_coords for s in s_elements]
+               for coord in complement for s in s_elements]
     vecs = np.zeros((len(targets), alg.dim), dtype=np.int64)
     vecs[np.arange(len(targets)), targets] = 1
     p = alg.prime
@@ -494,22 +521,11 @@ def _plus_translates(alg: FiniteGroupAlgebra, rows: np.ndarray, elements: list) 
 def rs_step_bound(alg: FiniteGroupAlgebra, i_sub: Subspace,
                   s_elements: list) -> tuple[bool, int, int]:
     """Check dim(I / I w) <= dim((F + FS) cap I); returns (holds, lhs, rhs)."""
-    if not is_right_ideal(alg, i_sub):
-        raise ContractError("subspace is not a right ideal")
-    e_vec = np.zeros(alg.dim, dtype=np.int64)
-    e_vec[0] = 1
-    if i_sub.contains_vector(e_vec):
-        raise ContractError("1 lies in the ideal: no unital complement")
+    complement = _unital_complement(alg, i_sub)[-1]
     # I*w is spanned by I*(s-1) over the generators
     i_w = Subspace(alg, _times_generators_minus_one(alg, i_sub.rows, alg.generator_elements()))
     lhs = i_sub.rank - i_w.rank
-
-    perm, inv_perm, ech, pivots = _identity_last_echelon(i_sub)
-    pivot_set = set(pivots.tolist())
-    complement_coords = [perm[j] for j in range(alg.dim) if j not in pivot_set]
-    f_rows = np.zeros((len(complement_coords), alg.dim), dtype=np.int64)
-    for r, coord in enumerate(complement_coords):
-        f_rows[r, coord] = 1
+    f_rows = np.eye(alg.dim, dtype=np.int64)[complement]
     grown = _plus_translates(alg, f_rows, s_elements)
     rhs = intersect(grown, i_sub).rank
     return lhs <= rhs, lhs, rhs

@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -40,6 +42,33 @@ class TestBasicCommands:
         payload = json.loads(text)
         assert payload["graded_dims"] == [1, 1, 1, 1]
         assert "agreement" in payload["note"]
+
+    def test_growth_heisenberg_beyond_the_algebra_cap(self):
+        # quotients of order 4,096 and 32,768; gr F_2 H has Hilbert series
+        # (1-t)^-2 (1-t^2)^-1, whose coefficients are floor((n+2)^2/4)
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "gradedgrowth.cli", "growth",
+                               "--group", "heisenberg", "--p", "2",
+                               "--quotient-level", "4", "--max-order", "40000",
+                               "--format", "json"], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert time.perf_counter() - start < 5
+        dims = json.loads(proc.stdout)["graded_dims"]
+        assert dims == [(n + 2) ** 2 // 4 for n in range(16)]
+
+    @pytest.mark.parametrize("group,d,p,args,length", [
+        ("z", 1, 2, ["--quotient-level", "5"], 32),
+        ("z2", 2, 2, ["--quotient-level", "3"], 8),
+        ("z2", 2, 3, ["--quotient-base", "3"], 9),
+        ("z3", 3, 2, ["--quotient-level", "3", "--max-order", "4096"], 8),
+    ])
+    def test_growth_free_abelian_hilbert_series(self, tmp_path, group, d, p, args, length):
+        # gr F_p Z^d is a polynomial ring in d variables: C(n+d-1, d-1)
+        argv = ["growth", "--group", group, "--p", str(p), "--format", "json"] + args
+        code, text = run_cli(argv, tmp_path)
+        assert code == 0
+        dims = json.loads(text)["graded_dims"]
+        assert dims == [math.comb(n + d - 1, d - 1) for n in range(length)]
 
     def test_deadends_empty_z2(self, tmp_path):
         code, text = run_cli(["deadends", "--group", "z2", "--radius", "6"], tmp_path)
@@ -223,6 +252,15 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert "p < 2**16" in proc.stderr
+
+    @pytest.mark.parametrize("args,code", [
+        (["--p", "4", "--quotient-level", "4"], 3),  # over the cap: before the prime
+        (["--p", "4"], 4),
+        (["--p", "2", "--quotient-base", "1"], 4),
+    ])
+    def test_growth_infinite_group_exit_codes(self, tmp_path, args, code):
+        assert main(["growth", "--group", "heisenberg"] + args
+                    + ["--out", str(tmp_path / "x")]) == code
 
     def test_presentation_without_relators_is_4(self, tmp_path):
         pres = tmp_path / "pres.json"

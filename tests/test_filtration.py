@@ -3,8 +3,11 @@ import random
 import numpy as np
 import pytest
 
+from gradedgrowth import filtration
+from gradedgrowth.cli import main
 from gradedgrowth.errors import ContractError, ResourceBudgetError
-from gradedgrowth.filtration import (aug_ladder, build_group_algebra, free_graded_dims,
+from gradedgrowth.filtration import (aug_ladder, build_group_algebra,
+                                     congruence_graded_dims, free_graded_dims,
                                      graded_dims_via_jennings, growth_report,
                                      jennings_hilbert_coeffs, jennings_series,
                                      magnus_deg, quotient_agreement_dims,
@@ -13,6 +16,7 @@ from gradedgrowth.filtration import (aug_ladder, build_group_algebra, free_grade
 from gradedgrowth.groups import HeisenbergMod, ZdMod
 from gradedgrowth.registry import P_GROUP_NAMES, get_group
 from gradedgrowth.subspace import span
+from gradedgrowth.tiling import congruence_quotient
 
 
 def aperiodic_word_count(k: int, n: int) -> int:
@@ -256,6 +260,31 @@ class TestRSGenerators:
         ok, lhs, rhs = rs_step_bound(alg, aug, alg.generator_elements())
         assert ok and lhs <= rhs
 
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of the right-ideal check and the identity-last echelon."""
+        calls = {"is_right_ideal": 0, "_identity_last_echelon": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(filtration, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(filtration, name, counted)
+        return calls
+
+    def test_generators_and_bound_share_one_echelon(self, calls):
+        alg = build_group_algebra(get_group("q8"), 2)
+        ideal = aug_ladder(alg).powers[2]
+        gens = alg.generator_elements()
+        rs_generators(alg, ideal, gens)
+        rs_step_bound(alg, ideal, gens)
+        assert calls == {"is_right_ideal": 1, "_identity_last_echelon": 1}
+
+    def test_rs_check_echelonizes_each_ideal_at_most_once(self, calls, tmp_path):
+        # consecutive equal ideals share one echelon too
+        assert main(["rs-check", "--group", "q8", "--p", "2", "--ideals", "6",
+                     "--out", str(tmp_path / "rs.json")]) == 0
+        assert 1 <= calls["is_right_ideal"] == calls["_identity_last_echelon"] <= 6
+
     def test_step_bound_equality_at_c2(self):
         alg = build_group_algebra(get_group("c2"), 2)
         aug = aug_ladder(alg).powers[1]
@@ -322,3 +351,42 @@ class TestJenningsAtScale:
         dims = graded_dims_via_jennings(HeisenbergMod(32), 2)
         assert sum(dims) == 32**3
         assert len(dims) == 125
+
+
+def congruence_cases(max_order: int):
+    """(family, m, p) for every congruence quotient of Z, Z^2, Z^3 and the
+    Heisenberg group of order at most max_order, at levels of the bases 2,
+    3, 4, 6, 10 and 12, and for p = 2, 3, 5."""
+    cases = set()
+    for name in ("z", "z2", "z3", "heisenberg"):
+        oracle = get_group(name)
+        for base in (2, 3, 4, 6, 10, 12):
+            m = base
+            while congruence_quotient(oracle, m).size() <= max_order:
+                cases.update((name, m, p) for p in (2, 3, 5))
+                m *= base
+    return sorted(cases)
+
+
+class TestCongruenceGradedDims:
+    """Jennings' formula on the p-part of each congruence quotient against
+    the dense ladder on the whole quotient: every case up to order 256, and
+    the two non-cyclic 2-groups of order 512.  Larger quotients take seconds
+    to minutes on the ladder, and Z/1024 at p = 2 holds gigabytes of powers."""
+
+    @pytest.mark.parametrize("name,m,p", congruence_cases(256)
+                             + [("heisenberg", 8, 2), ("z3", 8, 2)])
+    def test_matches_ladder(self, name, m, p):
+        oracle = get_group(name)
+        finite = congruence_quotient(oracle, m).finite
+        ladder = aug_ladder(build_group_algebra(finite, p)).graded_dims
+        assert congruence_graded_dims(oracle, m, p) == ladder
+
+    def test_checks_run_modulus_cap_prime(self):
+        z = get_group("z")
+        with pytest.raises(ContractError):  # modulus before cap
+            congruence_graded_dims(z, 1, 2, max_order=0)
+        with pytest.raises(ResourceBudgetError):  # cap before prime
+            congruence_graded_dims(z, 4, 4, max_order=3)
+        with pytest.raises(ContractError):
+            congruence_graded_dims(z, 4, 4)
