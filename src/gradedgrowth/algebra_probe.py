@@ -7,6 +7,13 @@ construction on small cases (the integer group ring over GF(p), ideal chain
 from the congruence quotients) and REPORTS whether each step-level
 assertion happened to hold.  The report never contains any field claiming a
 general theorem; outcomes are data, not ground truth.
+
+The covering steps follow the same recipe as the transversal pipeline
+(tiling.covering_recipe and tiling.theta_step), with ranks in place of
+cardinalities.  The transversal T is the covered subspace B plus a complement
+of B, which is always the whole quotient algebra; so the reported defect is
+that of the lifted interval t**0, ..., t**(m-1) against K and does not depend
+on the covering steps, which are reported as data.
 """
 
 from __future__ import annotations
@@ -18,11 +25,14 @@ import numpy as np
 
 from .errors import ContractError, SearchFailedError
 from .groups import Cyclic, FreeAbelian, ball
-from .subspace import (BallAmbient, Subspace, full_subspace, intersect, span,
-                       sum_subspaces, zero_subspace)
+from .subspace import (BallAmbient, Subspace, intersect, invariance_defect,
+                       right_multiply, span, sum_subspaces, zero_subspace)
 from .filtration import FiniteGroupAlgebra
 from .serialize import frac_from_json, frac_json, reading
-from .tiling import ThetaParams, pick_delta, pick_zeta, worst_case_height
+from .tiling import covering_recipe, theta_step
+
+# chain levels scanned before the probe gives up
+MAX_LEVEL = 7
 
 
 def _is_invertible_element(terms: dict) -> bool:
@@ -63,14 +73,14 @@ class ProbeReport:
 
 
 def algebra_tiling_probe(p: int, k_basis: list[dict], epsilon,
-                         chain_base: int = 2, max_level: int = 7) -> ProbeReport:
+                         chain_base: int = 2) -> ProbeReport:
     """Run the subspace pipeline for GF(p)[Z] with the congruence ideal chain.
 
     k_basis: basis of the test subspace K as {exponent: coefficient} maps;
     every basis element must be invertible (a single monomial), and the
     unit is adjoined when no basis element is a multiple of it.  The probe
-    scans chain levels until the carved complement achieves defect < epsilon
-    or the level budget runs out.
+    scans chain levels 1..MAX_LEVEL until the lifted quotient algebra has
+    defect < epsilon.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -84,14 +94,10 @@ def algebra_tiling_probe(p: int, k_basis: list[dict], epsilon,
         k_basis = [{0: 1}] + list(k_basis)  # adjoin the unit
 
     k_dim = len(k_basis)
-    delta = pick_delta(k_dim, epsilon)
-    zeta = pick_zeta(delta, k_dim, epsilon)
-    params = ThetaParams(delta, zeta)
-    t_cap = worst_case_height(params, k_dim, epsilon)
-    target = 1 - epsilon / (2 * k_dim)
+    params, t_cap, target = covering_recipe(k_dim, epsilon)
 
     last_exc = None
-    for level in range(1, max_level + 1):
+    for level in range(1, MAX_LEVEL + 1):
         try:
             report = _attempt_level(p, k_basis, epsilon, params, t_cap, target,
                                     chain_base, level, k_dim)
@@ -127,7 +133,7 @@ def _attempt_level(p, k_basis, epsilon, params, t_cap, target, base, level, k_di
         raise SearchFailedError("K K* meets the ideal: quotient too small")
 
     # spanning set of invertible images: the group-element basis, in order
-    spanning = list(range(quotient.dim))
+    spanning = quotient.labels
 
     report = ProbeReport(prime=p, epsilon=epsilon, delta=params.delta,
                          zeta=params.zeta, height_cap=t_cap,
@@ -136,30 +142,24 @@ def _attempt_level(p, k_basis, epsilon, params, t_cap, target, base, level, k_di
     n = quotient.dim
     b = zero_subspace(quotient)
     nu, alpha = Fraction(0), Fraction(0)
-    pieces: list[Subspace] = []
     tower_level_dims = []
     for u in range(1, t_cap + 1):
         if alpha >= 1 or nu > target:
             break
-        level_sub, level_terms = _next_level_subspace(p, quotient, idx, m, k_basis,
-                                                      epsilon, params, tower_level_dims)
+        level_sub = _next_level_subspace(quotient, idx, m, k_basis, epsilon, params,
+                                         tower_level_dims)
         tower_level_dims.append(level_sub.rank)
         threshold = params.delta * level_sub.rank
         s = 0
-        before = b
-        for x in spanning:
-            tile = _translate(quotient, level_sub, x)
+        for h in spanning:
+            tile = Subspace(quotient, quotient.translate_rows(level_sub.rows, h))
             if intersect(tile, b).rank <= threshold:
                 s += 1
-                carved = _echelon_complement_in(tile, b)
-                pieces.append(carved)
                 b = sum_subspaces(b, tile)
         mu = (Fraction(b.rank, n) - nu) / (1 - alpha)
-        gain = mu * (1 - alpha)
-        nu_out = nu + gain
-        alpha_out = alpha + gain * params.zeta / (1 - params.delta)
+        nu_out, alpha_out = theta_step(params, mu, nu, alpha)
         # boundary growth measured against K itself
-        bl = right_mul_subspace(quotient, b, [_inv_terms(t, m) for t in k_basis], p)
+        bl = right_multiply(b, [_inv_terms(t, m) for t in k_basis])
         step = ProbeStep(
             step=u, level_dim=level_sub.rank, s=s, mu=mu,
             nu=nu_out, alpha=alpha_out,
@@ -172,25 +172,20 @@ def _attempt_level(p, k_basis, epsilon, params, t_cap, target, base, level, k_di
         if mu >= 1:
             break
 
-    complement = _echelon_complement_in(full_subspace(quotient), b)
-    t_sub = b if complement.rank == 0 else sum_subspaces(b, complement)
-    report.complement_found = t_sub.rank == n
-    report.complement_dim = t_sub.rank
-    if report.complement_found:
-        # lift T to the integer group ring and measure the defect there,
-        # with honest (unwrapped) products against K
-        report.defect = _lifted_defect(p, quotient, t_sub, k_basis, m)
-        report.defect_below_epsilon = report.defect < epsilon
+    # T, B plus a complement of B, is the whole quotient algebra; its defect
+    # is measured on the lift, with honest (unwrapped) products against K
+    report.complement_found = True
+    report.complement_dim = n
+    report.defect = _lifted_defect(p, m, k_basis)
+    report.defect_below_epsilon = report.defect < epsilon
     report.all_step_assertions_held = all(
         st.mu_at_least_delta and st.coverage_identity_ok and st.boundary_bound_ok
         for st in report.steps
     )
-    if not report.complement_found or not report.defect_below_epsilon:
-        return None
-    return report
+    return report if report.defect_below_epsilon else None
 
 
-def _next_level_subspace(p, quotient, idx, m, k_basis, epsilon, params, prev_dims):
+def _next_level_subspace(quotient, idx, m, k_basis, epsilon, params, prev_dims):
     """Interval spans aligned with the chain; each level must satisfy the
     dimension version of the boundary bound against K, measured in the
     integer group ring (monomial bases make dimensions support counts)."""
@@ -200,25 +195,12 @@ def _next_level_subspace(p, quotient, idx, m, k_basis, epsilon, params, prev_dim
         # dim(level * K) in the full ring: union of shifted intervals
         support = {i + e for i in range(side) for e in set(k_exps) | {0}}
         if Fraction(len(support)) <= (1 + epsilon / 2) * (1 - params.delta) * side:
-            terms = [{j: 1} for j in range(side)]
             vecs = [np.eye(quotient.dim, dtype=np.int64)[idx[j % m]] for j in range(side)]
             sub = span(quotient, vecs)
             if sub.rank == side and side not in prev_dims:
-                return sub, terms
+                return sub
         side *= 2
     raise SearchFailedError("no interval level satisfies the boundary bound")
-
-
-def _translate(quotient, sub: Subspace, x: int) -> Subspace:
-    return Subspace(quotient, quotient.translate_rows(sub.rows, quotient.labels[x]))
-
-
-def right_mul_subspace(quotient, sub: Subspace, elements: list[dict], p: int) -> Subspace:
-    m = quotient.group.order
-    blocks = [sum((c * quotient.translate_rows(sub.rows, g % m) for g, c in terms.items()),
-                  np.zeros_like(sub.rows)) % p
-              for terms in elements]
-    return Subspace(quotient, np.vstack(blocks)) if blocks else zero_subspace(quotient)
 
 
 def _inv_terms(terms: dict, m: int) -> dict:
@@ -226,44 +208,15 @@ def _inv_terms(terms: dict, m: int) -> dict:
     return {(-g) % m: c}
 
 
-def _lifted_defect(p: int, quotient, t_sub: Subspace, k_basis: list[dict],
-                   m: int) -> Fraction:
-    exps = [g for terms in k_basis for g in terms]
-    radius = m + max(abs(g) for g in exps) + 1
+def _lifted_defect(p: int, m: int, k_basis: list[dict]) -> Fraction:
+    """Invariance defect against K, in the integer group ring over GF(p), of
+    the lift of the whole quotient algebra: the span of t**j, 0 <= j < m."""
+    radius = m + max(abs(g) for terms in k_basis for g in terms) + 1
     z = FreeAbelian(1)
     ambient = BallAmbient(z, ball(z, radius), p, lam=1)
-    lifted_rows = []
-    for row in t_sub.rows:
-        terms = {}
-        for i, c in enumerate(row):
-            if c:
-                terms[(quotient.labels[i],)] = int(c)
-        lifted_rows.append(ambient.vector(terms))
-    t_lift = span(ambient, lifted_rows)
-    k_elements = [{(g,): c for g, c in terms.items()} for terms in k_basis]
-    rows = [ambient.apply_right(r, el) for r in t_lift.rows for el in k_elements]
-    grown = sum_subspaces(t_lift, span(ambient, rows))
-    return Fraction(grown.rank - t_lift.rank, t_lift.rank)
-
-
-def _echelon_complement_in(ambient_sub: Subspace, b: Subspace) -> Subspace:
-    """Echelon complement of (ambient_sub n B) inside ambient_sub."""
-    inter = intersect(ambient_sub, b)
-    if inter.rank == 0:
-        return ambient_sub
-    pivots = set(inter.pivots())
-    keep = [row for row, c in zip(ambient_sub.rows, ambient_sub.pivots()) if c not in pivots]
-    cand = span(ambient_sub.ambient, keep) if keep else zero_subspace(ambient_sub.ambient)
-    # fall back to column-greedy completion if the pivot heuristic fell short
-    if cand.rank + inter.rank != ambient_sub.rank or intersect(cand, b).rank != 0:
-        cand = zero_subspace(ambient_sub.ambient)
-        for row in ambient_sub.rows:
-            trial = sum_subspaces(cand, span(ambient_sub.ambient, [row]))
-            if trial.rank == cand.rank + 1 and intersect(trial, b).rank == 0:
-                cand = trial
-            if cand.rank + inter.rank == ambient_sub.rank:
-                break
-    return cand
+    t_lift = span(ambient, [ambient.vector({(j,): 1}) for j in range(m)])
+    return invariance_defect(t_lift, [{(g,): c for g, c in terms.items()}
+                                      for terms in k_basis])
 
 
 def probe_report_jsonable(report: ProbeReport) -> dict:

@@ -25,7 +25,8 @@ from .gs import GSCertificate, GSPresentation, gs_certificate, relator_degrees
 from .hecke import crystal_monomial_check, delta, hecke_mul, untwist
 from .registry import get_group, load_registry
 from .scalars import GF, ZZ
-from .serialize import dumps, element_json, frac_json, parse_fraction, reading
+from .serialize import (dumps, element_json, frac_json, parse_fraction, parse_int_list,
+                        reading)
 from .subspace import set_defect
 from .tiling import (TilingCertificate, build_transversal, congruence_quotient,
                      folner_search, verify_certificate)
@@ -206,7 +207,7 @@ def _cmd_tile(args) -> int:
 
 
 def _cmd_tile_algebra_probe(args) -> int:
-    exponents = [int(t) for t in args.k_exponents.split(",") if t.strip()]
+    exponents = parse_int_list(args.k_exponents)
     payload = monomial_probe_json(args.p, exponents, parse_fraction(args.epsilon),
                                   chain_base=args.chain_base)
     _write(dumps(payload), args.out)
@@ -222,8 +223,9 @@ def _cmd_crystal(args) -> int:
     payload = {"config": config, "ring": ring_name}
     if args.mul:
         b = ball(oracle, args.radius)
-        a_elt = _parse_hecke_literal(oracle, b, ring, lam, args.mul[0])
-        b_elt = _parse_hecke_literal(oracle, b, ring, lam, args.mul[1])
+        with reading("element literal"):
+            a_elt = _parse_hecke_literal(oracle, b, ring, lam, args.mul[0])
+            b_elt = _parse_hecke_literal(oracle, b, ring, lam, args.mul[1])
         prod = hecke_mul(a_elt, b_elt)
         payload["product"] = sorted(
             ([element_json(g), int(c) if isinstance(c, int) else str(c)]
@@ -308,7 +310,7 @@ def _cmd_gs(args) -> int:
         if args.d is None:
             raise ContractError("need either --presentation or --d")
         d = args.d
-        degrees = [int(t) for t in args.degrees.split(",") if t.strip()]
+        degrees = parse_int_list(args.degrees)
     presentation = GSPresentation(d, tuple(degrees), p=args.p,
                                   tail_note=args.tail_note)
     cert = gs_certificate(presentation, grid=args.grid)

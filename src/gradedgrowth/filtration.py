@@ -2,9 +2,10 @@
 
 Pieces: finite group algebras over GF(p) with exact structure tables; the
 descending ladder of augmentation-ideal powers and its graded dimensions;
-the fastest-descending p-central (Jennings) series of a finite p-group with
-the product-formula Hilbert coefficients that reproduce the ladder
-dimensions, also on the p-parts of congruence quotients of infinite groups;
+the fastest-descending p-central (Jennings) series of a finite p-group, each
+term one normal closure, with the product-formula Hilbert coefficients that
+reproduce the ladder dimensions, also on the p-parts of congruence quotients
+of infinite groups;
 truncated Magnus valuations over GF(p) for free-group words;
 graded dimensions of the free group algebra; Witt necklace ranks; ideal
 generators in the style of Reidemeister-Schreier together with the
@@ -76,8 +77,11 @@ class FiniteGroupAlgebra(Ambient):
         return rows[:, gather]
 
     def generator_elements(self) -> list:
-        e = self.group.identity
-        return [self.group.multiply(e, s) for s in self.group.generator_symbols]
+        return _generator_elements(self.group)
+
+
+def _generator_elements(group: GroupOracle) -> list:
+    return [group.multiply(group.identity, s) for s in group.generator_symbols]
 
 
 def build_group_algebra(group: GroupOracle, p: int,
@@ -155,61 +159,41 @@ class JenningsSeries:
     dims: list[int]  # dims[i] is the i+1-st graded dimension; inner zeros kept
 
 
-def _subgroup_closure(group: GroupOracle, gens: list) -> frozenset:
-    e = group.identity
-    effective = []
-    members = {e}
-    for t in sorted(gens, key=repr):
+def _normal_subgroup(group: GroupOracle, seeds) -> frozenset:
+    """The normal closure of the seeds in a finite group.
+
+    The subgroup is grown one generator at a time, by right multiplication
+    (in a finite group the positive words in the generators are the whole
+    subgroup).  Each generator's conjugates by the group generators are
+    queued as seeds, so when the queue empties the subgroup is normal."""
+    conj = _generator_elements(group)
+    members = {group.identity}
+    gens = []
+    pending = list(seeds)
+    while pending:
+        t = pending.pop()
         if t in members:
             continue
-        effective.append(t)
-        members = {e}
-        frontier = [e]
+        gens.append(t)
+        frontier = list(members)
         while frontier:
             nxt = []
             for g in frontier:
-                for t2 in effective:
-                    h = group.mul(g, t2)
+                for u in gens:
+                    h = group.mul(g, u)
                     if h not in members:
                         members.add(h)
                         nxt.append(h)
             frontier = nxt
+        pending.extend(group.mul(group.inv(c), group.mul(t, c)) for c in conj)
     return frozenset(members)
-
-
-def _normal_closure(group: GroupOracle, seed: list) -> frozenset:
-    conj = [group.multiply(group.identity, s) for s in group.generator_symbols]
-    gens = [t for t in seed if t != group.identity]
-    members = _subgroup_closure(group, gens)
-    changed = True
-    while changed:
-        changed = False
-        for t in sorted(members, key=repr):
-            for c in conj:
-                x = group.mul(group.inv(c), group.mul(t, c))
-                if x not in members:
-                    gens.append(x)
-                    members = _subgroup_closure(group, gens)
-                    changed = True
-    return members
-
-
-def _commutator_subgroup(group: GroupOracle, h: frozenset) -> frozenset:
-    """[H, G] for H normal: the normal closure of commutators of H with the
-    group generators."""
-    conj = [group.multiply(group.identity, s) for s in group.generator_symbols]
-    comms = []
-    for a in h:
-        for c in conj:
-            x = group.mul(group.inv(a), group.mul(group.inv(c), group.mul(a, c)))
-            if x != group.identity:
-                comms.append(x)
-    return _normal_closure(group, comms)
 
 
 def jennings_series(group: GroupOracle, p: int) -> JenningsSeries:
     """Fastest descending series with G_n = [G_{n-1}, G] * (G_{ceil(n/p)})^p.
 
+    Each G_n is the normal closure of the commutators [a, c], a in G_{n-1}
+    and c a generator, together with the p-th powers of G_{ceil(n/p)}.
     Each quotient is elementary abelian; the series reaches the trivial
     subgroup because the group is a finite p-group.
     """
@@ -223,15 +207,14 @@ def jennings_series(group: GroupOracle, p: int) -> JenningsSeries:
     if order != 1:
         raise ContractError(f"{group.name} order is not a power of {p}")
 
+    conj = _generator_elements(group)
     series = [frozenset(group.elements())]
     while len(series[-1]) > 1:
         n = len(series) + 1  # constructing G_n
-        prev = series[-1]
-        power_source = series[(n + p - 1) // p - 1]
-        pth = [_pow(group, g, p) for g in power_source]
-        comm = _commutator_subgroup(group, prev)
-        gens = list(comm) + pth
-        series.append(_subgroup_closure(group, gens))
+        comms = [group.mul(group.inv(a), group.mul(group.inv(c), group.mul(a, c)))
+                 for a in series[-1] for c in conj]
+        pth = [_pow(group, g, p) for g in series[(n + p - 1) // p - 1]]
+        series.append(_normal_subgroup(group, comms + pth))
     dims = []
     for i in range(len(series) - 1):
         ratio = len(series[i]) // len(series[i + 1])

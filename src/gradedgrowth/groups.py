@@ -65,20 +65,11 @@ class GroupOracle(ABC):
     def elements(self) -> Iterator[Element]:
         raise ContractError(f"{self.name} has no finite enumeration")
 
-    def to_jsonable(self, g: Element):
-        return _jsonable(g)
-
     def __repr__(self):
         return f"<{self.__class__.__name__} {self.name}>"
 
 
-def _jsonable(g):
-    if isinstance(g, tuple):
-        return [_jsonable(x) for x in g]
-    return g
-
-
-def _symbol_pairs(letters: str) -> tuple[str, ...]:
+def _symbol_pairs(letters: Iterable[str]) -> tuple[str, ...]:
     out = []
     for c in letters:
         out.append(c)
@@ -459,7 +450,7 @@ class HeisenbergMod(GroupOracle):
         return itertools.product(range(m), range(m), range(m))
 
 
-class ZdMod(GroupOracle):
+class ZdMod(AbelianProduct):
     """(Z/m)^d, the finite quotient of Z^d by (mZ)^d."""
 
     kind = "zd_mod"
@@ -467,43 +458,9 @@ class ZdMod(GroupOracle):
     def __init__(self, d: int, m: int):
         if d < 1 or m < 2:
             raise ContractError("need d >= 1 and m >= 2")
+        super().__init__((m,) * d, name=f"z{d}_mod_{m}")
         self.d = d
         self.m = m
-        self.order = m**d
-        self.name = f"z{d}_mod_{m}"
-        letters = "abcdefghijklmnopqrstuvwxyz"[:d]
-        syms = []
-        self._steps = {}
-        for i, c in enumerate(letters):
-            e = [0] * d
-            e[i] = 1
-            syms.append(c)
-            self._steps[c] = tuple(e)
-            if m > 2:
-                syms.append(c.upper())
-                e[i] = -1
-                self._steps[c.upper()] = tuple(e)
-        self.generator_symbols = tuple(syms)
-
-    @property
-    def identity(self):
-        return (0,) * self.d
-
-    def inverse_symbol(self, s):
-        return s if self.m == 2 else s.swapcase()
-
-    def multiply(self, g, s):
-        step = self._steps[s]
-        return tuple((a + b) % self.m for a, b in zip(g, step))
-
-    def mul(self, g, h):
-        return tuple((a + b) % self.m for a, b in zip(g, h))
-
-    def inv(self, g):
-        return tuple((-a) % self.m for a in g)
-
-    def elements(self):
-        return itertools.product(*(range(self.m) for _ in range(self.d)))
 
 
 class CayleyTable(GroupOracle):
@@ -521,6 +478,9 @@ class CayleyTable(GroupOracle):
         self.name = name
         self._identity = identity
         self._gen_map = dict(generators)
+        indices = [x for row in self.table for x in row] + list(self._gen_map.values())
+        if not all(isinstance(x, int) and 0 <= x < n for x in indices + [identity]):
+            raise ContractError("table entries, generators and identity must be row indices")
         self.generator_symbols = tuple(generators)
         self._inverse = [None] * n
         for g in range(n):

@@ -13,6 +13,7 @@ from .groups import (AbelianProduct, CayleyTable, Cyclic, Dihedral, FreeAbelian,
                      FreeGroup, GroupOracle, Heisenberg, HeisenbergMod,
                      Lamplighter, Quaternion8, ZdMod)
 from .rewriting import RewritingGroup, triangle_group
+from .serialize import reading
 
 BUILTIN_SPECS = {
     "z": {"kind": "free_abelian", "params": {"d": 1}},
@@ -46,49 +47,52 @@ P_GROUP_NAMES = {
 
 
 def make_group(spec: dict) -> GroupOracle:
-    kind = spec.get("kind")
-    params = dict(spec.get("params", {}))
-    if "generators" in spec and "generators" not in params:
-        params["generators"] = spec["generators"]
-    if kind == "free":
-        return FreeGroup(int(params["k"]))
-    if kind == "free_abelian":
-        return FreeAbelian(int(params["d"]))
-    if kind == "heisenberg":
-        return Heisenberg()
-    if kind == "lamplighter":
-        return Lamplighter()
-    if kind == "cyclic":
-        return Cyclic(int(params["n"]))
-    if kind == "abelian":
-        return AbelianProduct(tuple(int(n) for n in params["orders"]))
-    if kind == "dihedral":
-        return Dihedral(int(params["n"]))
-    if kind == "quaternion8":
-        return Quaternion8()
-    if kind == "heisenberg_mod":
-        return HeisenbergMod(int(params["m"]))
-    if kind == "zd_mod":
-        return ZdMod(int(params["d"]), int(params["m"]))
-    if kind == "triangle":
-        return triangle_group(int(params["k"]))
-    if kind == "rewriting_backed":
-        return RewritingGroup(
-            params["generators"], params["relators"],
-            name=spec.get("name"),
-            inverse_letters=bool(params.get("inverse_letters", True)),
-        )
-    if kind == "finite_cayley_table":
-        return CayleyTable(params["table"], params["generators"],
-                           name=spec.get("name", "cayley"),
-                           identity=int(params.get("identity", 0)))
+    if not isinstance(spec, dict):
+        raise ContractError(f"group spec must be an object, got {spec!r}")
+    with reading("group spec"):
+        kind = spec.get("kind")
+        params = dict(spec.get("params", {}))
+        if "generators" in spec and "generators" not in params:
+            params["generators"] = spec["generators"]
+        if kind == "free":
+            return FreeGroup(int(params["k"]))
+        if kind == "free_abelian":
+            return FreeAbelian(int(params["d"]))
+        if kind == "heisenberg":
+            return Heisenberg()
+        if kind == "lamplighter":
+            return Lamplighter()
+        if kind == "cyclic":
+            return Cyclic(int(params["n"]))
+        if kind == "abelian":
+            return AbelianProduct(tuple(int(n) for n in params["orders"]))
+        if kind == "dihedral":
+            return Dihedral(int(params["n"]))
+        if kind == "quaternion8":
+            return Quaternion8()
+        if kind == "heisenberg_mod":
+            return HeisenbergMod(int(params["m"]))
+        if kind == "zd_mod":
+            return ZdMod(int(params["d"]), int(params["m"]))
+        if kind == "triangle":
+            return triangle_group(int(params["k"]))
+        if kind == "rewriting_backed":
+            return RewritingGroup(
+                params["generators"], params["relators"],
+                name=spec.get("name"),
+                inverse_letters=bool(params.get("inverse_letters", True)),
+            )
+        if kind == "finite_cayley_table":
+            return CayleyTable(params["table"], params["generators"],
+                               name=spec.get("name", "cayley"),
+                               identity=int(params.get("identity", 0)))
     raise ContractError(f"unknown group kind {kind!r}")
 
 
 def load_registry(path: str | None = None) -> dict:
     registry = dict(BUILTIN_SPECS)
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
+        with reading("registry"), open(path, "r", encoding="utf-8") as fh:
             user = json.load(fh)
         if not isinstance(user, dict):
             raise ContractError("registry file must map names to group specs")

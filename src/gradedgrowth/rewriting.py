@@ -12,11 +12,12 @@ processed FIFO so completion is deterministic.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import ContractError
-from .groups import GroupOracle
+from .groups import GroupOracle, _symbol_pairs
 
 DEFAULT_MAX_RULES = 5000
 DEFAULT_MAX_LHS_LEN = 20
@@ -97,41 +98,28 @@ class RewritingSystem:
                     break  # pull the replacement symbols back through the stack
         return out
 
-    def is_irreducible(self, word: str) -> bool:
-        return all(l not in word for l, _ in self.rules)
+    def _spheres(self) -> Iterator[list[str]]:
+        """Irreducible words by length from the empty word on; the walk
+        ends after the first empty sphere."""
+        sphere = [""]
+        while True:
+            yield sphere
+            if not sphere:
+                return
+            sphere = [w + c for w in sphere for c in self.alphabet
+                      if not any((w + c).endswith(l) for l, _ in self.rules)]
 
     def normal_forms_by_length(self, max_len: int) -> list[list[str]]:
         """Irreducible words grouped by word length, up to max_len."""
-        spheres = [[""]]
-        frontier = [""]
-        for _ in range(max_len):
-            nxt = []
-            for w in frontier:
-                for c in self.alphabet:
-                    v = w + c
-                    if not any(v.endswith(l) for l, _ in self.rules):
-                        nxt.append(v)
-            spheres.append(nxt)
-            frontier = nxt
-            if not nxt:
-                break
-        return spheres
+        return list(itertools.islice(self._spheres(), max(max_len, 0) + 1))
 
     def count_normal_forms(self, limit: int = 100000) -> int | None:
         """Number of irreducible words if finite within limit, else None."""
-        total = 1
-        frontier = [""]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for c in self.alphabet:
-                    v = w + c
-                    if not any(v.endswith(l) for l, _ in self.rules):
-                        nxt.append(v)
-            total += len(nxt)
+        total = 0
+        for sphere in self._spheres():
+            total += len(sphere)
             if total > limit:
                 return None
-            frontier = nxt
         return total
 
 
@@ -320,7 +308,7 @@ class RewritingGroup(GroupOracle):
         self.system = system
         self.inverse_letters = inverse_letters
         self.name = name or "presented(" + ",".join(system.relators) + ")"
-        self.generator_symbols = _symbol_pairs_for(system.generators)
+        self.generator_symbols = _symbol_pairs(system.generators)
         self._inverse_word: dict[str, str] = {}
         for g in system.generators:
             if inverse_letters:
@@ -362,14 +350,6 @@ class RewritingGroup(GroupOracle):
             else:
                 raise ContractError(f"symbol {c!r} not in alphabet of {self.name}")
         return self.system.reduce("".join(expanded))
-
-
-def _symbol_pairs_for(generators: tuple[str, ...]) -> tuple[str, ...]:
-    out = []
-    for g in generators:
-        out.append(g)
-        out.append(g.upper())
-    return tuple(out)
 
 
 def _letter_order(system: RewritingSystem, letter: str) -> int:

@@ -51,3 +51,11 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ContractError(f"cannot parse {text!r} as a rational") from exc
+
+
+def parse_int_list(text: str) -> list[int]:
+    """Comma-separated integers, as in '5,6,7'; empty items are skipped."""
+    try:
+        return [int(t) for t in text.split(",") if t.strip()]
+    except ValueError as exc:
+        raise ContractError(f"cannot parse {text!r} as comma-separated integers") from exc

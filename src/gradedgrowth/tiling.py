@@ -25,6 +25,9 @@ with the quotient chain (they pack the quotient perfectly); the recipe's
 delta, zeta and height cap are kept, every per-step hypothesis and bound is
 checked exactly at runtime and recorded, and the final defect is verified
 by direct count, never assumed from the recipe.
+
+covering_recipe fixes the recipe's constants and theta_step is its
+bookkeeping map; the subspace probe (algebra_probe) runs both on ranks.
 """
 
 from __future__ import annotations
@@ -63,16 +66,24 @@ class ThetaParams:
             raise ContractError("zeta must be >= 1")
 
 
-def theta(params: ThetaParams, mu: Fraction, nu: Fraction,
-          alpha: Fraction) -> tuple[Fraction, Fraction]:
+def theta_step(params: ThetaParams, mu: Fraction, nu: Fraction,
+               alpha: Fraction) -> tuple[Fraction, Fraction]:
     """One step of the coverage/boundary bookkeeping map:
     (nu, alpha) -> (nu + mu (1 - alpha), alpha + mu (1 - alpha) zeta / (1 - delta)).
-    Both coordinates are monotone nondecreasing in mu while alpha <= 1."""
+    Both coordinates are monotone nondecreasing in mu while alpha <= 1.
+    Any mu is taken, so that a covering pass whose gain fell short of delta
+    can record the shortfall."""
+    gain = mu * (1 - alpha)
+    return nu + gain, alpha + gain * params.zeta / (1 - params.delta)
+
+
+def theta(params: ThetaParams, mu: Fraction, nu: Fraction,
+          alpha: Fraction) -> tuple[Fraction, Fraction]:
+    """theta_step under the recipe's hypothesis mu >= delta."""
     mu, nu, alpha = Fraction(mu), Fraction(nu), Fraction(alpha)
     if mu < params.delta:
         raise ContractError("theta needs mu >= delta")
-    gain = mu * (1 - alpha)
-    return nu + gain, alpha + gain * params.zeta / (1 - params.delta)
+    return theta_step(params, mu, nu, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +321,7 @@ def greedy_fill(omega: QuotientSet, b: set, k: Sequence, l: Sequence,
     s = len(centers)
 
     mu = (Fraction(len(covered), n) - nu) / (1 - alpha)
-    # same map as theta(), but tolerating mu < delta so the violation can be
-    # recorded instead of raised
-    gain = mu * (1 - alpha)
-    nu_out = nu + gain
-    alpha_out = alpha + gain * params.zeta / (1 - params.delta)
+    nu_out, alpha_out = theta_step(params, mu, nu, alpha)
 
     coverage_ok = Fraction(len(covered), n) == nu_out
     bsl_star = {omega.act(c, x) for c in covered for x in inv_l}
@@ -376,6 +383,15 @@ def worst_case_height(params: ThetaParams, k_size: int, epsilon: Fraction,
         if alpha >= 1:
             return t
     raise SearchFailedError("coverage bookkeeping did not reach the target")
+
+
+def covering_recipe(k_size: int, epsilon: Fraction) -> tuple[ThetaParams, int, Fraction]:
+    """The recipe's constants for a base of k_size elements (a tile) or
+    dimensions (a subspace): the theta parameters, the tower height cap,
+    and the coverage target 1 - eps/(2 #K) that ends the covering."""
+    delta = pick_delta(k_size, epsilon)
+    params = ThetaParams(delta, pick_zeta(delta, k_size, epsilon))
+    return params, worst_case_height(params, k_size, epsilon), 1 - epsilon / (2 * k_size)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +519,6 @@ class TilingCertificate:
 
 
 def build_transversal(oracle: GroupOracle, k: Sequence, epsilon,
-                      chain=None, params: ThetaParams | None = None,
                       chain_base: int = 2, max_quotients: int | None = None) -> TilingCertificate:
     """Run the covering pipeline until some chain quotient yields a
     transversal with defect < epsilon; every certificate is re-verifiable
@@ -514,18 +529,11 @@ def build_transversal(oracle: GroupOracle, k: Sequence, epsilon,
     k = list(dict.fromkeys(k))
     if oracle.identity not in k:
         raise ContractError("K must contain the identity")
-    if params is None:
-        delta = pick_delta(len(k), epsilon)
-        zeta = pick_zeta(delta, len(k), epsilon)
-        params = ThetaParams(delta, zeta)
-    t_cap = worst_case_height(params, len(k), epsilon)
-    target = 1 - epsilon / (2 * len(k))
+    params, t_cap, target = covering_recipe(len(k), epsilon)
 
-    if chain is None:
-        chain = quotient_chain(oracle, chain_base)
     failures = []
     count = 0
-    for level, omega in chain:
+    for level, omega in quotient_chain(oracle, chain_base):
         count += 1
         if max_quotients is not None and count > max_quotients:
             break

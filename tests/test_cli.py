@@ -268,6 +268,35 @@ class TestExitCodes:
         assert main(["gs", "--presentation", str(pres), "--p", "2",
                      "--out", str(tmp_path / "x")]) == 4
 
+    @pytest.mark.parametrize("text", [
+        None,  # no file
+        "{bad",
+        '{"g": "cyclic"}',
+        '{"g": {"kind": "cyclic"}}',
+        '{"g": {"kind": "cyclic", "params": {"n": "x"}}}',
+        '{"g": {"kind": "abelian", "params": {"orders": 5}}}',
+        '{"g": {"kind": "finite_cayley_table", '
+        '"params": {"table": [[0, 1], [1, 0]], "generators": {"s": 5}}}}',
+    ], ids=["missing", "json", "string-spec", "no-n", "n-not-int", "orders-not-list",
+            "cayley-generator"])
+    @pytest.mark.parametrize("command", [["growth", "--group", "g", "--p", "2"], ["groups"]],
+                             ids=["growth", "groups"])
+    def test_malformed_registry_is_4(self, tmp_path, text, command):
+        registry = tmp_path / "reg.json"
+        if text is not None:
+            registry.write_text(text)
+        assert main(["--registry", str(registry)] + command
+                    + ["--out", str(tmp_path / "x")]) == 4
+
+    @pytest.mark.parametrize("args", [
+        ["gs", "--d", "2", "--degrees", "a,b"],
+        ["tile-algebra-probe", "--p", "2", "--epsilon", "1/2", "--k-exponents", "x"],
+        ["crystal", "--group", "z", "--p", "5", "--mul", "x*(1)", "1"],
+        ["crystal", "--group", "c4", "--p", "5", "--mul", "1*()", "1"],
+    ], ids=["gs-degrees", "probe-exponents", "crystal-coefficient", "crystal-empty-tuple"])
+    def test_malformed_literal_is_4(self, tmp_path, args):
+        assert main(args + ["--out", str(tmp_path / "x")]) == 4
+
     def test_missing_certificate_file_is_4(self, tmp_path):
         assert main(["verify", "--certificate", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "x")]) == 4

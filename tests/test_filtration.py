@@ -120,16 +120,29 @@ class TestJennings:
             assert lad.graded_dims == coeffs, name
 
     def test_commutator_subgroup_matches_brute_force(self):
+        # [G, G] as the normal closure of the commutators with the generators,
+        # against the subgroup generated by every commutator [a, b]
         for name in ("d4", "q8", "heisenberg_mod_3"):
             g = get_group(name)
             elems = list(g.elements())
-            brute = set()
-            for a in elems:
-                for b in elems:
-                    brute.add(g.mul(g.mul(g.inv(a), g.inv(b)), g.mul(a, b)))
-            from gradedgrowth.filtration import _commutator_subgroup, _subgroup_closure
-            full = frozenset(elems)
-            assert _commutator_subgroup(g, full) == _subgroup_closure(g, list(brute))
+            brute = {g.mul(g.mul(g.inv(a), g.inv(b)), g.mul(a, b))
+                     for a in elems for b in elems}
+            while True:
+                grown = brute | {g.mul(x, y) for x in brute for y in brute}
+                if grown == brute:
+                    break
+                brute = grown
+            gens = [g.multiply(g.identity, s) for s in g.generator_symbols]
+            seeds = [g.mul(g.mul(g.inv(a), g.inv(c)), g.mul(a, c))
+                     for a in elems for c in gens]
+            assert filtration._normal_subgroup(g, seeds) == brute
+
+    def test_normal_subgroup_is_the_normal_closure(self):
+        # in D4 the normal closure of one reflection is {1, r^2, f, r^2 f}
+        g = get_group("d4")
+        closure = filtration._normal_subgroup(g, [(0, 1)])
+        assert closure == {(0, 0), (2, 0), (0, 1), (2, 1)}
+        assert filtration._normal_subgroup(g, []) == {g.identity}
 
 
 class TestHilbertCoeffs:

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gradedgrowth.errors import ContractError, OutOfRangeError, ResourceBudgetError
-from gradedgrowth.groups import (FreeAbelian, FreeGroup, Heisenberg, Lamplighter,
-                                 ball, find_dead_ends, is_dead_end,
+from gradedgrowth.groups import (AbelianProduct, FreeAbelian, FreeGroup, Heisenberg,
+                                 Lamplighter, ZdMod, ball, find_dead_ends, is_dead_end,
                                  triangle_dead_end_family, word_length)
 from gradedgrowth.registry import BUILTIN_SPECS, get_group, make_group
 
@@ -148,6 +148,20 @@ class TestFiniteOracles:
         assert q.mul(i, i) == q.mul(j, j)  # i^2 = j^2 = -1
         assert q.mul(q.mul(i, i), q.mul(i, i)) == q.identity
 
+    @pytest.mark.parametrize("d,m", [(1, 2), (1, 5), (2, 2), (2, 3), (3, 4)])
+    def test_zd_mod_is_the_abelian_product(self, d, m):
+        z, a = ZdMod(d, m), AbelianProduct((m,) * d)
+        assert (z.kind, z.name, z.d, z.m, z.order) == ("zd_mod", f"z{d}_mod_{m}", d, m, m**d)
+        assert z.generator_symbols == a.generator_symbols
+        assert [z.inverse_symbol(s) for s in z.generator_symbols] == \
+            [a.inverse_symbol(s) for s in a.generator_symbols]
+        elems = list(z.elements())
+        assert elems == list(a.elements())
+        for x in elems:
+            assert z.inv(x) == a.inv(x) == tuple((-c) % m for c in x)
+            for y in elems:
+                assert z.mul(x, y) == a.mul(x, y) == tuple((b + c) % m for b, c in zip(x, y))
+
     def test_generators_closed_under_inversion(self):
         for name in BUILTIN_SPECS:
             g = get_group(name)
@@ -243,3 +257,19 @@ class TestRegistry:
                                    "generators": {"s": 1}}})
         assert g.mul(1, 1) == 0
         assert g.inv(1) == 1
+
+    @pytest.mark.parametrize("params", [
+        {"table": [[0, 1], [1, 0]], "generators": {"s": 5}},
+        {"table": [[0, 1], [1, 0]], "generators": {"s": 1}, "identity": 2},
+        {"table": [[0, 1], [1, 2]], "generators": {"s": 1}},
+    ], ids=["generator", "identity", "entry"])
+    def test_cayley_table_index_out_of_range(self, params):
+        with pytest.raises(ContractError):
+            make_group({"kind": "finite_cayley_table", "params": params})
+
+    @pytest.mark.parametrize("spec", ["cyclic", {"kind": "cyclic"},
+                                      {"kind": "cyclic", "params": {"n": "x"}},
+                                      {"kind": "abelian", "params": {"orders": 5}}])
+    def test_malformed_spec(self, spec):
+        with pytest.raises(ContractError):
+            make_group(spec)

@@ -5,6 +5,8 @@ import pytest
 from gradedgrowth.algebra_probe import (algebra_tiling_probe, monomial_probe_json,
                                         probe_report_jsonable, verify_probe_json)
 from gradedgrowth.errors import ContractError
+from gradedgrowth.groups import FreeAbelian
+from gradedgrowth.subspace import set_defect
 
 
 class TestProbe:
@@ -17,6 +19,16 @@ class TestProbe:
     def test_unit_span_trivial(self):
         rep = algebra_tiling_probe(2, [{0: 1}], Fraction(1, 2))
         assert rep.defect == 0
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("exponents", [[0, 1], [1], [0, 2], [0, 1, 3], [-1, 1]])
+    def test_defect_is_that_of_the_lifted_interval(self, p, exponents):
+        # T is always the whole quotient algebra, lifted to t**0 .. t**(m-1)
+        rep = algebra_tiling_probe(p, [{e: 1} for e in exponents], Fraction(1, 2))
+        assert rep.complement_found and rep.complement_dim == rep.omega_dim
+        interval = [(j,) for j in range(2**rep.quotient_level)]
+        k = [(e,) for e in {0, *exponents}]
+        assert rep.defect == set_defect(interval, k, FreeAbelian(1))
 
     def test_non_invertible_basis_rejected(self):
         with pytest.raises(ContractError):

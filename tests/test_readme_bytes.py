@@ -1,5 +1,5 @@
-"""Every README command and both experiment scripts give the bytes recorded
-in data/readme_sha1.json.
+"""Every README command and every script under scripts/ gives the bytes
+recorded in data/readme_sha1.json.
 
 The keys of that file are the command lines as the README writes them.
 They run in order in one scratch directory (so `verify` reads the

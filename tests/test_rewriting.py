@@ -25,6 +25,12 @@ class TestCompletion:
         forms = [w for sphere in c3_system.normal_forms_by_length(2) for w in sphere]
         assert set(forms) == {"", "s", "S"}
 
+    def test_sphere_walk_ends_at_the_first_empty_sphere(self, c3_system):
+        assert c3_system.normal_forms_by_length(5) == [[""], ["s", "S"], []]
+        assert c3_system.normal_forms_by_length(0) == [[""]]
+        assert c3_system.count_normal_forms(limit=2) is None
+        assert c3_system.count_normal_forms(limit=3) == 3
+
     def test_dihedral_order_six(self, dihedral_system):
         assert dihedral_system.complete
         assert dihedral_system.count_normal_forms() == 6
@@ -42,6 +48,7 @@ class TestCompletion:
     def test_t334_infinite_positive_spheres(self, t334):
         spheres = t334.system.normal_forms_by_length(10)
         assert all(len(s) > 0 for s in spheres[:11])
+        assert t334.system.count_normal_forms(limit=1000) is None
 
     def test_rules_strictly_decrease_shortlex(self, dihedral_system):
         prec = {c: i for i, c in enumerate(dihedral_system.alphabet)}
