@@ -26,6 +26,5 @@ from .tiling import (ThetaParams, TilingCertificate, build_transversal,
 from .algebra_probe import algebra_tiling_probe
 from .gs import GSCertificate, GSPresentation, gs_certificate, gs_value, relator_degrees
 from .registry import get_group, load_registry, make_group
-from .scalars import GF, QQ, ZZ
 
 __version__ = "0.1.0"

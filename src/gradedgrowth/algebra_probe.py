@@ -146,8 +146,8 @@ def _attempt_level(p, k_basis, epsilon, params, t_cap, target, base, level, k_di
     for u in range(1, t_cap + 1):
         if alpha >= 1 or nu > target:
             break
-        level_sub = _next_level_subspace(quotient, idx, m, k_basis, epsilon, params,
-                                         tower_level_dims)
+        level_sub = _next_level_subspace(quotient, idx, base, m, k_basis, epsilon,
+                                         params, tower_level_dims)
         tower_level_dims.append(level_sub.rank)
         threshold = params.delta * level_sub.rank
         s = 0
@@ -185,12 +185,13 @@ def _attempt_level(p, k_basis, epsilon, params, t_cap, target, base, level, k_di
     return report if report.defect_below_epsilon else None
 
 
-def _next_level_subspace(quotient, idx, m, k_basis, epsilon, params, prev_dims):
-    """Interval spans aligned with the chain; each level must satisfy the
-    dimension version of the boundary bound against K, measured in the
-    integer group ring (monomial bases make dimensions support counts)."""
+def _next_level_subspace(quotient, idx, base, m, k_basis, epsilon, params, prev_dims):
+    """Interval spans aligned with the chain, of side base, base**2, ...; each
+    level must satisfy the dimension version of the boundary bound against K,
+    measured in the integer group ring (monomial bases make dimensions support
+    counts)."""
     k_exps = sorted({g for terms in k_basis for g, c in terms.items() if c})
-    side = 2
+    side = base
     while side <= m:
         # dim(level * K) in the full ring: union of shifted intervals
         support = {i + e for i in range(side) for e in set(k_exps) | {0}}
@@ -199,7 +200,7 @@ def _next_level_subspace(quotient, idx, m, k_basis, epsilon, params, prev_dims):
             sub = span(quotient, vecs)
             if sub.rank == side and side not in prev_dims:
                 return sub
-        side *= 2
+        side *= base
     raise SearchFailedError("no interval level satisfies the boundary bound")
 
 

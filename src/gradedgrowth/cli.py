@@ -24,7 +24,7 @@ from .groups import ball, find_dead_ends
 from .gs import GSCertificate, GSPresentation, gs_certificate, relator_degrees
 from .hecke import crystal_monomial_check, delta, hecke_mul, untwist
 from .registry import get_group, load_registry
-from .scalars import GF, ZZ
+from .scalars import check_prime
 from .serialize import (dumps, element_json, frac_json, parse_fraction, parse_int_list,
                         reading)
 from .subspace import set_defect
@@ -46,12 +46,6 @@ def _write(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _ring_for(p: int | None):
-    if p is None:
-        return ZZ, "Z"
-    return GF(p), f"GF({p})"
-
-
 def _parse_element(oracle, text: str):
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
@@ -70,7 +64,7 @@ def _parse_element(oracle, text: str):
     return oracle.normalize(text)
 
 
-def _parse_hecke_literal(oracle, b, ring, lam, text: str):
+def _parse_hecke_literal(oracle, b, p, lam, text: str):
     """Element literal: 'coeff*g + coeff*h - ...' with g a tuple or word."""
     out = None
     term = ""
@@ -88,7 +82,7 @@ def _parse_hecke_literal(oracle, b, ring, lam, text: str):
         term += c
     if term.strip():
         terms.append(term)
-    result = delta(oracle, b, ring, lam, oracle.identity, 0)
+    result = delta(oracle, b, p, lam, oracle.identity, 0)
     for t in terms:
         t = t.strip()
         sign = 1
@@ -101,7 +95,7 @@ def _parse_hecke_literal(oracle, b, ring, lam, text: str):
         else:
             coeff, elem_text = 1, t
         g = _parse_element(oracle, elem_text.strip())
-        result = result + delta(oracle, b, ring, lam, g, sign * coeff)
+        result = result + delta(oracle, b, p, lam, g, sign * coeff)
     return result
 
 
@@ -216,33 +210,32 @@ def _cmd_tile_algebra_probe(args) -> int:
 
 def _cmd_crystal(args) -> int:
     oracle = get_group(args.group, args.registry)
-    ring, ring_name = _ring_for(args.p)
-    lam = ring.coerce(args.lam)
+    if args.p is not None:
+        check_prime(args.p)
     config = {"command": "crystal", "group": args.group, "p": args.p,
               "lam": args.lam, "radius": args.radius, "seed": args.seed}
-    payload = {"config": config, "ring": ring_name}
+    payload = {"config": config, "ring": "Z" if args.p is None else f"GF({args.p})"}
     if args.mul:
         b = ball(oracle, args.radius)
         with reading("element literal"):
-            a_elt = _parse_hecke_literal(oracle, b, ring, lam, args.mul[0])
-            b_elt = _parse_hecke_literal(oracle, b, ring, lam, args.mul[1])
+            a_elt = _parse_hecke_literal(oracle, b, args.p, args.lam, args.mul[0])
+            b_elt = _parse_hecke_literal(oracle, b, args.p, args.lam, args.mul[1])
         prod = hecke_mul(a_elt, b_elt)
-        payload["product"] = sorted(
-            ([element_json(g), int(c) if isinstance(c, int) else str(c)]
-             for g, c in prod.coeffs.items()), key=repr)
+        payload["product"] = _hecke_terms(prod)
         if args.untwist:
-            u = untwist(prod)
-            payload["untwisted"] = sorted(
-                ([element_json(g), int(c) if isinstance(c, int) else str(c)]
-                 for g, c in u.coeffs.items()), key=repr)
+            payload["untwisted"] = _hecke_terms(untwist(prod))
     if args.check_monomial:
         if args.p is None:
             raise ContractError("--check-monomial needs --p")
-        ok = crystal_monomial_check(oracle, args.radius, ring,
+        ok = crystal_monomial_check(oracle, args.radius, args.p,
                                     sample_size=args.sample_size, seed=args.seed)
         payload["monomial_check"] = ok
     _write(dumps(payload), args.out)
     return 0
+
+
+def _hecke_terms(elt) -> list:
+    return sorted(([element_json(g), c] for g, c in elt.coeffs.items()), key=repr)
 
 
 def _cmd_rs_check(args) -> int:

@@ -50,10 +50,6 @@ class GroupOracle(ABC):
     @abstractmethod
     def inv(self, g: Element) -> Element: ...
 
-    def inverse_symbol(self, s: str) -> str:
-        t = s.swapcase()
-        return t if t in self.generator_symbols else s
-
     def normalize(self, word: Iterable[str]) -> Element:
         g = self.identity
         for s in word:
@@ -191,9 +187,6 @@ class Lamplighter(GroupOracle):
     def identity(self):
         return ((), 0)
 
-    def inverse_symbol(self, s):
-        return {"t": "T", "T": "t", "a": "a"}[s]
-
     def multiply(self, g, s):
         lamps, pos = g
         if s == "t":
@@ -243,11 +236,6 @@ class Cyclic(GroupOracle):
     def identity(self):
         return 0
 
-    def inverse_symbol(self, s):
-        if self.n == 2:
-            return "s"
-        return "S" if s == "s" else "s"
-
     def multiply(self, g, s):
         return (g + (1 if s == "s" else -1)) % self.n
 
@@ -292,12 +280,6 @@ class AbelianProduct(GroupOracle):
     def identity(self):
         return (0,) * len(self.orders)
 
-    def inverse_symbol(self, s):
-        i = "abcdefghijklmnopqrstuvwxyz".index(s.lower())
-        if self.orders[i] == 2:
-            return s
-        return s.swapcase()
-
     def multiply(self, g, s):
         step = self._steps[s]
         return tuple((a + b) % n for a, b, n in zip(g, step, self.orders))
@@ -328,11 +310,6 @@ class Dihedral(GroupOracle):
     @property
     def identity(self):
         return (0, 0)
-
-    def inverse_symbol(self, s):
-        if s == "f" or self.n == 2:
-            return s
-        return s.swapcase()
 
     def multiply(self, g, s):
         i, fl = g
@@ -493,13 +470,6 @@ class CayleyTable(GroupOracle):
     @property
     def identity(self):
         return self._identity
-
-    def inverse_symbol(self, s):
-        target = self._inverse[self._gen_map[s]]
-        for sym, idx in self._gen_map.items():
-            if idx == target:
-                return sym
-        raise ContractError(f"generator set not closed under inversion at {s!r}")
 
     def multiply(self, g, s):
         return self.table[g][self._gen_map[s]]

@@ -8,7 +8,9 @@ and invertible lambda untwists to the plain group ring via d_g -> lambda**len(g)
 
 Elements are immutable finitely supported coefficient maps over normal
 forms, pinned to a word-metric ball that must know the lengths of every
-support (and of every product the caller asks for).
+support (and of every product the caller asks for).  Coefficients are plain
+ints: over GF(p) for a prime p < 2**16, reduced to 0..p-1, or over Z when
+p is None; p is checked with scalars.check_prime when an element is built.
 """
 
 from __future__ import annotations
@@ -17,31 +19,39 @@ import random
 
 from .errors import ContractError, OutOfRangeError
 from .groups import GroupOracle, WordMetricBall, ball
+from .scalars import check_prime
+
+
+def _reduce(c, p: int | None) -> int:
+    return int(c) if p is None else int(c) % p
 
 
 class HeckeElement:
-    """Finitely supported map normal form -> scalar, with deformation lambda."""
+    """Finitely supported map normal form -> coefficient, with deformation lambda."""
 
-    __slots__ = ("group", "ball", "ring", "lam", "coeffs")
+    __slots__ = ("group", "ball", "p", "lam", "coeffs")
 
-    def __init__(self, group: GroupOracle, b: WordMetricBall, ring, lam, coeffs: dict):
+    def __init__(self, group: GroupOracle, b: WordMetricBall, p: int | None, lam,
+                 coeffs: dict):
+        if p is not None:
+            check_prime(p)
         clean = {}
         for g, c in coeffs.items():
-            c = ring.coerce(c)
-            if ring.is_zero(c):
+            c = _reduce(c, p)
+            if c == 0:
                 continue
             if g not in b:
                 raise OutOfRangeError("support element outside the attached ball")
             clean[g] = c
         self.group = group
         self.ball = b
-        self.ring = ring
-        self.lam = ring.coerce(lam)
+        self.p = p
+        self.lam = _reduce(lam, p)
         self.coeffs = clean
 
     def __eq__(self, other):
         return (isinstance(other, HeckeElement)
-                and self.group is other.group and self.ring == other.ring
+                and self.group is other.group and self.p == other.p
                 and self.lam == other.lam and self.coeffs == other.coeffs)
 
     def __hash__(self):
@@ -50,27 +60,11 @@ class HeckeElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def support(self):
-        return set(self.coeffs)
-
     def __add__(self, other):
-        _check_compatible(self, other)
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = self.ring.add(out.get(g, self.ring.zero), c)
-        return HeckeElement(self.group, _wider(self.ball, other.ball), self.ring, self.lam, out)
+        return _combine(self, other, 1)
 
     def __sub__(self, other):
-        _check_compatible(self, other)
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = self.ring.sub(out.get(g, self.ring.zero), c)
-        return HeckeElement(self.group, _wider(self.ball, other.ball), self.ring, self.lam, out)
-
-    def scale(self, c):
-        c = self.ring.coerce(c)
-        return HeckeElement(self.group, self.ball, self.ring, self.lam,
-                            {g: self.ring.mul(c, v) for g, v in self.coeffs.items()})
+        return _combine(self, other, -1)
 
     def __mul__(self, other):
         return hecke_mul(self, other)
@@ -82,10 +76,19 @@ class HeckeElement:
         return " + ".join(parts)
 
 
+def _combine(a: HeckeElement, b: HeckeElement, sign: int) -> HeckeElement:
+    """a + sign * b."""
+    _check_compatible(a, b)
+    out = dict(a.coeffs)
+    for g, c in b.coeffs.items():
+        out[g] = out.get(g, 0) + sign * c
+    return HeckeElement(a.group, _wider(a.ball, b.ball), a.p, a.lam, out)
+
+
 def _check_compatible(a: HeckeElement, b: HeckeElement):
     if a.group is not b.group:
         raise ContractError("elements live over different groups")
-    if a.ring != b.ring:
+    if a.p != b.p:
         raise ContractError("elements live over different coefficient rings")
     if a.lam != b.lam:
         raise ContractError("elements carry different deformation parameters")
@@ -95,70 +98,75 @@ def _wider(a: WordMetricBall, b: WordMetricBall) -> WordMetricBall:
     return a if a.radius >= b.radius else b
 
 
-def delta(group: GroupOracle, b: WordMetricBall, ring, lam, g, coeff=1) -> HeckeElement:
-    """Single-term element coeff * d_g; g must already be a normal form."""
-    return HeckeElement(group, b, ring, lam, {g: coeff})
-
-
-def delta_mul(group: GroupOracle, b: WordMetricBall, ring, lam, g, h) -> HeckeElement:
-    """d_g * d_h as a single-term element (or zero at lambda = 0)."""
-    lam = ring.coerce(lam)
-    gh = group.mul(g, h)
+def _excess(b: WordMetricBall, g, h, gh) -> int:
+    """len(g) + len(h) - len(gh), the power of lambda in d_g * d_h."""
     e = b.word_length(g) + b.word_length(h) - b.word_length(gh)
     if e < 0:
         raise ContractError("length function violated the triangle inequality")
-    return HeckeElement(group, b, ring, lam, {gh: ring.pow(lam, e)})
+    return e
+
+
+def delta(group: GroupOracle, b: WordMetricBall, p: int | None, lam, g,
+          coeff=1) -> HeckeElement:
+    """Single-term element coeff * d_g; g must already be a normal form."""
+    return HeckeElement(group, b, p, lam, {g: coeff})
+
+
+def delta_mul(group: GroupOracle, b: WordMetricBall, p: int | None, lam, g,
+              h) -> HeckeElement:
+    """d_g * d_h as a single-term element (or zero at lambda = 0)."""
+    gh = group.mul(g, h)
+    return HeckeElement(group, b, p, lam, {gh: lam ** _excess(b, g, h, gh)})
 
 
 def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     """Bilinear extension of the twisted basis product, zero terms pruned."""
     _check_compatible(a, b)
     wide = _wider(a.ball, b.ball)
-    ring = a.ring
     out: dict = {}
     for g, cg in a.coeffs.items():
         for h, ch in b.coeffs.items():
             gh = a.group.mul(g, h)
-            e = wide.word_length(g) + wide.word_length(h) - wide.word_length(gh)
-            c = ring.mul(ring.mul(cg, ch), ring.pow(a.lam, e))
-            if not ring.is_zero(c):
-                out[gh] = ring.add(out.get(gh, ring.zero), c)
-    return HeckeElement(a.group, wide, ring, a.lam, out)
+            c = cg * ch * pow(a.lam, _excess(wide, g, h, gh), a.p)
+            out[gh] = out.get(gh, 0) + c
+    return HeckeElement(a.group, wide, a.p, a.lam, out)
 
 
-def unit(group: GroupOracle, b: WordMetricBall, ring, lam) -> HeckeElement:
-    return HeckeElement(group, b, ring, lam, {group.identity: ring.one})
+def unit(group: GroupOracle, b: WordMetricBall, p: int | None, lam) -> HeckeElement:
+    return HeckeElement(group, b, p, lam, {group.identity: 1})
 
 
 def untwist(a: HeckeElement) -> HeckeElement:
     """Apply d_g -> lambda**len(g) g; needs lambda invertible.  The image is
     a plain group-ring element, represented at deformation parameter 1
     (where the twisted product IS the group-ring product)."""
-    ring = a.ring
-    if not ring.is_invertible(a.lam):
+    invertible = a.lam in (1, -1) if a.p is None else a.lam != 0
+    if not invertible:
         raise ContractError("untwisting needs an invertible deformation parameter")
-    out = {g: ring.mul(c, ring.pow(a.lam, a.ball.word_length(g)))
-           for g, c in a.coeffs.items()}
-    return HeckeElement(a.group, a.ball, ring, ring.one, out)
+    out = {g: c * pow(a.lam, a.ball.word_length(g), a.p) for g, c in a.coeffs.items()}
+    return HeckeElement(a.group, a.ball, a.p, 1, out)
 
 
-def crystal_monomial_check(group: GroupOracle, radius: int, ring,
+def crystal_monomial_check(group: GroupOracle, radius: int, p: int | None,
                            sample_size: int | None = None, seed: int = 0,
                            max_elements: int | None = None) -> bool:
     """At lambda = 0, products of basis elements must be 0 or again basis
     elements (coefficient exactly 1).  Checks all pairs from the radius ball
     (or a seeded sample), evaluating inside the radius-2r ball."""
+    if p is not None:
+        check_prime(p)
+    if sample_size is not None and sample_size < 0:
+        raise ContractError(f"sample size must be nonnegative, got {sample_size}")
     wide = ball(group, 2 * radius, max_elements)
     small = [g for g in wide.elements if wide.lengths[g] <= radius]
     pairs = [(g, h) for g in small for h in small]
     if sample_size is not None and sample_size < len(pairs):
         rng = random.Random(seed)
         pairs = rng.sample(pairs, sample_size)
-    zero = ring.zero
     for g, h in pairs:
-        prod = delta_mul(group, wide, ring, zero, g, h)
+        prod = delta_mul(group, wide, p, 0, g, h)
         if prod.is_zero():
             continue
-        if len(prod.coeffs) != 1 or set(prod.coeffs.values()) != {ring.one}:
+        if len(prod.coeffs) != 1 or set(prod.coeffs.values()) != {1}:
             return False
     return True

@@ -17,7 +17,7 @@ return the same canonical int64 matrix:
   and subtracts the unreduced update from the other rows; the whole matrix
   is reduced at the end (delayed reduction, after FFLAS-FFPACK).
 
-Every entry point (``rref``, ``Ambient``, ``scalars.PrimeField``) applies
+Every entry point (``rref``, ``Ambient``, ``hecke.HeckeElement``) applies
 the one prime bound p < 2**16 of ``scalars.check_prime``.  The odd-p loop
 rests on it: (p-1)**2 < 2**32 per step leaves int64 room for 2**30 steps
 before a reduction is due.

@@ -22,7 +22,6 @@ from gradedgrowth.gs import GSPresentation, gs_certificate, gs_value, relator_de
 from gradedgrowth.hecke import HeckeElement, crystal_monomial_check, delta, \
     hecke_mul, untwist
 from gradedgrowth.registry import P_GROUP_NAMES, get_group, load_registry
-from gradedgrowth.scalars import GF
 from gradedgrowth.subspace import BallAmbient, invariance_defect, set_defect, span
 from gradedgrowth.tiling import build_transversal, congruence_quotient, verify_certificate
 
@@ -72,7 +71,7 @@ def test_criterion_03_crystal_hecke_algebra(hecke_groups):
     lambda in {0, 1, 2} over GF(5); monomial property on full radius-5
     balls; untwist homomorphism on 500 random pairs."""
     groups, balls18 = hecke_groups
-    ring = GF(5)
+    p = 5
     rng = random.Random(0)
     for name, group in groups.items():
         b = balls18[name]
@@ -80,14 +79,14 @@ def test_criterion_03_crystal_hecke_algebra(hecke_groups):
         for lam in (0, 1, 2):
             for _ in range(1000):
                 g, h, k = (rng.choice(supports) for _ in range(3))
-                dg = delta(group, b, ring, lam, g)
-                dh = delta(group, b, ring, lam, h)
-                dk = delta(group, b, ring, lam, k)
+                dg = delta(group, b, p, lam, g)
+                dh = delta(group, b, p, lam, h)
+                dk = delta(group, b, p, lam, k)
                 left = hecke_mul(hecke_mul(dg, dh), dk)
                 right = hecke_mul(dg, hecke_mul(dh, dk))
                 assert left == right, (name, lam, g, h, k)
     for name, group in groups.items():
-        assert crystal_monomial_check(group, 5, ring), name
+        assert crystal_monomial_check(group, 5, p), name
     # untwist is multiplicative wherever lambda is invertible
     for name in ("z2", "lamplighter"):
         group = groups[name]
@@ -96,8 +95,8 @@ def test_criterion_03_crystal_hecke_algebra(hecke_groups):
         for _ in range(250):
             terms_a = {rng.choice(supports): rng.randrange(1, 5) for _ in range(2)}
             terms_b = {rng.choice(supports): rng.randrange(1, 5) for _ in range(2)}
-            a = HeckeElement(group, b, ring, 2, terms_a)
-            c = HeckeElement(group, b, ring, 2, terms_b)
+            a = HeckeElement(group, b, p, 2, terms_a)
+            c = HeckeElement(group, b, p, 2, terms_b)
             assert untwist(hecke_mul(a, c)) == hecke_mul(untwist(a), untwist(c))
 
 

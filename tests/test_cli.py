@@ -242,6 +242,19 @@ class TestExitCodes:
         assert main(["growth", "--group", "nope", "--p", "2",
                      "--out", str(tmp_path / "x")]) == 4
 
+    @pytest.mark.parametrize("args", [
+        ["--p", "4"],
+        ["--p", "65537"],
+        ["--p", "4", "--mul", "1*(1)", "1*(1)"],
+        ["--lam", "2", "--mul", "1*(1)", "1*(-1)", "--untwist"],
+        ["--check-monomial"],
+        ["--p", "5", "--check-monomial", "--sample-size", "-1"],
+    ], ids=["p-4", "p-65537", "p-4-mul", "untwist-over-z", "monomial-without-p",
+            "negative-sample-size"])
+    def test_crystal_contract_errors_are_4(self, tmp_path, args):
+        assert main(["crystal", "--group", "z"] + args
+                    + ["--out", str(tmp_path / "x")]) == 4
+
     @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["tsv", "json"])
     def test_prime_above_bound_is_4(self, fmt):
         # int64 elimination would overflow past 2**32; the bound is 2**16

@@ -16,8 +16,10 @@ from gradedgrowth import subspace
 from gradedgrowth.errors import ContractError
 from gradedgrowth.filtration import (_identity_last_echelon, _project_to_complement,
                                      build_group_algebra, right_ideal_closure)
+from gradedgrowth.groups import ball
+from gradedgrowth.hecke import HeckeElement, crystal_monomial_check, delta
 from gradedgrowth.registry import get_group
-from gradedgrowth.scalars import PrimeField, check_prime
+from gradedgrowth.scalars import check_prime
 from gradedgrowth.subspace import Ambient, rank_mod_p, rref, span
 
 PRIMES = [2, 3, 5, 65521]
@@ -138,11 +140,16 @@ class TestPrimeBound:
     # 2**61 - 1 is prime: the bound is checked before trial division, which
     # would take 2**29 steps
     @pytest.mark.parametrize("p", [0, 1, 4, 65537, 2**16 + 1, 4294967311, 2**61 - 1])
-    def test_rejected_everywhere(self, p):
+    def test_rejected_everywhere(self, p, z1):
+        b = ball(z1, 1)
         with pytest.raises(ContractError):
             check_prime(p)
         with pytest.raises(ContractError):
-            PrimeField(p)
+            HeckeElement(z1, b, p, 1, {(0,): 1})
+        with pytest.raises(ContractError):
+            delta(z1, b, p, 1, (0,))
+        with pytest.raises(ContractError):
+            crystal_monomial_check(z1, 1, p)
         with pytest.raises(ContractError):
             Ambient(["e"], p)
         with pytest.raises(ContractError):
@@ -150,9 +157,12 @@ class TestPrimeBound:
         with pytest.raises(ContractError):
             rank_mod_p(np.eye(2, dtype=np.int64), p)
 
-    def test_largest_accepted_prime(self):
+    def test_largest_accepted_prime(self, z1):
+        b = ball(z1, 1)
         assert check_prime(65521) == 65521
-        assert PrimeField(65521).p == 65521
+        assert HeckeElement(z1, b, 65521, 1, {(0,): 65522}).coeffs == {(0,): 1}
+        assert delta(z1, b, 65521, 1, (1,), -1).coeffs == {(1,): 65520}
+        assert crystal_monomial_check(z1, 1, 65521)
 
 
 @pytest.fixture(scope="module", params=[("heisenberg_mod_3", 3), ("q8", 2)],

@@ -30,6 +30,16 @@ class TestProbe:
         k = [(e,) for e in {0, *exponents}]
         assert rep.defect == set_defect(interval, k, FreeAbelian(1))
 
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("exponents", [[0, 1], [1], [0, 2], [-1, 1]])
+    def test_levels_follow_the_chain_base(self, p, exponents):
+        rep = algebra_tiling_probe(p, [{e: 1} for e in exponents], Fraction(1, 2),
+                                   chain_base=3)
+        assert rep.omega_dim == 3**rep.quotient_level
+        assert rep.steps
+        for st in rep.steps:
+            assert st.level_dim in {3**k for k in range(1, rep.quotient_level + 1)}
+
     def test_non_invertible_basis_rejected(self):
         with pytest.raises(ContractError):
             algebra_tiling_probe(2, [{0: 1, 1: 1}], Fraction(1, 2))
