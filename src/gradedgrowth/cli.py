@@ -185,16 +185,13 @@ def _cmd_folner(args) -> int:
 def _cmd_tile(args) -> int:
     oracle = get_group(args.group, args.registry)
     epsilon = parse_fraction(args.epsilon)
-    if args.k_radius is not None:
-        k = ball(oracle, args.k_radius).elements
-    else:
-        k = ball(oracle, 1).elements
+    k = ball(oracle, args.k_radius).elements
     cert = build_transversal(oracle, k, epsilon, chain_base=args.chain_base,
                              max_quotients=args.max_quotients)
     payload = cert.to_json()
     payload["config"] = {"command": "tile", "group": args.group,
                          "epsilon": frac_json(epsilon),
-                         "k_radius": args.k_radius if args.k_radius is not None else 1,
+                         "k_radius": args.k_radius,
                          "chain_base": args.chain_base}
     _write(dumps(payload), args.out)
     return 0
@@ -239,6 +236,8 @@ def _hecke_terms(elt) -> list:
 
 
 def _cmd_rs_check(args) -> int:
+    if args.ideals < 1:
+        raise ContractError(f"--ideals must be at least 1, got {args.ideals}")
     oracle = get_group(args.group, args.registry)
     alg = build_group_algebra(oracle, args.p)
     rng = random.Random(args.seed)
@@ -398,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tile", help="build an almost-invariant transversal")
     p.add_argument("--group", required=True)
     p.add_argument("--epsilon", required=True)
-    p.add_argument("--k-radius", type=int, default=None)
+    p.add_argument("--k-radius", type=int, default=1)
     p.add_argument("--chain-base", type=int, default=2)
     p.add_argument("--max-quotients", type=int, default=None)
     p.add_argument("--out")

@@ -77,11 +77,7 @@ class FiniteGroupAlgebra(Ambient):
         return rows[:, gather]
 
     def generator_elements(self) -> list:
-        return _generator_elements(self.group)
-
-
-def _generator_elements(group: GroupOracle) -> list:
-    return [group.multiply(group.identity, s) for s in group.generator_symbols]
+        return list(self.group.generators.values())
 
 
 def build_group_algebra(group: GroupOracle, p: int,
@@ -166,7 +162,7 @@ def _normal_subgroup(group: GroupOracle, seeds) -> frozenset:
     (in a finite group the positive words in the generators are the whole
     subgroup).  Each generator's conjugates by the group generators are
     queued as seeds, so when the queue empties the subgroup is normal."""
-    conj = _generator_elements(group)
+    conj = list(group.generators.values())
     members = {group.identity}
     gens = []
     pending = list(seeds)
@@ -207,7 +203,7 @@ def jennings_series(group: GroupOracle, p: int) -> JenningsSeries:
     if order != 1:
         raise ContractError(f"{group.name} order is not a power of {p}")
 
-    conj = _generator_elements(group)
+    conj = list(group.generators.values())
     series = [frozenset(group.elements())]
     while len(series[-1]) > 1:
         n = len(series) + 1  # constructing G_n

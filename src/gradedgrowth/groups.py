@@ -1,11 +1,17 @@
 """Group oracles with canonical normal forms, Cayley-ball BFS and dead ends.
 
-Every group is presented through the same small interface: a symmetric list
-of generator symbols (single characters; uppercase is the formal inverse of
-the lowercase letter, involutions are self-paired), an identity normal form,
-and exact multiplication.  Word lengths always come from BFS over the
-generator symbols in declaration order, so every group flows through one
-deterministic code path; closed formulas appear only in tests.
+Every group is presented through the same small interface: an identity
+normal form, a generator table from symbols to elements (single characters;
+uppercase is the formal inverse of the lowercase letter, involutions are
+self-paired), the product `mul` and the inverse `inv`.  `mul` is the only
+statement of each group law: right multiplication by a generator symbol is
+`mul` by the table's element.  Three families keep their own step because it
+is a different, cheaper algorithm than a full product: the free group
+appends or cancels one letter, the lamplighter toggles one lamp, and a
+rewriting-backed group shifts one normal form through the reduction stack.
+Word lengths always come from BFS over the generator symbols in declaration
+order, so every group flows through one deterministic code path; closed
+formulas appear only in tests.
 
 Element representations are typed per family: integer vectors for free
 abelian groups, integer triples for the discrete Heisenberg group,
@@ -29,11 +35,11 @@ Element = Any  # per-oracle concrete type; always hashable and immutable
 
 
 class GroupOracle(ABC):
-    """Uniform interface: normal forms, generator action, full products."""
+    """Uniform interface: identity, generator table, products and inverses."""
 
     kind: str = "abstract"
     name: str = "group"
-    generator_symbols: tuple[str, ...] = ()
+    generators: dict[str, Element]  # symbol -> element, in declaration order
     order: int | None = None  # None for infinite groups
 
     @property
@@ -41,20 +47,29 @@ class GroupOracle(ABC):
     def identity(self) -> Element: ...
 
     @abstractmethod
-    def multiply(self, g: Element, s: str) -> Element:
-        """Right-multiply a normal form by one generator symbol."""
-
-    @abstractmethod
     def mul(self, g: Element, h: Element) -> Element: ...
 
     @abstractmethod
     def inv(self, g: Element) -> Element: ...
 
+    @property
+    def generator_symbols(self) -> tuple[str, ...]:
+        return tuple(self.generators)
+
+    def generator(self, s: str) -> Element:
+        """The element that generator symbol s stands for."""
+        try:
+            return self.generators[s]
+        except KeyError:
+            raise ContractError(f"unknown generator symbol {s!r} for {self.name}") from None
+
+    def multiply(self, g: Element, s: str) -> Element:
+        """Right-multiply a normal form by one generator symbol."""
+        return self.mul(g, self.generator(s))
+
     def normalize(self, word: Iterable[str]) -> Element:
         g = self.identity
         for s in word:
-            if s not in self.generator_symbols:
-                raise ContractError(f"unknown generator symbol {s!r} for {self.name}")
             g = self.multiply(g, s)
         return g
 
@@ -73,6 +88,11 @@ def _symbol_pairs(letters: Iterable[str]) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _unit(d: int, i: int, value: int) -> tuple:
+    """The vector of length d with `value` at position i and 0 elsewhere."""
+    return tuple(value if j == i else 0 for j in range(d))
+
+
 class FreeGroup(GroupOracle):
     """Free group of rank k; normal forms are freely reduced words."""
 
@@ -83,16 +103,17 @@ class FreeGroup(GroupOracle):
             raise ContractError("free rank must be between 1 and 26")
         self.k = k
         self.name = f"free{k}"
-        self.generator_symbols = _symbol_pairs("abcdefghijklmnopqrstuvwxyz"[:k])
+        self.generators = {s: s for s in _symbol_pairs("abcdefghijklmnopqrstuvwxyz"[:k])}
 
     @property
     def identity(self) -> str:
         return ""
 
     def multiply(self, g: str, s: str) -> str:
+        """Cancel s against the last letter of g, or append it."""
         if g and g[-1] == s.swapcase():
             return g[:-1]
-        return g + s
+        return g + self.generator(s)
 
     def mul(self, g: str, h: str) -> str:
         i = len(g)
@@ -116,22 +137,14 @@ class FreeAbelian(GroupOracle):
             raise ContractError("rank must be between 1 and 26")
         self.d = d
         self.name = "z" if d == 1 else f"z{d}"
-        self.generator_symbols = _symbol_pairs("abcdefghijklmnopqrstuvwxyz"[:d])
-        self._steps = {}
-        for i in range(d):
-            e = [0] * d
-            e[i] = 1
-            self._steps[self.generator_symbols[2 * i]] = tuple(e)
-            e[i] = -1
-            self._steps[self.generator_symbols[2 * i + 1]] = tuple(e)
+        self.generators = {}
+        for i, c in enumerate("abcdefghijklmnopqrstuvwxyz"[:d]):
+            self.generators[c] = _unit(d, i, 1)
+            self.generators[c.upper()] = _unit(d, i, -1)
 
     @property
     def identity(self) -> tuple:
         return (0,) * self.d
-
-    def multiply(self, g, s):
-        step = self._steps[s]
-        return tuple(a + b for a, b in zip(g, step))
 
     def mul(self, g, h):
         return tuple(a + b for a, b in zip(g, h))
@@ -145,23 +158,11 @@ class Heisenberg(GroupOracle):
 
     kind = "heisenberg"
     name = "heisenberg"
-    generator_symbols = ("x", "X", "y", "Y")
+    generators = {"x": (1, 0, 0), "X": (-1, 0, 0), "y": (0, 1, 0), "Y": (0, -1, 0)}
 
     @property
     def identity(self):
         return (0, 0, 0)
-
-    def multiply(self, g, s):
-        a, b, c = g
-        if s == "x":
-            return (a + 1, b, c)
-        if s == "X":
-            return (a - 1, b, c)
-        if s == "y":
-            return (a, b + 1, c + a)
-        if s == "Y":
-            return (a, b - 1, c - a)
-        raise ContractError(f"unknown symbol {s!r}")
 
     def mul(self, g, h):
         a, b, c = g
@@ -181,13 +182,14 @@ class Lamplighter(GroupOracle):
 
     kind = "lamplighter"
     name = "lamplighter"
-    generator_symbols = ("t", "T", "a")
+    generators = {"t": ((), 1), "T": ((), -1), "a": ((0,), 0)}
 
     @property
     def identity(self):
         return ((), 0)
 
     def multiply(self, g, s):
+        """Move the cursor or toggle the one lamp under it."""
         lamps, pos = g
         if s == "t":
             return (lamps, pos + 1)
@@ -195,7 +197,7 @@ class Lamplighter(GroupOracle):
             return (lamps, pos - 1)
         if s == "a":
             return (_toggle(lamps, pos), pos)
-        raise ContractError(f"unknown symbol {s!r}")
+        return super().multiply(g, s)  # rejects the unknown symbol
 
     def mul(self, g, h):
         lamps1, p = g
@@ -230,14 +232,11 @@ class Cyclic(GroupOracle):
         self.n = n
         self.order = n
         self.name = f"c{n}"
-        self.generator_symbols = ("s",) if n == 2 else ("s", "S")
+        self.generators = {"s": 1} if n == 2 else {"s": 1, "S": n - 1}
 
     @property
     def identity(self):
         return 0
-
-    def multiply(self, g, s):
-        return (g + (1 if s == "s" else -1)) % self.n
 
     def mul(self, g, h):
         return (g + h) % self.n
@@ -262,27 +261,16 @@ class AbelianProduct(GroupOracle):
         for n in orders:
             self.order *= n
         self.name = name or "x".join(f"c{n}" for n in orders)
-        letters = "abcdefghijklmnopqrstuvwxyz"[: len(orders)]
-        syms = []
-        self._steps = {}
-        for i, (c, n) in enumerate(zip(letters, orders)):
-            e = [0] * len(orders)
-            e[i] = 1
-            syms.append(c)
-            self._steps[c] = tuple(e)
+        d = len(orders)
+        self.generators = {}
+        for i, (c, n) in enumerate(zip("abcdefghijklmnopqrstuvwxyz", orders)):
+            self.generators[c] = _unit(d, i, 1)
             if n > 2:
-                syms.append(c.upper())
-                e[i] = -1
-                self._steps[c.upper()] = tuple(e)
-        self.generator_symbols = tuple(syms)
+                self.generators[c.upper()] = _unit(d, i, n - 1)
 
     @property
     def identity(self):
         return (0,) * len(self.orders)
-
-    def multiply(self, g, s):
-        step = self._steps[s]
-        return tuple((a + b) % n for a, b, n in zip(g, step, self.orders))
 
     def mul(self, g, h):
         return tuple((a + b) % n for a, b, n in zip(g, h, self.orders))
@@ -305,21 +293,12 @@ class Dihedral(GroupOracle):
         self.n = n
         self.order = 2 * n
         self.name = f"d{n}"
-        self.generator_symbols = ("r", "R", "f") if n > 2 else ("r", "f")
+        self.generators = ({"r": (1, 0), "R": (n - 1, 0), "f": (0, 1)} if n > 2
+                           else {"r": (1, 0), "f": (0, 1)})
 
     @property
     def identity(self):
         return (0, 0)
-
-    def multiply(self, g, s):
-        i, fl = g
-        if s == "r":
-            return ((i + (1 if fl == 0 else -1)) % self.n, fl)
-        if s == "R":
-            return ((i + (-1 if fl == 0 else 1)) % self.n, fl)
-        if s == "f":
-            return (i, 1 - fl)
-        raise ContractError(f"unknown symbol {s!r}")
 
     def mul(self, g, h):
         i, fl = g
@@ -340,7 +319,7 @@ class Quaternion8(GroupOracle):
     kind = "finite_quaternion"
     name = "q8"
     order = 8
-    generator_symbols = ("i", "I", "j", "J")
+    generators = {"i": 2, "I": 3, "j": 4, "J": 5}
 
     # element = 2*u + s with u in {0:1, 1:i, 2:j, 3:k}, s the sign bit
     _UNIT_MUL = {}  # (u, v) -> (w, sign)
@@ -362,9 +341,6 @@ class Quaternion8(GroupOracle):
     def identity(self):
         return 0
 
-    def multiply(self, g, s):
-        return self.mul(g, {"i": 2, "I": 3, "j": 4, "J": 5}[s])
-
     def mul(self, g, h):
         u, su = divmod(g, 2)
         v, sv = divmod(h, 2)
@@ -385,7 +361,6 @@ class HeisenbergMod(GroupOracle):
     """Heisenberg group over Z/m (order m^3)."""
 
     kind = "heisenberg_mod"
-    generator_symbols = ("x", "X", "y", "Y")
 
     def __init__(self, m: int):
         if m < 2:
@@ -393,23 +368,12 @@ class HeisenbergMod(GroupOracle):
         self.m = m
         self.order = m**3
         self.name = f"heisenberg_mod_{m}"
+        self.generators = {"x": (1, 0, 0), "X": (m - 1, 0, 0),
+                           "y": (0, 1, 0), "Y": (0, m - 1, 0)}
 
     @property
     def identity(self):
         return (0, 0, 0)
-
-    def multiply(self, g, s):
-        a, b, c = g
-        m = self.m
-        if s == "x":
-            return ((a + 1) % m, b, c)
-        if s == "X":
-            return ((a - 1) % m, b, c)
-        if s == "y":
-            return (a, (b + 1) % m, (c + a) % m)
-        if s == "Y":
-            return (a, (b - 1) % m, (c - a) % m)
-        raise ContractError(f"unknown symbol {s!r}")
 
     def mul(self, g, h):
         a, b, c = g
@@ -454,11 +418,10 @@ class CayleyTable(GroupOracle):
         self.order = n
         self.name = name
         self._identity = identity
-        self._gen_map = dict(generators)
-        indices = [x for row in self.table for x in row] + list(self._gen_map.values())
+        self.generators = dict(generators)
+        indices = [x for row in self.table for x in row] + list(self.generators.values())
         if not all(isinstance(x, int) and 0 <= x < n for x in indices + [identity]):
             raise ContractError("table entries, generators and identity must be row indices")
-        self.generator_symbols = tuple(generators)
         self._inverse = [None] * n
         for g in range(n):
             for h in range(n):
@@ -470,9 +433,6 @@ class CayleyTable(GroupOracle):
     @property
     def identity(self):
         return self._identity
-
-    def multiply(self, g, s):
-        return self.table[g][self._gen_map[s]]
 
     def mul(self, g, h):
         return self.table[g][h]
@@ -532,10 +492,11 @@ def ball(oracle: GroupOracle, radius: int, max_elements: int | None = None) -> W
     lengths = {e: 0}
     by_sphere = [[e]]
     frontier = [e]
+    symbols = oracle.generator_symbols
     for r in range(1, radius + 1):
         nxt = []
         for g in frontier:
-            for s in oracle.generator_symbols:
+            for s in symbols:
                 h = oracle.multiply(g, s)
                 if h not in lengths:
                     lengths[h] = r

@@ -155,8 +155,8 @@ def crystal_monomial_check(group: GroupOracle, radius: int, p: int | None,
     (or a seeded sample), evaluating inside the radius-2r ball."""
     if p is not None:
         check_prime(p)
-    if sample_size is not None and sample_size < 0:
-        raise ContractError(f"sample size must be nonnegative, got {sample_size}")
+    if sample_size is not None and sample_size < 1:
+        raise ContractError(f"sample size must be at least 1, got {sample_size}")
     wide = ball(group, 2 * radius, max_elements)
     small = [g for g in wide.elements if wide.lengths[g] <= radius]
     pairs = [(g, h) for g in small for h in small]

@@ -308,16 +308,12 @@ class RewritingGroup(GroupOracle):
         self.system = system
         self.inverse_letters = inverse_letters
         self.name = name or "presented(" + ",".join(system.relators) + ")"
-        self.generator_symbols = _symbol_pairs(system.generators)
-        self._inverse_word: dict[str, str] = {}
-        for g in system.generators:
-            if inverse_letters:
-                self._inverse_word[g] = g.upper()
-                self._inverse_word[g.upper()] = g
-            else:
-                n = _letter_order(system, g)
-                self._inverse_word[g] = g * (n - 1)
-                self._inverse_word[g.upper()] = g
+        self.generators = {}
+        for c in _symbol_pairs(system.generators):
+            word = c
+            if c not in system.alphabet:
+                word = c.lower() * (_letter_order(system, c.lower()) - 1)
+            self.generators[c] = system.reduce(word)
 
     @property
     def identity(self) -> str:
@@ -326,30 +322,14 @@ class RewritingGroup(GroupOracle):
     def multiply(self, g: str, s: str) -> str:
         """The normal form of g s.  g must be a normal form (irreducible):
         it is taken as the reduction stack as it stands, and only the
-        letters of s are shifted through it."""
-        if s not in self.generator_symbols:
-            raise ContractError(f"unknown generator symbol {s!r}")
-        if s in self.system.alphabet:
-            return self.system.reduce(s, g)
-        return self.system.reduce(self._inverse_word[s.lower()], g)
+        letters of s's normal form are shifted through it."""
+        return self.system.reduce(self.generator(s), g)
 
     def mul(self, g: str, h: str) -> str:
         return self.system.reduce(g + h)
 
     def inv(self, g: str) -> str:
-        return self.system.reduce("".join(self._inverse_word[c] for c in reversed(g)))
-
-    def normalize(self, word) -> str:
-        w = word if isinstance(word, str) else "".join(word)
-        expanded = []
-        for c in w:
-            if c in self.system.alphabet:
-                expanded.append(c)
-            elif c.isupper() and c.lower() in self.system.alphabet:
-                expanded.append(self._inverse_word[c.lower()])
-            else:
-                raise ContractError(f"symbol {c!r} not in alphabet of {self.name}")
-        return self.system.reduce("".join(expanded))
+        return self.system.reduce("".join(self.generators[c.swapcase()] for c in reversed(g)))
 
 
 def _letter_order(system: RewritingSystem, letter: str) -> int:

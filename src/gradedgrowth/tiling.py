@@ -122,9 +122,12 @@ def folner_search(oracle: GroupOracle, k: Sequence, bound: Fraction,
 class QuotientSet:
     """A congruence quotient G/N of an infinite group, held as the finite
     oracle `finite` on the reduced coordinates: full coset listing (in the
-    finite oracle's order), projection, and a section lifting cosets back
-    to the group.  Subclasses supply the exact right action, on one coset
-    (`act`) and on arrays of cosets, as coset indices (`act_indices`).
+    finite oracle's order), projection, a section lifting cosets back to
+    the group, and the right action of the group, on one coset (`act`) and
+    on arrays of cosets, as coset indices (`act_indices`).  Both actions are
+    `finite.mul`: the finite laws are integer polynomials reduced mod m in
+    every coordinate, so they take unreduced group elements and numpy
+    arrays alike.
 
     Cosets are numbered 0..n-1 in `elements` order, which for both
     families is mixed radix in m over the coordinates, the first one most
@@ -156,25 +159,26 @@ class QuotientSet:
     def size(self) -> int:
         return self.finite.order
 
+    def act(self, coset, g):
+        """Right action: coset of x goes to the coset of x g."""
+        return self.finite.mul(coset, g)
 
-# Each subclass defines its own `act`, although both could share one through
-# `finite.mul`, because the benchmark's tracer (perfbench/tracer.py) counts
-# quotient actions by wrapping ZdQuotient.act and HeisenbergQuotient.act by
-# name.
+    def act_indices(self, cosets: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Indices of x k for the rows x of `cosets` and the rows k of an
+        array of projected elements, as one row per x."""
+        columns = self.finite.mul(tuple(cosets.T[..., None]), tuple(k.T))
+        return sum(column * r for column, r in zip(columns, self._radix))
+
+
+# The subclasses exist only to give each family its own `act` binding: the
+# benchmark's tracer (perfbench/tracer.py) counts quotient actions by
+# wrapping ZdQuotient.act and HeisenbergQuotient.act by name.
 
 
 class ZdQuotient(QuotientSet):
     """Z^d / (mZ)^d."""
 
-    def act(self, coset, g):
-        """Right action: coset of x goes to the coset of x g."""
-        return tuple((a + b) % self.m for a, b in zip(coset, g))
-
-    def act_indices(self, cosets: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Indices of x k for the rows x of `cosets` and the rows k of an
-        array of projected elements, as one row per x."""
-        return sum((cosets[:, i, None] + k[:, i]) % self.m * r
-                   for i, r in enumerate(self._radix))
+    act = QuotientSet.act
 
 
 class HeisenbergQuotient(QuotientSet):
@@ -182,17 +186,7 @@ class HeisenbergQuotient(QuotientSet):
     finite-index congruence subgroup; the chain over m = base**k has
     trivial intersection)."""
 
-    def act(self, coset, g):
-        return self.finite.mul(coset, self.project(g))
-
-    def act_indices(self, cosets: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Indices of x k for the rows x of `cosets` and the rows k of an
-        array of projected elements, as one row per x:
-        (a, b, c)(d, e, f) = (a + d, b + e, c + f + ae)."""
-        a, b, c = (cosets[:, i, None] for i in range(3))
-        d, e, f = k.T
-        m = self.m
-        return ((a + d) % m * m + (b + e) % m) * m + (c + f + a * e) % m
+    act = QuotientSet.act
 
 
 def congruence_quotient(oracle: GroupOracle, m: int) -> QuotientSet:
@@ -529,14 +523,12 @@ def build_transversal(oracle: GroupOracle, k: Sequence, epsilon,
     k = list(dict.fromkeys(k))
     if oracle.identity not in k:
         raise ContractError("K must contain the identity")
+    if max_quotients is not None and max_quotients < 1:
+        raise ContractError(f"max_quotients must be at least 1, got {max_quotients}")
     params, t_cap, target = covering_recipe(len(k), epsilon)
 
     failures = []
-    count = 0
-    for level, omega in quotient_chain(oracle, chain_base):
-        count += 1
-        if max_quotients is not None and count > max_quotients:
-            break
+    for level, omega in itertools.islice(quotient_chain(oracle, chain_base), max_quotients):
         try:
             cert = _attempt_quotient(oracle, omega, level, k, epsilon,
                                      params, t_cap, target, chain_base)

@@ -249,11 +249,21 @@ class TestExitCodes:
         ["--lam", "2", "--mul", "1*(1)", "1*(-1)", "--untwist"],
         ["--check-monomial"],
         ["--p", "5", "--check-monomial", "--sample-size", "-1"],
+        ["--p", "5", "--check-monomial", "--radius", "3", "--sample-size", "0"],
     ], ids=["p-4", "p-65537", "p-4-mul", "untwist-over-z", "monomial-without-p",
-            "negative-sample-size"])
+            "negative-sample-size", "empty-sample"])
     def test_crystal_contract_errors_are_4(self, tmp_path, args):
         assert main(["crystal", "--group", "z"] + args
                     + ["--out", str(tmp_path / "x")]) == 4
+
+    @pytest.mark.parametrize("args", [
+        ["rs-check", "--group", "q8", "--p", "2", "--ideals", "0"],
+        ["rs-check", "--group", "q8", "--p", "2", "--ideals", "-3"],
+        ["tile", "--group", "z2", "--epsilon", "1/2", "--max-quotients", "0"],
+    ], ids=["no-ideals", "negative-ideals", "no-quotients"])
+    def test_empty_searches_are_4(self, tmp_path, args):
+        # a search over nothing would report a vacuous pass or a failure
+        assert main(args + ["--out", str(tmp_path / "x")]) == 4
 
     @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["tsv", "json"])
     def test_prime_above_bound_is_4(self, fmt):

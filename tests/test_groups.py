@@ -1,11 +1,15 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from gradedgrowth.errors import ContractError, OutOfRangeError, ResourceBudgetError
-from gradedgrowth.groups import (AbelianProduct, FreeAbelian, FreeGroup, Heisenberg,
-                                 Lamplighter, ZdMod, ball, find_dead_ends, is_dead_end,
-                                 triangle_dead_end_family, word_length)
+from gradedgrowth.groups import (AbelianProduct, CayleyTable, FreeAbelian, FreeGroup,
+                                 Heisenberg, HeisenbergMod, Lamplighter, ZdMod, ball,
+                                 find_dead_ends, is_dead_end, triangle_dead_end_family,
+                                 word_length)
 from gradedgrowth.registry import BUILTIN_SPECS, get_group, make_group
+from gradedgrowth.rewriting import RewritingGroup
 
 
 def inverse_symbol(oracle, s):
@@ -177,6 +181,53 @@ class TestFiniteOracles:
     def test_generators_closed_under_inversion(self):
         for name in BUILTIN_SPECS:
             assert_generators_invert(get_group(name), 2)
+
+
+def s3_cayley_table():
+    """S3 as an explicit table over its permutations in sorted order
+    (the identity first), generated by a transposition and a 3-cycle."""
+    perms = sorted(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[i]] for i in range(3))] for q in perms] for p in perms]
+    return CayleyTable(table, {"a": index[(1, 0, 2)], "b": index[(1, 2, 0)],
+                               "B": index[(2, 0, 1)]}, name="s3")
+
+
+# every registry group, plus one oracle of each family the registry leaves
+# out and a presentation over each alphabet mode
+LAW_ORACLES = {name: lambda name=name: get_group(name) for name in BUILTIN_SPECS}
+LAW_ORACLES.update({
+    "z2_mod_6": lambda: ZdMod(2, 6),
+    "heisenberg_mod_5": lambda: HeisenbergMod(5),
+    "cayley_s3": s3_cayley_table,
+    "presented_d3": lambda: RewritingGroup("ab", ["aa", "bb", "ababab"]),
+    "presented_s3_monoid": lambda: RewritingGroup("ab", ["aaa", "bb", "abab"],
+                                                  inverse_letters=False),
+})
+
+
+class TestGroupLaw:
+    """Right multiplication by a symbol is `mul` by the table's element, in
+    the families that derive it and in the three that keep their own step."""
+
+    @pytest.mark.parametrize("name", LAW_ORACLES)
+    def test_multiply_is_mul_by_the_generator(self, name):
+        oracle = LAW_ORACLES[name]()
+        assert oracle.generator_symbols == tuple(oracle.generators)
+        for h in oracle.generators.values():
+            assert oracle.mul(oracle.identity, h) == h  # the table holds normal forms
+        for g in ball(oracle, 3).elements:
+            for s, h in oracle.generators.items():
+                assert oracle.multiply(g, s) == oracle.mul(g, h), (g, s)
+
+    @pytest.mark.parametrize("name", LAW_ORACLES)
+    def test_unknown_symbol_is_a_contract_error(self, name):
+        oracle = LAW_ORACLES[name]()
+        # swapped case catches the involutions, which have no partner symbol
+        unknown = {"#", "q"} | {s.swapcase() for s in oracle.generators}
+        for s in unknown - set(oracle.generators):
+            with pytest.raises(ContractError):
+                oracle.multiply(oracle.identity, s)
 
 
 class TestDeadEnds:

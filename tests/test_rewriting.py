@@ -151,9 +151,16 @@ class TestRewritingGroup:
 
 def reduce_from_scratch(group, g, s):
     """g s reduced by shifting every letter of g again: the reference for
-    the incremental multiply."""
-    word = s if s in group.system.alphabet else group._inverse_word[s.lower()]
-    return group.system.reduce(g + word)
+    the incremental multiply.  The word for s comes from the presentation
+    alone: s itself, or, for an uppercase symbol outside a monoid alphabet,
+    its letter to the power order - 1, the order found by reducing powers."""
+    system = group.system
+    word = s
+    if s not in system.alphabet:
+        letter = s.lower()
+        order = next(n for n in range(1, 100) if system.reduce(letter * n) == "")
+        word = letter * (order - 1)
+    return system.reduce(g + word)
 
 
 @pytest.fixture(scope="module")
