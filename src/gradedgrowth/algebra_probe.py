@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ContractError, SearchFailedError
 from .groups import Cyclic, FreeAbelian, ball
 from .subspace import (BallAmbient, Subspace, intersect, invariance_defect,
@@ -112,18 +110,8 @@ def algebra_tiling_probe(p: int, k_basis: list[dict], epsilon,
 def _attempt_level(p, k_basis, epsilon, params, t_cap, target, base, level, k_dim):
     m = base**level
     quotient = FiniteGroupAlgebra(Cyclic(m), p, max_order=max(m, 2048))
-    # enumeration of Cyclic(m) is 0, 1, m-1, 2, m-2, ... (BFS); build an
-    # exponent -> index map for projecting integer exponents
-    idx = {g: i for i, g in enumerate(quotient.labels)}
-
-    def project(terms: dict) -> np.ndarray:
-        v = np.zeros(quotient.dim, dtype=np.int64)
-        for g, c in terms.items():
-            v[idx[g % m]] = (v[idx[g % m]] + c) % p
-        return v
-
-    k_vecs = [project(t) for t in k_basis]
-    k_sub = span(quotient, k_vecs)
+    # each basis element of K is one monomial: its exponent mod m labels it
+    k_sub = span(quotient, [{g % m: c for g, c in t.items() if c} for t in k_basis])
     if k_sub.rank != k_dim:
         raise SearchFailedError("K does not embed into this quotient")
     # K K* must meet the ideal trivially: differences of exponents stay
@@ -146,7 +134,7 @@ def _attempt_level(p, k_basis, epsilon, params, t_cap, target, base, level, k_di
     for u in range(1, t_cap + 1):
         if alpha >= 1 or nu > target:
             break
-        level_sub = _next_level_subspace(quotient, idx, base, m, k_basis, epsilon,
+        level_sub = _next_level_subspace(quotient, base, m, k_basis, epsilon,
                                          params, tower_level_dims)
         tower_level_dims.append(level_sub.rank)
         threshold = params.delta * level_sub.rank
@@ -185,7 +173,7 @@ def _attempt_level(p, k_basis, epsilon, params, t_cap, target, base, level, k_di
     return report if report.defect_below_epsilon else None
 
 
-def _next_level_subspace(quotient, idx, base, m, k_basis, epsilon, params, prev_dims):
+def _next_level_subspace(quotient, base, m, k_basis, epsilon, params, prev_dims):
     """Interval spans aligned with the chain, of side base, base**2, ...; each
     level must satisfy the dimension version of the boundary bound against K,
     measured in the integer group ring (monomial bases make dimensions support
@@ -196,8 +184,7 @@ def _next_level_subspace(quotient, idx, base, m, k_basis, epsilon, params, prev_
         # dim(level * K) in the full ring: union of shifted intervals
         support = {i + e for i in range(side) for e in set(k_exps) | {0}}
         if Fraction(len(support)) <= (1 + epsilon / 2) * (1 - params.delta) * side:
-            vecs = [np.eye(quotient.dim, dtype=np.int64)[idx[j % m]] for j in range(side)]
-            sub = span(quotient, vecs)
+            sub = span(quotient, [{j % m: 1} for j in range(side)])
             if sub.rank == side and side not in prev_dims:
                 return sub
         side *= base

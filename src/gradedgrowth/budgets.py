@@ -52,9 +52,7 @@ def algebra_cap(override: int | None = None) -> int:
     return DEFAULT_ALGEBRA_CAP
 
 
-def quotient_cap(override: int | None = None) -> int:
-    if override is not None:
-        return override
+def quotient_cap() -> int:
     mb = _env_mb()
     if mb is not None:
         return mb * _QUOTIENT_ELEMS_PER_MB

@@ -14,6 +14,7 @@ single-step growth bound; and growth reports with Fekete-style estimates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,31 +51,14 @@ class FiniteGroupAlgebra(Ambient):
             )
         super().__init__(labels, prime)
         self.group = group
-        self._tables: dict = {}
-        self._gathers: dict = {}
-        self._complement: tuple = (None, None)  # (ideal, _unital_complement)
 
-    def right_translation(self, h):
-        cached = self._tables.get(h)
-        if cached is None:
-            perm = np.array([self.index[self.group.mul(g, h)] for g in self.labels],
-                            dtype=np.int64)
-            coef = np.ones(len(self.labels), dtype=np.int64)
-            cached = (perm, coef)
-            self._tables[h] = cached
-        return cached
-
-    def translate_rows(self, rows: np.ndarray, h) -> np.ndarray:
-        """Every row times h at once.  Right multiplication by h permutes the
-        basis with unit coefficients, so it is the gather by the inverse
-        permutation."""
-        gather = self._gathers.get(h)
-        if gather is None:
-            perm, _ = self.right_translation(h)
-            gather = np.empty_like(perm)
-            gather[perm] = np.arange(perm.size)
-            self._gathers[h] = gather
-        return rows[:, gather]
+    def translation(self, h):
+        """Right multiplication by h permutes the basis with unit
+        coefficients: src[j] is the index of label_j * h^-1."""
+        h_inv = self.group.inv(h)
+        src = np.array([self.index[self.group.mul(g, h_inv)] for g in self.labels],
+                       dtype=np.int64)
+        return src, None, src[:0]
 
     def generator_elements(self) -> list:
         return list(self.group.generators.values())
@@ -449,14 +433,13 @@ def is_right_ideal(alg: FiniteGroupAlgebra, i_sub: Subspace) -> bool:
                for s in alg.generator_elements())
 
 
+@functools.lru_cache(maxsize=1)
 def _unital_complement(alg: FiniteGroupAlgebra, i_sub: Subspace):
     """Checks that I is a right ideal of alg without 1; returns its identity-
-    last echelon data and the coordinates spanning its echelon complement F.
-    The algebra keeps the last answer: rs-check asks twice about each ideal."""
+    last echelon data and the unit rows spanning its echelon complement F.
+    The last answer is kept: rs-check asks twice about each ideal."""
     if i_sub.ambient is not alg:
         raise ContractError("ideal must live in the given group algebra")
-    if alg._complement[0] == i_sub:
-        return alg._complement[1]
     if not is_right_ideal(alg, i_sub):
         raise ContractError("subspace is not a right ideal")
     perm, inv_perm, rows, pivots = _identity_last_echelon(i_sub)
@@ -464,18 +447,16 @@ def _unital_complement(alg: FiniteGroupAlgebra, i_sub: Subspace):
     if alg.dim - 1 in pivot_set:  # the identity coordinate is a pivot row
         raise ContractError("1 lies in the ideal: no unital complement")
     complement = [perm[j] for j in range(alg.dim) if j not in pivot_set]
-    alg._complement = (i_sub, (perm, inv_perm, rows, pivots, complement))
-    return alg._complement[1]
+    return perm, inv_perm, rows, pivots, np.eye(alg.dim, dtype=np.int64)[complement]
 
 
 def rs_generators(alg: FiniteGroupAlgebra, i_sub: Subspace, s_elements: list) -> list[np.ndarray]:
     """Generators {f s - proj_F(f s)} of the right ideal I, where F is the
     echelon complement of I containing 1 and proj_F projects along I."""
-    perm, inv_perm, rows, pivots, complement = _unital_complement(alg, i_sub)
-    targets = [alg.index[alg.group.mul(alg.labels[coord], s)]
-               for coord in complement for s in s_elements]
-    vecs = np.zeros((len(targets), alg.dim), dtype=np.int64)
-    vecs[np.arange(len(targets)), targets] = 1
+    perm, inv_perm, rows, pivots, units = _unital_complement(alg, i_sub)
+    moved = [alg.translate_rows(units, s) for s in s_elements]
+    # coordinate-major: f s for each s in turn, then the next f
+    vecs = np.stack(moved, axis=1).reshape(-1, alg.dim) if moved else units[:0]
     p = alg.prime
     gens = (vecs - _project_to_complement(vecs, perm, inv_perm, rows, pivots, p)) % p
     return [gen for gen in gens if np.any(gen)]
@@ -500,11 +481,10 @@ def _plus_translates(alg: FiniteGroupAlgebra, rows: np.ndarray, elements: list) 
 def rs_step_bound(alg: FiniteGroupAlgebra, i_sub: Subspace,
                   s_elements: list) -> tuple[bool, int, int]:
     """Check dim(I / I w) <= dim((F + FS) cap I); returns (holds, lhs, rhs)."""
-    complement = _unital_complement(alg, i_sub)[-1]
+    f_rows = _unital_complement(alg, i_sub)[-1]
     # I*w is spanned by I*(s-1) over the generators
     i_w = Subspace(alg, _times_generators_minus_one(alg, i_sub.rows, alg.generator_elements()))
     lhs = i_sub.rank - i_w.rank
-    f_rows = np.eye(alg.dim, dtype=np.int64)[complement]
     grown = _plus_translates(alg, f_rows, s_elements)
     rhs = intersect(grown, i_sub).rank
     return lhs <= rhs, lhs, rhs

@@ -254,8 +254,8 @@ class AbelianProduct(GroupOracle):
     kind = "finite_abelian"
 
     def __init__(self, orders: tuple[int, ...], name: str | None = None):
-        if not orders or any(n < 2 for n in orders):
-            raise ContractError("factor orders must all be >= 2")
+        if not 1 <= len(orders) <= 26 or any(n < 2 for n in orders):
+            raise ContractError("need 1 to 26 factors, each of order >= 2")
         self.orders = tuple(orders)
         self.order = 1
         for n in orders:
@@ -482,6 +482,14 @@ class WordMetricBall:
     def sphere_sizes(self) -> list[int]:
         return [len(s) for s in self.by_sphere]
 
+    def excess(self, g, h, gh) -> int:
+        """len(g) + len(h) - len(gh), the power of lambda in the twisted
+        product d_g * d_h."""
+        e = self.word_length(g) + self.word_length(h) - self.word_length(gh)
+        if e < 0:
+            raise ContractError("length function violated the triangle inequality")
+        return e
+
 
 def ball(oracle: GroupOracle, radius: int, max_elements: int | None = None) -> WordMetricBall:
     """BFS ball of the word metric; generator order fixes the enumeration."""
@@ -529,12 +537,11 @@ def is_dead_end(oracle: GroupOracle, b: WordMetricBall, g) -> bool:
     return True
 
 
-def find_dead_ends(oracle: GroupOracle, radius: int,
-                   max_elements: int | None = None) -> list:
+def find_dead_ends(oracle: GroupOracle, radius: int) -> list:
     """All dead ends of length <= radius-1, in (length, enumeration) order."""
     if radius < 1:
         raise ContractError("radius must be >= 1")
-    b = ball(oracle, radius, max_elements)
+    b = ball(oracle, radius)
     out = []
     for sph in b.by_sphere[:radius]:
         for g in sph:

@@ -98,14 +98,6 @@ def _wider(a: WordMetricBall, b: WordMetricBall) -> WordMetricBall:
     return a if a.radius >= b.radius else b
 
 
-def _excess(b: WordMetricBall, g, h, gh) -> int:
-    """len(g) + len(h) - len(gh), the power of lambda in d_g * d_h."""
-    e = b.word_length(g) + b.word_length(h) - b.word_length(gh)
-    if e < 0:
-        raise ContractError("length function violated the triangle inequality")
-    return e
-
-
 def delta(group: GroupOracle, b: WordMetricBall, p: int | None, lam, g,
           coeff=1) -> HeckeElement:
     """Single-term element coeff * d_g; g must already be a normal form."""
@@ -116,7 +108,7 @@ def delta_mul(group: GroupOracle, b: WordMetricBall, p: int | None, lam, g,
               h) -> HeckeElement:
     """d_g * d_h as a single-term element (or zero at lambda = 0)."""
     gh = group.mul(g, h)
-    return HeckeElement(group, b, p, lam, {gh: lam ** _excess(b, g, h, gh)})
+    return HeckeElement(group, b, p, lam, {gh: lam ** b.excess(g, h, gh)})
 
 
 def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
@@ -127,7 +119,7 @@ def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:
     for g, cg in a.coeffs.items():
         for h, ch in b.coeffs.items():
             gh = a.group.mul(g, h)
-            c = cg * ch * pow(a.lam, _excess(wide, g, h, gh), a.p)
+            c = cg * ch * pow(a.lam, wide.excess(g, h, gh), a.p)
             out[gh] = out.get(gh, 0) + c
     return HeckeElement(a.group, wide, a.p, a.lam, out)
 
@@ -148,8 +140,7 @@ def untwist(a: HeckeElement) -> HeckeElement:
 
 
 def crystal_monomial_check(group: GroupOracle, radius: int, p: int | None,
-                           sample_size: int | None = None, seed: int = 0,
-                           max_elements: int | None = None) -> bool:
+                           sample_size: int | None = None, seed: int = 0) -> bool:
     """At lambda = 0, products of basis elements must be 0 or again basis
     elements (coefficient exactly 1).  Checks all pairs from the radius ball
     (or a seeded sample), evaluating inside the radius-2r ball."""
@@ -157,7 +148,7 @@ def crystal_monomial_check(group: GroupOracle, radius: int, p: int | None,
         check_prime(p)
     if sample_size is not None and sample_size < 1:
         raise ContractError(f"sample size must be at least 1, got {sample_size}")
-    wide = ball(group, 2 * radius, max_elements)
+    wide = ball(group, 2 * radius)
     small = [g for g in wide.elements if wide.lengths[g] <= radius]
     pairs = [(g, h) for g in small for h in small]
     if sample_size is not None and sample_size < len(pairs):

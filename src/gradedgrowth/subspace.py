@@ -2,10 +2,13 @@
 
 A Subspace is stored as a canonical reduced row-echelon basis (pivots 1,
 columns cleared above and below, pivot columns strictly increasing) over a
-fixed ambient enumeration, so two equal subspaces have identical rows.  The
-ambient supplies the enumeration and the right-multiplication structure:
-either a word-metric ball of an infinite group carrying the deformed
-(lambda-twisted) product, or a finite group algebra.
+fixed ambient enumeration, so two equal subspaces have identical rows.  An
+ambient is a basis plus one right-multiplication table per basis element h,
+built once: either a word-metric ball of an infinite group carrying the
+deformed (lambda-twisted) product, or a finite group algebra.  One kernel,
+``Ambient.translate_rows``, moves a block of rows by such a table; every
+product (``apply_right``, ``right_multiply``, the ladder and ideal steps of
+``filtration``) is built on it.
 
 Echelon forms come from one engine, ``rref``, with two inner loops that
 return the same canonical int64 matrix:
@@ -133,7 +136,8 @@ def pivot_columns(rows: np.ndarray) -> np.ndarray:
 
 
 class Ambient:
-    """Enumeration of basis labels plus the right-multiplication structure."""
+    """An enumeration of basis labels plus one right-multiplication table per
+    basis element; subclasses say only how to build a table."""
 
     labels: tuple
     prime: int
@@ -143,15 +147,37 @@ class Ambient:
         self.labels = tuple(labels)
         self.index = {g: i for i, g in enumerate(self.labels)}
         self.prime = prime
+        self._tables: dict = {}
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
-    def right_translation(self, h) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays (perm, coef): basis g_i maps to coef[i] * basis[perm[i]];
-        perm[i] = -1 marks a product escaping the enumeration."""
+    def translation(self, h) -> tuple:
+        """h's right-multiplication table (src, scale, escaping):
+        basis[src[j]] * h = scale[j] * basis[j], with scale None when every
+        coefficient is 1, and escaping the indices of the basis elements
+        whose product with h leaves the enumeration.  Subclasses build it;
+        translate_rows keeps it in _tables."""
         raise NotImplementedError
+
+    def translate_rows(self, rows: np.ndarray, h) -> np.ndarray:
+        """Every row of the block times h, as one gather by h's table (and
+        a scaling only when the table has one)."""
+        table = self._tables.get(h)
+        if table is None:
+            table = self._tables[h] = self.translation(h)
+        src, scale, escaping = table
+        if escaping.size:
+            hit = rows[:, escaping] % self.prime != 0
+            if hit.any():
+                first = hit[hit.any(axis=1).argmax()].argmax()
+                g = self.labels[int(escaping[first])]
+                raise OutOfRangeError(
+                    f"product {g!r} * {h!r} escapes the ambient enumeration"
+                )
+        out = rows[:, src]
+        return out if scale is None else out * scale % self.prime
 
     def vector(self, terms: dict) -> np.ndarray:
         """Dense vector from a {label: coefficient} mapping."""
@@ -164,23 +190,16 @@ class Ambient:
         return v
 
     def apply_right(self, v: np.ndarray, element: dict) -> np.ndarray:
-        """v * element, where element is a {label: coefficient} mapping."""
-        out = np.zeros(self.dim, dtype=np.int64)
+        """v * element, where v is a vector or a block with one vector per
+        row and element a {label: coefficient} mapping."""
+        v = np.asarray(v, dtype=np.int64)
+        rows = v.reshape(-1, self.dim) % self.prime
+        out = np.zeros_like(rows)
         for h, c in element.items():
             c %= self.prime
-            if c == 0:
-                continue
-            perm, coef = self.right_translation(h)
-            bad = np.nonzero((perm < 0) & ((v % self.prime) != 0))[0]
-            if bad.size:
-                g = self.labels[int(bad[0])]
-                raise OutOfRangeError(
-                    f"product {g!r} * {h!r} escapes the ambient enumeration"
-                )
-            moved = (v * coef) % self.prime
-            ok = perm >= 0
-            np.add.at(out, perm[ok], moved[ok] * c)
-        return out % self.prime
+            if c:
+                out += self.translate_rows(rows, h) * c
+        return (out % self.prime).reshape(v.shape)
 
 
 class BallAmbient(Ambient):
@@ -196,29 +215,23 @@ class BallAmbient(Ambient):
         self.oracle = oracle
         self.ball = ball
         self.lam = lam % prime
-        self._tables: dict = {}
 
-    def right_translation(self, h):
-        cached = self._tables.get(h)
-        if cached is not None:
-            return cached
-        lh = self.ball.word_length(h)  # raises if h itself is outside
-        n = self.dim
-        perm = np.full(n, -1, dtype=np.int64)
-        coef = np.zeros(n, dtype=np.int64)
-        p = self.prime
-        lam = self.lam
+    def translation(self, h):
+        """The twisted gather; a basis element with no preimage in the ball
+        gets scale 0."""
+        self.ball.word_length(h)  # raises if h itself is outside
+        src = np.zeros(self.dim, dtype=np.int64)
+        scale = np.zeros(self.dim, dtype=np.int64)
+        escaping = []
         for i, g in enumerate(self.labels):
             gh = self.oracle.mul(g, h)
             j = self.index.get(gh)
             if j is None:
+                escaping.append(i)
                 continue
-            perm[i] = j
-            e = self.ball.lengths[g] + lh - self.ball.lengths[gh]
-            coef[i] = 1 if e == 0 else pow(lam, e, p)
-        out = (perm, coef)
-        self._tables[h] = out
-        return out
+            src[j] = i
+            scale[j] = pow(self.lam, self.ball.excess(g, h, gh), self.prime)
+        return src, scale if (scale != 1).any() else None, np.array(escaping, dtype=np.intp)
 
 
 class Subspace:
@@ -327,8 +340,8 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
 
 def right_multiply(f: Subspace, elements: list[dict]) -> Subspace:
     """Span of {row * s : row in basis of F, s in elements}."""
-    rows = [f.ambient.apply_right(row, s) for row in f.rows for s in elements]
-    return span(f.ambient, rows)
+    blocks = [f.ambient.apply_right(f.rows, s) for s in elements]
+    return Subspace(f.ambient, np.vstack([f.rows[:0]] + blocks))
 
 
 def invariance_defect(f: Subspace, elements: list[dict]) -> Fraction:

@@ -102,6 +102,8 @@ def folner_search(oracle: GroupOracle, k: Sequence, bound: Fraction,
     bound = Fraction(bound)
     if bound <= 0:
         raise ContractError("bound must be positive")
+    if max_radius < 1:
+        raise ContractError(f"max radius must be at least 1, got {max_radius}")
     k = list(k)
     for r in range(1, max_radius + 1):
         candidates = [ball(oracle, r).elements]
@@ -199,10 +201,9 @@ def congruence_quotient(oracle: GroupOracle, m: int) -> QuotientSet:
     raise ContractError(f"no congruence quotients built in for {oracle.name}")
 
 
-def quotient_chain(oracle: GroupOracle, base: int = 2,
-                   max_size: int | None = None):
+def quotient_chain(oracle: GroupOracle, base: int = 2):
     """Built-in nested chains with trivial intersection; yields (level, quotient)."""
-    cap = budgets.quotient_cap(max_size)
+    cap = budgets.quotient_cap()
     level = 1
     while (omega := congruence_quotient(oracle, base**level)).size() <= cap:
         yield level, omega
@@ -364,13 +365,12 @@ def pick_zeta(delta: Fraction, k_size: int, epsilon: Fraction) -> Fraction:
     raise SearchFailedError("no dyadic boundary constant fits the target invariance")
 
 
-def worst_case_height(params: ThetaParams, k_size: int, epsilon: Fraction,
-                      cap: int = 10_000) -> int:
+def worst_case_height(params: ThetaParams, k_size: int, epsilon: Fraction) -> int:
     """Iterations of theta at mu = delta from (0,0) until coverage clears
-    1 - eps/(2 #K)."""
+    1 - eps/(2 #K), at most 10,000."""
     target = 1 - epsilon / (2 * k_size)
     nu, alpha = Fraction(0), Fraction(0)
-    for t in range(1, cap + 1):
+    for t in range(1, 10_001):
         nu, alpha = theta(params, params.delta, nu, min(alpha, Fraction(1)))
         if nu > target:
             return t
@@ -392,15 +392,15 @@ def covering_recipe(k_size: int, epsilon: Fraction) -> tuple[ThetaParams, int, F
 # tower construction (lazy, chain-aligned candidates first)
 
 
-def _tower_candidates(oracle: GroupOracle, omega: QuotientSet, base: int,
-                      max_ball_radius: int = 12):
+def _tower_candidates(oracle: GroupOracle, omega: QuotientSet, base: int):
     """Deterministic candidate stream for tower levels: chain-aligned boxes
-    (they pack the quotient exactly), then word-metric balls."""
+    (they pack the quotient exactly), then word-metric balls of radius up
+    to 12."""
     side = base
     while side <= omega.m:
         yield _zd_box(len(omega.finite.identity), side)
         side *= base
-    for r in range(1, max_ball_radius + 1):
+    for r in range(1, 13):
         yield ball(oracle, r).elements
 
 

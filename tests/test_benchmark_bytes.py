@@ -1,0 +1,41 @@
+"""The commands of the odd_ideals benchmark workload give recorded bytes.
+
+The benchmark's own checks read only counts and verdicts, so a changed
+complement in `rs_generators` or a changed ladder power would still pass
+them.  Each command here runs in its own interpreter under PYTHONHASHSEED=0
+with the benchmark's registry, and its stdout sha1 must equal the value
+recorded below (and in CHANGES.md) before the row-translation kernel was
+unified.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+REGISTRY = ROOT / "perfbench" / "registry.json"
+RECORDED = {
+    "growth --group c243 --p 3 --format json": "096a404f0c1f416fb36ace3011bf6bd71d0435e0",
+    "growth --group z5m3 --p 3 --format json": "f4ef1ffe961212ff333122215e39a31c0d49dc0b",
+    "growth --group z3m5 --p 5 --format json": "90fecccba8a683483ac66c522847628e3a802e90",
+    "rs-check --group heisenberg_mod_3 --p 3 --ideals 20 --seed 1":
+        "c8a85d73fe10fef620bb91cf934c986d5dd94d88",
+    "rs-check --group z2m9 --p 3 --ideals 10 --seed 1":
+        "7910dfeb19f0f8df4202b949d103e2f9b07e6e31",
+}
+
+
+@pytest.mark.parametrize("line", sorted(RECORDED))
+def test_stdout_sha1(line):
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    env.pop("GRADEDGROWTH_BUDGET_MB", None)
+    proc = subprocess.run([sys.executable, "-m", "gradedgrowth.cli", "--registry",
+                           str(REGISTRY)] + line.split(),
+                          env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha1(proc.stdout).hexdigest() == RECORDED[line]

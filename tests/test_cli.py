@@ -260,7 +260,9 @@ class TestExitCodes:
         ["rs-check", "--group", "q8", "--p", "2", "--ideals", "0"],
         ["rs-check", "--group", "q8", "--p", "2", "--ideals", "-3"],
         ["tile", "--group", "z2", "--epsilon", "1/2", "--max-quotients", "0"],
-    ], ids=["no-ideals", "negative-ideals", "no-quotients"])
+        ["folner", "--group", "z2", "--bound", "1/2", "--max-radius", "0"],
+        ["folner", "--group", "z2", "--bound", "1/2", "--max-radius", "-3"],
+    ], ids=["no-ideals", "negative-ideals", "no-quotients", "no-radius", "negative-radius"])
     def test_empty_searches_are_4(self, tmp_path, args):
         # a search over nothing would report a vacuous pass or a failure
         assert main(args + ["--out", str(tmp_path / "x")]) == 4
@@ -300,8 +302,11 @@ class TestExitCodes:
         '{"g": {"kind": "abelian", "params": {"orders": 5}}}',
         '{"g": {"kind": "finite_cayley_table", '
         '"params": {"table": [[0, 1], [1, 0]], "generators": {"s": 5}}}}',
+        # one generator letter a-z per factor: a 27th factor would get none
+        '{"g": {"kind": "zd_mod", "params": {"d": 27, "m": 2}}}',
+        '{"g": {"kind": "abelian", "params": {"orders": ' + json.dumps([2] * 27) + '}}}',
     ], ids=["missing", "json", "string-spec", "no-n", "n-not-int", "orders-not-list",
-            "cayley-generator"])
+            "cayley-generator", "zd-mod-27-factors", "abelian-27-factors"])
     @pytest.mark.parametrize("command", [["growth", "--group", "g", "--p", "2"], ["groups"]],
                              ids=["growth", "groups"])
     def test_malformed_registry_is_4(self, tmp_path, text, command):

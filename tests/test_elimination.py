@@ -4,23 +4,27 @@
 kept here verbatim: every entry is reduced mod p after every step, and the
 pivot is found by scanning rows in Python.  The engine's two inner loops
 (bit-packed rows for p = 2, delayed reduction for odd p) must return the
-same canonical int64 matrix, byte for byte.  The one-shot remainder and the
-whole-block row translation are compared with their sequential forms too.
+same canonical int64 matrix, byte for byte.  The one-shot remainder is
+compared with its sequential form too, and the one row-translation kernel
+(`Ambient.translate_rows`, under `apply_right`) with `reference_apply_right`,
+the per-vector `np.add.at` loop it replaced, on a table built straight from
+the group law.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gradedgrowth import subspace
-from gradedgrowth.errors import ContractError
-from gradedgrowth.filtration import (_identity_last_echelon, _project_to_complement,
-                                     build_group_algebra, right_ideal_closure)
-from gradedgrowth.groups import ball
+from gradedgrowth.errors import ContractError, OutOfRangeError
+from gradedgrowth.filtration import (FiniteGroupAlgebra, _identity_last_echelon,
+                                     _project_to_complement, build_group_algebra,
+                                     right_ideal_closure)
+from gradedgrowth.groups import ZdMod, ball
 from gradedgrowth.hecke import HeckeElement, crystal_monomial_check, delta
 from gradedgrowth.registry import get_group
 from gradedgrowth.scalars import check_prime
-from gradedgrowth.subspace import Ambient, rank_mod_p, rref, span
+from gradedgrowth.subspace import Ambient, BallAmbient, rank_mod_p, rref, span
 
 PRIMES = [2, 3, 5, 65521]
 
@@ -63,6 +67,48 @@ def sequential_remainder(rows: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
         if w[c]:
             w = (w - w[c] * row) % p
     return w
+
+
+def reference_right_translation(amb: Ambient, h) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (perm, coef): basis g_i maps to coef[i] * basis[perm[i]];
+    perm[i] = -1 marks a product escaping the enumeration.  Built from the
+    group law and the word lengths, not from the ambient's own table."""
+    finite = isinstance(amb, FiniteGroupAlgebra)
+    group = amb.group if finite else amb.oracle
+    perm = np.full(amb.dim, -1, dtype=np.int64)
+    coef = np.zeros(amb.dim, dtype=np.int64)
+    for i, g in enumerate(amb.labels):
+        gh = group.mul(g, h)
+        j = amb.index.get(gh)
+        if j is None:
+            continue
+        perm[i] = j
+        if finite:
+            coef[i] = 1
+        else:
+            lengths = amb.ball.lengths
+            coef[i] = pow(amb.lam, lengths[g] + lengths[h] - lengths[gh], amb.prime)
+    return perm, coef
+
+
+def reference_apply_right(amb: Ambient, v: np.ndarray, element: dict) -> np.ndarray:
+    """v * element, where element is a {label: coefficient} mapping."""
+    out = np.zeros(amb.dim, dtype=np.int64)
+    for h, c in element.items():
+        c %= amb.prime
+        if c == 0:
+            continue
+        perm, coef = reference_right_translation(amb, h)
+        bad = np.nonzero((perm < 0) & ((v % amb.prime) != 0))[0]
+        if bad.size:
+            g = amb.labels[int(bad[0])]
+            raise OutOfRangeError(
+                f"product {g!r} * {h!r} escapes the ambient enumeration"
+            )
+        moved = (v * coef) % amb.prime
+        ok = perm >= 0
+        np.add.at(out, perm[ok], moved[ok] * c)
+    return out % amb.prime
 
 
 def assert_same_rref(m: np.ndarray, p: int):
@@ -207,4 +253,69 @@ class TestBlockKernels:
             moved = algebra.translate_rows(rows, h)
             assert moved.shape == rows.shape
             for row, got in zip(rows, moved):
-                assert np.array_equal(got, algebra.apply_right(row, {h: 1}))
+                assert np.array_equal(got, reference_apply_right(algebra, row, {h: 1}))
+
+
+# (kind, group, radius of the ball ambient); the finite ones ignore lambda
+KERNEL_CASES = [("finite", "q8", None), ("finite", "heisenberg_mod_3", None),
+                ("finite", "c243", None), ("ball", "z2", 4), ("ball", "heisenberg", 3),
+                ("ball", "lamplighter", 4), ("ball", "t334", 4)]
+_KERNEL_AMBIENTS: dict = {}
+
+
+def kernel_ambient(case, p: int, lam: int) -> Ambient:
+    kind, name, radius = case
+    key = (case, p, lam if kind == "ball" else None)
+    if key not in _KERNEL_AMBIENTS:
+        group = ZdMod(1, 243) if name == "c243" else get_group(name)
+        _KERNEL_AMBIENTS[key] = (build_group_algebra(group, p) if kind == "finite"
+                                 else BallAmbient(group, ball(group, radius), p, lam))
+    return _KERNEL_AMBIENTS[key]
+
+
+class TestTranslationKernel:
+    """apply_right on vectors and blocks against the per-vector reference."""
+
+    @settings(max_examples=100)
+    @given(st.sampled_from(KERNEL_CASES), st.sampled_from([2, 3, 5]),
+           st.sampled_from([0, 1, 2]), st.integers(0, 2**32 - 1), st.data())
+    def test_apply_right_matches_reference(self, case, p, lam, seed, data):
+        amb = kernel_ambient(case, p, lam)
+        rng = np.random.default_rng(seed)
+        radius = amb.ball.radius if case[0] == "ball" else None
+        # rows inside the radius-(r-2) ball times terms of length <= 2 never
+        # escape; rows over the whole ball usually do
+        inner = data.draw(st.booleans())
+        columns = [i for i, g in enumerate(amb.labels)
+                   if radius is None or not inner or amb.ball.lengths[g] <= radius - 2]
+        count = data.draw(st.sampled_from([0, 1, 5]))
+        rows = np.zeros((count, amb.dim), dtype=np.int64)
+        rows[:, columns] = rng.integers(-2 * p, 3 * p, (count, len(columns)))  # unreduced
+        rows[rng.random(rows.shape) < data.draw(st.sampled_from([0, 0.9]))] = 0  # sparse
+        near = [g for g in amb.labels if radius is None or amb.ball.lengths[g] <= 2]
+        hs = data.draw(st.lists(st.sampled_from(near), min_size=1, max_size=4, unique=True))
+        coeffs = data.draw(st.lists(st.sampled_from([1, 2, -1, 0, p, p + 1]),
+                                    min_size=len(hs), max_size=len(hs)))
+        element = dict(zip(hs, coeffs))
+        # a block raises at the first term, and within it the first row, that escapes
+        expected_error = None
+        for h, c in element.items():
+            for row in rows:
+                try:
+                    reference_apply_right(amb, row, {h: c})
+                except OutOfRangeError as exc:
+                    expected_error = str(exc)
+                    break
+            if expected_error:
+                break
+        if expected_error:
+            with pytest.raises(OutOfRangeError) as info:
+                amb.apply_right(rows, element)
+            assert str(info.value) == expected_error
+            return
+        got = amb.apply_right(rows, element)
+        assert got.shape == rows.shape and got.dtype == np.int64
+        for row, g in zip(rows, got):
+            want = reference_apply_right(amb, row, element)
+            assert np.array_equal(g, want)
+            assert np.array_equal(amb.apply_right(row, element), want)
