@@ -7,6 +7,11 @@ integer, replaces the default caps of exactly two operations: the ball BFS
 (`algebra_cap`, 2,048 elements) does not read it; only an explicit override
 such as `growth --max-order` changes that cap.  Any other value of the
 variable raises ContractError.
+
+The augmentation ladder of a finite group algebra stores every power as a
+dense int64 matrix; its powers' dimensions are known before any is built,
+and a ladder whose rows would take more than LADDER_BYTES (1 GiB, fixed) is
+refused.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .errors import ContractError
 DEFAULT_BALL_CAP = 10_000_000
 DEFAULT_ALGEBRA_CAP = 2048
 DEFAULT_QUOTIENT_CAP = 2_000_000
+LADDER_BYTES = 1 << 30
 
 # rough elements-per-megabyte figures used to translate the env budget
 _BALL_ELEMS_PER_MB = 20_000

@@ -1,11 +1,13 @@
 """Augmentation-ideal filtrations and their cross-checks.
 
 Pieces: finite group algebras over GF(p) with exact structure tables; the
-descending ladder of augmentation-ideal powers and its graded dimensions;
-the fastest-descending p-central (Jennings) series of a finite p-group, each
-term one normal closure, with the product-formula Hilbert coefficients that
-reproduce the ladder dimensions, also on the p-parts of congruence quotients
-of infinite groups;
+descending ladder of augmentation-ideal powers and its graded dimensions,
+built from the bottom up: from the ideal of O^p(G), each power inserts the
+lifted Jennings monomials of one weight into the power below it; the
+p-central series of a finite group down to O^p(G), each term one normal
+closure, which for a p-group is the fastest-descending (Jennings) series,
+with the product-formula Hilbert coefficients that reproduce the ladder
+dimensions, also on the p-parts of congruence quotients of infinite groups;
 truncated Magnus valuations over GF(p) for free-group words;
 graded dimensions of the free group algebra; Witt necklace ranks; ideal
 generators in the style of Reidemeister-Schreier together with the
@@ -24,8 +26,8 @@ from . import budgets
 from .errors import ContractError, ResourceBudgetError
 from .groups import GroupOracle, ball
 from .scalars import check_prime
-from .subspace import (Ambient, Subspace, full_subspace, intersect, pivot_columns,
-                       rank_mod_p, rref, span)
+from .subspace import (Ambient, Subspace, echelon_insert, full_subspace, intersect,
+                       pivot_columns, rank_mod_p, rref, span)
 from .tiling import congruence_quotient
 
 MAGNUS_DEFAULT_TRUNCATION = 12
@@ -92,39 +94,95 @@ class AugmentationLadder:
 
 
 def aug_ladder(alg: FiniteGroupAlgebra) -> AugmentationLadder:
-    """Powers of the augmentation ideal until the first repeat.
+    """Powers of the augmentation ideal w until the first repeat, built from
+    the bottom up.
 
-    w = span{g - 1}; each next power is spanned by the previous one
-    right-multiplied by the generators' (s - 1), which generate w as a
-    right ideal over a monoid-generating set.
+    Let N = O^p(G) and I_N = w(kN) kG.  For n >= 1, w^n is I_N plus the span
+    of the lifted Jennings monomials prod_j (g_j - 1)^(a_j), 0 <= a_j < p,
+    of weight sum_j a_j wt(g_j) >= n, where the g_j lift bases of the layers
+    of the p-central series of G down to N (Jennings 1941, Quillen 1968).
+    So the ladder starts from I_N, whose canonical rows are read off its
+    cosets, and inserts the monomials of each weight from the top down, one
+    echelon_insert per power; w^0 is the whole algebra.  The powers'
+    dimensions are known before any is built, and a ladder whose rows would
+    pass budgets.LADDER_BYTES raises ResourceBudgetError.
     """
-    n = alg.dim
-    p = alg.prime
-    full = full_subspace(alg)
-    aug_rows = np.zeros((n - 1, n), dtype=np.int64)
-    for i in range(1, n):
-        aug_rows[i - 1, i] = 1
-        aug_rows[i - 1, 0] = p - 1
-    power = Subspace(alg, aug_rows)
-    powers = [full, power]
-    gens = alg.generator_elements()
-    while True:
-        prev = powers[-1]
-        nxt = Subspace(alg, _times_generators_minus_one(alg, prev.rows, gens))
-        if nxt.rank == prev.rank:
-            break
-        powers.append(nxt)
+    group, p, n = alg.group, alg.prime, alg.dim
+    bottom = p_residual(group, p)
+    series = _p_central_series(group, p, bottom)
+    coeffs = jennings_hilbert_coeffs(_layer_dims(series, p), p)
+    tails = np.cumsum(coeffs[::-1])[::-1].tolist()  # monomials of weight >= w
+    stable = n - n // len(bottom)  # dim I_N
+    need = sum([n] + [stable + t for t in tails[1:]] + [stable]) * n * 8
+    if need > budgets.LADDER_BYTES:
+        raise ResourceBudgetError(
+            f"augmentation ladder of {group.name} at p = {p} needs {need} bytes, "
+            f"over the ladder cap of {budgets.LADDER_BYTES}"
+        )
+    monomials, weights = _jennings_monomials(alg, _layer_lifts(alg, series))
+    rows = _coset_differences(alg, bottom)
+    powers = [Subspace(alg, rows, _canonical=True)]
+    for w in range(len(coeffs) - 1, 0, -1):
+        rows = echelon_insert(rows, monomials[weights == w], p)[0]
+        powers.append(Subspace(alg, rows, _canonical=True))
+    powers.append(full_subspace(alg))
+    powers.reverse()
     dims = [s.rank for s in powers]
     graded = [dims[i] - dims[i + 1] for i in range(len(dims) - 1)]
     return AugmentationLadder(alg, powers, graded, dims[-1])
 
 
-def _times_generators_minus_one(alg: FiniteGroupAlgebra, rows: np.ndarray,
-                                gens: list) -> np.ndarray:
-    """The blocks rows * (s - 1) over the generators s, stacked; for a right
-    ideal they span its product with the augmentation ideal."""
-    blocks = [(alg.translate_rows(rows, s) - rows) % alg.prime for s in gens]
-    return np.vstack(blocks) if blocks else rows[:0]
+def _coset_differences(alg: FiniteGroupAlgebra, sub: frozenset) -> np.ndarray:
+    """Canonical echelon rows of w(kN) kG for a normal subgroup N: for each
+    coset with basis indices i_1 < ... < i_m, the rows e_(i_j) - e_(i_m),
+    j < m, all in pivot order."""
+    n = alg.dim
+    last = np.full(n, -1)  # the last basis index of each element's coset
+    for i, g in enumerate(alg.labels):
+        if last[i] < 0:
+            coset = [alg.index[alg.group.mul(h, g)] for h in sub]
+            last[coset] = max(coset)
+    pivots = np.flatnonzero(last != np.arange(n))
+    rows = np.zeros((pivots.size, n), dtype=np.int64)
+    rows[np.arange(pivots.size), pivots] = 1
+    rows[np.arange(pivots.size), last[pivots]] = alg.prime - 1
+    return rows
+
+
+def _layer_lifts(alg: FiniteGroupAlgebra, series: list[frozenset]) -> list[tuple]:
+    """(g, i) for elements g of H_i lifting a basis of each layer H_i/H_(i+1)
+    of a p-central series, the first such elements in basis order."""
+    p = alg.prime
+    lifts = []
+    for i, (layer, below) in enumerate(zip(series, series[1:])):
+        covered = set(below)
+        for g in alg.labels:
+            if len(covered) == len(layer):
+                break
+            if g in layer and g not in covered:
+                lifts.append((g, i + 1))
+                step = covered
+                for _ in range(p - 1):  # covered <- covered <g>, as g^p lies below
+                    step = {alg.group.mul(x, g) for x in step}
+                    covered |= step
+    return lifts
+
+
+def _jennings_monomials(alg: FiniteGroupAlgebra, lifts: list[tuple]):
+    """Rows of the products prod_j (g_j - 1)^(a_j), 0 <= a_j < p, in the
+    order of the lifts, and their weights sum_j a_j wt(g_j); each block of
+    them is one translate_rows step from the block before."""
+    p = alg.prime
+    rows = np.zeros((1, alg.dim), dtype=np.int64)
+    rows[0, 0] = 1  # the identity
+    weights = np.zeros(1, dtype=np.int64)
+    for g, w in lifts:
+        blocks = [rows]
+        for _ in range(p - 1):
+            blocks.append((alg.translate_rows(blocks[-1], g) - blocks[-1]) % p)
+        rows = np.vstack(blocks)
+        weights = np.concatenate([weights + a * w for a in range(p)])
+    return rows, weights
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +227,54 @@ def _normal_subgroup(group: GroupOracle, seeds) -> frozenset:
     return frozenset(members)
 
 
+def p_residual(group: GroupOracle, p: int) -> frozenset:
+    """O^p(G), the smallest normal subgroup of a finite group with a p-group
+    quotient: the normal closure of the powers g^(p^a), p^a the p-part of
+    |G|, which are exactly the elements of order prime to p."""
+    q = 1
+    while group.order % (q * p) == 0:
+        q *= p
+    return _normal_subgroup(group, dict.fromkeys(_pow(group, g, q) for g in group.elements()))
+
+
+def _p_central_series(group: GroupOracle, p: int, bottom: frozenset) -> list[frozenset]:
+    """H_1 = G > H_2 > ... down to `bottom`, a normal subgroup with a p-group
+    quotient: H_n is the normal closure of the commutators [a, c], a in
+    H_(n-1) and c a generator, the p-th powers of H_(ceil(n/p)) and the
+    elements of `bottom`, so the series lifts the Jennings series of
+    G/bottom.  H_n repeats H_(n-1) without a closure when both of its
+    inputs repeat."""
+    conj = list(group.generators.values())
+    series = [frozenset(group.elements())]
+    while len(series[-1]) > len(bottom):
+        n = len(series) + 1  # constructing H_n
+        powered = series[(n + p - 1) // p - 1]
+        if n > 2 and series[-1] is series[-2] and powered is series[(n + p - 2) // p - 1]:
+            series.append(series[-1])
+            continue
+        comms = [group.mul(group.inv(a), group.mul(group.inv(c), group.mul(a, c)))
+                 for a in series[-1] for c in conj]
+        pth = [_pow(group, g, p) for g in powered]
+        nxt = _normal_subgroup(group, comms + pth + list(bottom))
+        series.append(series[-1] if nxt == series[-1] else nxt)
+    return series
+
+
+def _layer_dims(series: list[frozenset], p: int) -> list[int]:
+    """log_p of each layer's order, trailing zeros dropped; every layer of a
+    p-central series is elementary abelian."""
+    dims = []
+    for i in range(len(series) - 1):
+        ratio = len(series[i]) // len(series[i + 1])
+        d = round(math.log(ratio, p))
+        if p**d != ratio:
+            raise ContractError("quotient is not elementary abelian of p-power size")
+        dims.append(d)
+    while dims and dims[-1] == 0:
+        dims.pop()
+    return dims
+
+
 def jennings_series(group: GroupOracle, p: int) -> JenningsSeries:
     """Fastest descending series with G_n = [G_{n-1}, G] * (G_{ceil(n/p)})^p.
 
@@ -180,37 +286,23 @@ def jennings_series(group: GroupOracle, p: int) -> JenningsSeries:
     if group.order is None:
         raise ContractError("need a finite group")
     order = group.order
-    k = 0
     while order % p == 0:
         order //= p
-        k += 1
     if order != 1:
         raise ContractError(f"{group.name} order is not a power of {p}")
-
-    conj = list(group.generators.values())
-    series = [frozenset(group.elements())]
-    while len(series[-1]) > 1:
-        n = len(series) + 1  # constructing G_n
-        comms = [group.mul(group.inv(a), group.mul(group.inv(c), group.mul(a, c)))
-                 for a in series[-1] for c in conj]
-        pth = [_pow(group, g, p) for g in series[(n + p - 1) // p - 1]]
-        series.append(_normal_subgroup(group, comms + pth))
-    dims = []
-    for i in range(len(series) - 1):
-        ratio = len(series[i]) // len(series[i + 1])
-        d = round(math.log(ratio, p))
-        if p**d != ratio:
-            raise ContractError("quotient is not elementary abelian of p-power size")
-        dims.append(d)
-    while dims and dims[-1] == 0:
-        dims.pop()
-    return JenningsSeries(group, p, series, dims)
+    series = _p_central_series(group, p, frozenset([group.identity]))
+    return JenningsSeries(group, p, series, _layer_dims(series, p))
 
 
 def _pow(group: GroupOracle, g, e: int):
+    """g^e by repeated squaring."""
     out = group.identity
-    for _ in range(e):
-        out = group.mul(out, g)
+    while e:
+        if e & 1:
+            out = group.mul(out, g)
+        e >>= 1
+        if e:
+            g = group.mul(g, g)
     return out
 
 
@@ -237,11 +329,12 @@ def jennings_hilbert_coeffs(dims: list[int], p: int,
 
 def _poly_mul(a: list[int], b: list[int], max_deg: int) -> list[int]:
     out = [0] * (min(len(a) + len(b) - 1, max_deg + 1))
+    b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if ai == 0 or i > max_deg:
             continue
-        for j, bj in enumerate(b):
-            if bj and i + j <= max_deg:
+        for j, bj in b_terms:
+            if i + j <= max_deg:
                 out[i + j] += ai * bj
     return out
 
@@ -463,30 +556,34 @@ def rs_generators(alg: FiniteGroupAlgebra, i_sub: Subspace, s_elements: list) ->
 
 
 def right_ideal_closure(alg: FiniteGroupAlgebra, vectors) -> Subspace:
-    """Smallest right ideal containing the given vectors."""
-    current = span(alg, list(vectors))
+    """Smallest right ideal containing the given vectors, semi-naively: each
+    round translates by the generators only the rows E_k that the last round
+    added, S_(k+1) = S_k + E_k * gens, until a round adds none."""
+    rows = fresh = span(alg, list(vectors)).rows
     gens = alg.generator_elements()
-    while True:
-        grown = _plus_translates(alg, current.rows, gens)
-        if grown.rank == current.rank:
-            return grown
-        current = grown
+    while fresh.shape[0]:
+        rows, fresh = echelon_insert(rows, _translates(alg, fresh, gens), alg.prime)
+    return Subspace(alg, rows, _canonical=True)
 
 
-def _plus_translates(alg: FiniteGroupAlgebra, rows: np.ndarray, elements: list) -> Subspace:
-    """Span of the rows together with every row times each element."""
-    return Subspace(alg, np.vstack([rows] + [alg.translate_rows(rows, s) for s in elements]))
+def _translates(alg: FiniteGroupAlgebra, rows: np.ndarray, elements: list) -> np.ndarray:
+    """Every row times each element, stacked."""
+    return np.vstack([rows[:0]] + [alg.translate_rows(rows, s) for s in elements])
 
 
 def rs_step_bound(alg: FiniteGroupAlgebra, i_sub: Subspace,
                   s_elements: list) -> tuple[bool, int, int]:
     """Check dim(I / I w) <= dim((F + FS) cap I); returns (holds, lhs, rhs)."""
-    f_rows = _unital_complement(alg, i_sub)[-1]
+    p = alg.prime
+    units = _unital_complement(alg, i_sub)[-1]
+    f_rows = units[np.argsort(pivot_columns(units))]  # canonical: unit rows in order
     # I*w is spanned by I*(s-1) over the generators
-    i_w = Subspace(alg, _times_generators_minus_one(alg, i_sub.rows, alg.generator_elements()))
+    i_w = Subspace(alg, np.vstack([i_sub.rows[:0]] + [
+        (alg.translate_rows(i_sub.rows, s) - i_sub.rows) % p
+        for s in alg.generator_elements()]))
     lhs = i_sub.rank - i_w.rank
-    grown = _plus_translates(alg, f_rows, s_elements)
-    rhs = intersect(grown, i_sub).rank
+    grown = echelon_insert(f_rows, _translates(alg, f_rows, s_elements), p)[0]
+    rhs = intersect(Subspace(alg, grown, _canonical=True), i_sub).rank
     return lhs <= rhs, lhs, rhs
 
 

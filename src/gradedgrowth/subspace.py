@@ -18,7 +18,16 @@ return the same canonical int64 matrix:
   one XOR over the rows that hold it (after M4RI, Albrecht-Bard-Hart 2010);
 - odd p: each step reduces only the pivot column and the pivot row mod p
   and subtracts the unreduced update from the other rows; the whole matrix
-  is reduced at the end (delayed reduction, after FFLAS-FFPACK).
+  is reduced at the end (delayed reduction, after FFLAS-FFPACK); columns
+  that are 0 mod p in every row are never visited.
+
+Every "span plus a block of rows" step (``sum_subspaces``, each power of
+the augmentation ladder, each round of ``filtration.right_ideal_closure``)
+is one insertion kernel, ``echelon_insert``: the block is reduced against
+the canonical rows by their pivots in one product, only the remainder goes
+through ``rref``, and the new pivots are cleared from the old rows and
+merged in by pivot, so the result is the canonical form of the sum without
+re-eliminating the rows already there.
 
 Every entry point (``rref``, ``Ambient``, ``hecke.HeckeElement``) applies
 the one prime bound p < 2**16 of ``scalars.check_prime``.  The odd-p loop
@@ -95,12 +104,14 @@ def _rref_odd(A: np.ndarray, p: int) -> np.ndarray:
     """Odd-p elimination with delayed reduction: only the pivot column and
     the pivot row are brought into 0..p-1 at each step; the other rows take
     the update unreduced and the whole matrix is reduced once at the end, or
-    sooner if the tracked bound on |entries| would leave int64."""
-    rows, cols = A.shape
+    sooner if the tracked bound on |entries| would leave int64.  A arrives
+    reduced, and the loop visits only the columns with an entry nonzero mod
+    p: row operations keep a column that is 0 mod p in every row so."""
+    rows = A.shape[0]
     step = (p - 1) * (p - 1)
     bound = p - 1
     r = 0
-    for c in range(cols):
+    for c in np.flatnonzero(A.any(axis=0)).tolist():
         A[:, c] %= p
         hits = A[:, c].nonzero()[0]
         k = hits.searchsorted(r)
@@ -133,6 +144,33 @@ def pivot_columns(rows: np.ndarray) -> np.ndarray:
     if not rows.shape[0]:
         return np.zeros(0, dtype=np.intp)
     return np.argmax(rows != 0, axis=1)
+
+
+def echelon_insert(rows: np.ndarray, block: np.ndarray,
+                   p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical echelon rows of span(rows) + span(block), where rows are
+    already canonical over GF(p); returns them with the new rows alone.
+
+    The block is reduced against the rows by their pivots in one product
+    (as in Subspace.reduce_vector) and only the remainder goes through
+    rref.  The new pivot columns are then cleared from the old rows that
+    hold them, and the two sets are interleaved by pivot into one output,
+    which is the canonical form of the sum."""
+    pivots = pivot_columns(rows)
+    block = np.asarray(block, dtype=np.int64) % p
+    new = rref((block - block[:, pivots] @ rows) % p, p)
+    k = new.shape[0]
+    if not k:
+        return rows, new
+    new_pivots = pivot_columns(new)
+    out = np.empty((rows.shape[0] + k, new.shape[1]), dtype=np.int64)
+    at_old = np.arange(rows.shape[0]) + new_pivots.searchsorted(pivots)
+    out[pivots.searchsorted(new_pivots) + np.arange(k)] = new
+    out[at_old] = rows
+    hit = np.flatnonzero(rows[:, new_pivots].any(axis=1))
+    if hit.size:
+        out[at_old[hit]] = (rows[hit] - rows[hit][:, new_pivots] @ new) % p
+    return out, new
 
 
 class Ambient:
@@ -319,7 +357,8 @@ def full_subspace(ambient: Ambient) -> Subspace:
 
 def sum_subspaces(a: Subspace, b: Subspace) -> Subspace:
     _check_same_ambient(a, b)
-    return Subspace(a.ambient, np.vstack([a.rows, b.rows]))
+    rows = echelon_insert(a.rows, b.rows, a.ambient.prime)[0]
+    return Subspace(a.ambient, rows, _canonical=True)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

@@ -5,10 +5,11 @@ kept here verbatim: every entry is reduced mod p after every step, and the
 pivot is found by scanning rows in Python.  The engine's two inner loops
 (bit-packed rows for p = 2, delayed reduction for odd p) must return the
 same canonical int64 matrix, byte for byte.  The one-shot remainder is
-compared with its sequential form too, and the one row-translation kernel
-(`Ambient.translate_rows`, under `apply_right`) with `reference_apply_right`,
-the per-vector `np.add.at` loop it replaced, on a table built straight from
-the group law.
+compared with its sequential form too, the one insertion kernel
+(`echelon_insert`) with `rref` of the stacked rows, and the one
+row-translation kernel (`Ambient.translate_rows`, under `apply_right`) with
+`reference_apply_right`, the per-vector `np.add.at` loop it replaced, on a
+table built straight from the group law.
 """
 
 import numpy as np
@@ -159,6 +160,30 @@ class TestEngineMatchesReference:
         rng = np.random.default_rng(seed)
         assert_same_rref(rng.integers(-5 * p, 5 * p, (rows, cols)), p)
 
+    @given(st.integers(1, 40), st.integers(1, 140), st.sampled_from(PRIMES),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_dead_column_runs(self, rows, cols, p, seed, data):
+        # runs of columns that are zero or nonzero multiples of p, which the
+        # odd-p loop jumps over in one scan, between live columns
+        rng = np.random.default_rng(seed)
+        m = rank_deficient(rng, rows, cols, p, data.draw(st.integers(1, rows)))
+        for _ in range(data.draw(st.integers(1, 4))):
+            start = data.draw(st.integers(0, cols - 1))
+            run = slice(start, start + data.draw(st.integers(1, 20)))
+            width = m[:, run].shape[1]
+            m[:, run] = p * rng.integers(-3, 4, (rows, width)) * data.draw(st.sampled_from([0, 1]))
+        assert_same_rref(m, p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_live_column_after_a_dead_run(self, p):
+        # dead below the first pivot row, live only in the last column
+        m = np.zeros((3, 9), dtype=np.int64)
+        m[0] = [1, 2, 0, 3, 0, 0, 0, 0, 1]
+        m[1, 4:8] = p
+        m[2, 8] = -1
+        assert_same_rref(m, p)
+        assert_same_rref(m[1:], p)
+
     @pytest.mark.parametrize("p", [3, 5, 65521])
     def test_delayed_reduction_at_low_headroom(self, p, monkeypatch):
         # a full reduction after every step or two, instead of after 2**30
@@ -180,6 +205,60 @@ class TestEngineMatchesReference:
     def test_one_dimensional_input_rejected(self):
         with pytest.raises(ContractError):
             rref(np.array([1, 0, 1]), 2)
+
+
+def random_echelon(rng, rows: int, cols: int, p: int) -> np.ndarray:
+    """Canonical rows of a random sparse span (possibly of lower rank)."""
+    m = rng.integers(0, p, (rows, cols))
+    m[rng.random(m.shape) < 0.6] = 0
+    return rref(m, p)
+
+
+class TestEchelonInsert:
+    """The one insertion kernel against rref of the stacked rows."""
+
+    @settings(max_examples=100)
+    @given(st.sampled_from(PRIMES), st.integers(0, 70), st.integers(0, 12),
+           st.integers(0, 12), st.integers(0, 2**32 - 1),
+           st.sampled_from(["random", "inside", "duplicates", "empty"]))
+    def test_matches_rref_of_stack(self, p, cols, a, b, seed, kind):
+        rng = np.random.default_rng(seed)
+        rows = random_echelon(rng, a, cols, p)
+        if kind == "random":  # unreduced, negative and sparse
+            block = rng.integers(-3 * p, 3 * p, (b, cols))
+            block[rng.random(block.shape) < 0.6] = 0
+        elif kind == "inside":  # combinations of the rows, plus multiples of p
+            block = rng.integers(-2, 3, (b, rows.shape[0])) @ rows
+            block += p * rng.integers(-2, 3, block.shape)
+        elif kind == "duplicates":  # repeated block rows and copies of the rows
+            fresh = rng.integers(0, p, (max(1, b // 2), cols))
+            block = np.vstack([fresh, fresh, rows, -rows])
+        else:
+            block = np.zeros((0, cols), dtype=np.int64)
+        got, new = subspace.echelon_insert(rows, block, p)
+        want = rref(np.vstack([rows, block]), p)
+        assert got.dtype == want.dtype == new.dtype == np.int64
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # the new rows are those of the sum at the new pivots, and no more
+        assert new.shape[0] == got.shape[0] - rows.shape[0]
+        at_new = np.isin(subspace.pivot_columns(got), subspace.pivot_columns(new))
+        assert got[at_new].tobytes() == new.tobytes()
+        if kind == "inside":
+            assert new.shape[0] == 0
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_old_rows_cleared_at_new_pivots(self, p):
+        rows = np.array([[1, 1, 0, 1], [0, 0, 1, 1]], dtype=np.int64)
+        got, new = subspace.echelon_insert(rows, np.array([[0, -1, 0, 0]]), p)
+        assert got.tolist() == [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 1]]
+        assert new.tolist() == [[0, 1, 0, 0]]
+
+    def test_empty_rows_and_block(self):
+        empty = np.zeros((0, 5), dtype=np.int64)
+        got, new = subspace.echelon_insert(empty, empty, 3)
+        assert got.shape == new.shape == (0, 5)
+        got, new = subspace.echelon_insert(empty, np.array([[0, 3, 6, -1, 2]]), 3)
+        assert got.tolist() == new.tolist() == [[0, 0, 0, 1, 1]]
 
 
 class TestPrimeBound:

@@ -1,0 +1,205 @@
+"""The bottom-up augmentation ladder against the top-down one it replaced.
+
+`reference_aug_ladder` is the dense loop that `aug_ladder` used to be, kept
+here verbatim: w is echelonized from the rows g - 1, and each next power
+from the previous one times every generator's (s - 1), until the rank
+repeats.  It knows nothing of Jennings' basis or of O^p(G), so it keeps the
+ladder independent of the product formula that the Jennings cross-checks
+compare it with.  Every power must have the same canonical rows, byte for
+byte.  `p_residual` is locked to the subgroup generated by the elements of
+order prime to p, and the ladder's byte cap to the CLI's exit code 3.
+"""
+
+import itertools
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gradedgrowth import budgets
+from gradedgrowth.errors import ResourceBudgetError
+from gradedgrowth.filtration import (aug_ladder, build_group_algebra, jennings_series,
+                                     p_residual)
+from gradedgrowth.groups import (AbelianProduct, CayleyTable, Cyclic, Dihedral,
+                                 HeisenbergMod, ZdMod)
+from gradedgrowth.registry import BUILTIN_SPECS, get_group
+from gradedgrowth.subspace import Subspace, full_subspace
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def reference_aug_ladder(alg):
+    """Powers of the augmentation ideal until the first repeat, as
+    (powers, graded dims, stabilized dim)."""
+    n = alg.dim
+    p = alg.prime
+    full = full_subspace(alg)
+    aug_rows = np.zeros((n - 1, n), dtype=np.int64)
+    for i in range(1, n):
+        aug_rows[i - 1, i] = 1
+        aug_rows[i - 1, 0] = p - 1
+    power = Subspace(alg, aug_rows)
+    powers = [full, power]
+    gens = alg.generator_elements()
+    while True:
+        prev = powers[-1]
+        nxt = Subspace(alg, _times_generators_minus_one(alg, prev.rows, gens))
+        if nxt.rank == prev.rank:
+            break
+        powers.append(nxt)
+    dims = [s.rank for s in powers]
+    graded = [dims[i] - dims[i + 1] for i in range(len(dims) - 1)]
+    return powers, graded, dims[-1]
+
+
+def _times_generators_minus_one(alg, rows, gens):
+    """The blocks rows * (s - 1) over the generators s, stacked; for a right
+    ideal they span its product with the augmentation ideal."""
+    blocks = [(alg.translate_rows(rows, s) - rows) % alg.prime for s in gens]
+    return np.vstack(blocks) if blocks else rows[:0]
+
+
+def permutation_group(perms, generators: dict, name: str) -> CayleyTable:
+    """The group of the given permutations (tuples), as a Cayley table."""
+    index = {g: i for i, g in enumerate(perms)}
+    table = [[index[tuple(g[h[k]] for k in range(len(h)))] for h in perms] for g in perms]
+    ident = index[tuple(range(len(perms[0])))]
+    return CayleyTable(table, {s: index[g] for s, g in generators.items()},
+                       name=name, identity=ident)
+
+
+def _even(perm) -> bool:
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    return inversions % 2 == 0
+
+
+S4 = permutation_group(sorted(itertools.permutations(range(4))),
+                       {"a": (1, 0, 2, 3), "b": (1, 2, 3, 0)}, "s4")
+A4 = permutation_group(sorted(g for g in itertools.permutations(range(4)) if _even(g)),
+                       {"a": (1, 2, 0, 3), "b": (0, 2, 3, 1)}, "a4")
+
+REGISTRY_FINITE = sorted(name for name in BUILTIN_SPECS
+                         if get_group(name).order is not None)
+EXTRA = {"d3": Dihedral(3), "d6": Dihedral(6), "c12": Cyclic(12),
+         "c6xc4": AbelianProduct((6, 4)), "c3": Cyclic(3), "a4": A4, "s4": S4}
+
+
+def assert_same_ladder(group, p):
+    alg = build_group_algebra(group, p)
+    lad = aug_ladder(alg)
+    powers, graded, stable = reference_aug_ladder(alg)
+    assert len(lad.powers) == len(powers), (group.name, p)
+    for k, (got, want) in enumerate(zip(lad.powers, powers)):
+        assert got.rows.dtype == want.rows.dtype == np.int64
+        assert got.rows.shape == want.rows.shape, (group.name, p, k)
+        assert got.rows.tobytes() == want.rows.tobytes(), (group.name, p, k)
+    assert (lad.graded_dims, lad.stabilized_dim) == (graded, stable)
+
+
+class TestLadderMatchesReference:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("name", REGISTRY_FINITE)
+    def test_registry_groups(self, name, p):
+        assert_same_ladder(get_group(name), p)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("name", sorted(EXTRA))
+    def test_groups_with_a_p_residual(self, name, p):
+        assert_same_ladder(EXTRA[name], p)
+
+    @settings(max_examples=25)
+    @given(st.sampled_from([2, 3, 5]), st.data())
+    def test_random_specs(self, p, data):
+        kind = data.draw(st.sampled_from(["zd_mod", "heisenberg_mod", "abelian"]))
+        if kind == "zd_mod":
+            d = data.draw(st.integers(1, 3))
+            group = ZdMod(d, data.draw(st.integers(2, int(60 ** (1 / d)))))
+        elif kind == "heisenberg_mod":
+            group = HeisenbergMod(data.draw(st.integers(2, 4)))
+        else:
+            orders = data.draw(st.lists(st.integers(2, 12), min_size=1, max_size=3)
+                               .filter(lambda o: math.prod(o) <= 72))
+            group = AbelianProduct(tuple(orders))
+        assert_same_ladder(group, p)
+
+
+def brute_p_residual(group, p) -> frozenset:
+    """The subgroup generated by the elements of order prime to p."""
+    def order(g):
+        k, h = 1, g
+        while h != group.identity:
+            h, k = group.mul(h, g), k + 1
+        return k
+
+    members = {g for g in group.elements() if order(g) % p}
+    while True:
+        grown = members | {group.mul(a, b) for a in members for b in members}
+        if grown == members:
+            return frozenset(members)
+        members = grown
+
+
+class TestPResidual:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("name", ["c3", "c12", "c6xc4", "d3", "d6", "a4", "s4"])
+    def test_matches_brute_force(self, name, p):
+        group = EXTRA[name]
+        assert p_residual(group, p) == brute_p_residual(group, p)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_trivial_on_p_groups(self, p):
+        for name in ("c4", "q8", "d4") if p == 2 else ("c9", "heisenberg_mod_3"):
+            group = get_group(name)
+            assert p_residual(group, p) == {group.identity}
+
+    def test_a4_at_three_is_the_klein_group(self):
+        assert len(p_residual(A4, 3)) == 4
+
+    def test_jennings_series_unchanged_on_a_long_cyclic_series(self):
+        js = jennings_series(Cyclic(64), 2)
+        assert js.dims == [1, 1, 0, 1] + [0] * 3 + [1] + [0] * 7 + [1] + [0] * 15 + [1]
+        assert [len(h) for h in js.subgroups[:3]] == [64, 32, 16]
+
+
+def _growth(tmp_path, m: int, p: int) -> subprocess.CompletedProcess:
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps({"c_big": {"kind": "zd_mod", "params": {"d": 1, "m": m}}}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "gradedgrowth.cli", "--registry",
+                           str(registry), "growth", "--group", "c_big", "--p", str(p),
+                           "--format", "json"], env=env, capture_output=True, text=True)
+
+
+class TestLadderBudget:
+    def test_cap_is_one_gib(self):
+        assert budgets.LADDER_BYTES == 1 << 30
+
+    def test_large_cyclic_two_group_refused(self):
+        # 2048 powers of ranks 2048 - k: about 32 GiB of rows
+        with pytest.raises(ResourceBudgetError, match="ladder"):
+            aug_ladder(build_group_algebra(ZdMod(1, 2048), 2))
+        with pytest.raises(ResourceBudgetError):  # about 4 GiB
+            aug_ladder(build_group_algebra(ZdMod(1, 1024), 2))
+
+    def test_under_the_cap_builds(self):
+        lad = aug_ladder(build_group_algebra(ZdMod(1, 256), 2))
+        assert [s.rank for s in lad.powers] == list(range(256, -1, -1))
+
+    def test_cli_exits_three_at_p_two(self, tmp_path):
+        proc = _growth(tmp_path, 2048, 2)
+        assert proc.returncode == 3, proc.stderr
+        assert "ladder" in proc.stderr and proc.stdout == ""
+
+    def test_cli_order_prime_to_p_answers_from_the_trivial_group(self, tmp_path):
+        proc = _growth(tmp_path, 2048, 3)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["graded_dims"] == [1]
+        assert out["power_dims"] == [2048, 2047]
