@@ -7,12 +7,12 @@ ideal-generator extraction and Golod-Shafarevich certificates."""
 from .errors import (ContractError, GradedGrowthError, OutOfRangeError,
                      ResourceBudgetError, SearchFailedError)
 from .groups import (GroupOracle, WordMetricBall, ball, find_dead_ends,
-                     is_dead_end, triangle_dead_end_family, word_length)
+                     is_dead_end, triangle_dead_end_family)
 from .rewriting import (RewritingGroup, RewritingSystem, confluence_check,
                         knuth_bendix, reduce_word, triangle_group)
 from .hecke import (HeckeElement, crystal_monomial_check, delta, delta_mul,
                     hecke_mul, untwist)
-from .subspace import (Ambient, BallAmbient, Subspace, intersect,
+from .subspace import (BallAmbient, Subspace, intersect,
                        invariance_defect, right_multiply, set_defect, span,
                        sum_subspaces)
 from .filtration import (AugmentationLadder, FiniteGroupAlgebra, aug_ladder,

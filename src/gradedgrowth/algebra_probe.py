@@ -109,7 +109,7 @@ def algebra_tiling_probe(p: int, k_basis: list[dict], epsilon,
 
 def _attempt_level(p, k_basis, epsilon, params, t_cap, target, base, level, k_dim):
     m = base**level
-    quotient = FiniteGroupAlgebra(Cyclic(m), p, max_order=max(m, 2048))
+    quotient = FiniteGroupAlgebra(Cyclic(m), p)
     # each basis element of K is one monomial: its exponent mod m labels it
     k_sub = span(quotient, [{g % m: c for g, c in t.items() if c} for t in k_basis])
     if k_sub.rank != k_dim:

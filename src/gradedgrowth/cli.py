@@ -111,7 +111,7 @@ def _cmd_growth(args) -> int:
     }
     oracle = get_group(args.group, args.registry)
     if oracle.order is not None:
-        alg = build_group_algebra(oracle, args.p)
+        alg = build_group_algebra(oracle, args.p, args.max_order)
         lad = aug_ladder(alg)
         dims = lad.graded_dims
         power_dims = [s.rank for s in lad.powers]
@@ -374,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quotient-base", type=int, default=2)
     p.add_argument("--quotient-level", type=int, default=2)
     p.add_argument("--max-order", type=int, default=None,
-                   help="order cap on each congruence quotient of an infinite "
-                        "group (default 2048)")
+                   help="order cap on the group algebra of a finite group, or on "
+                        "each congruence quotient of an infinite group (default 2048)")
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_growth)

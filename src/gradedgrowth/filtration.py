@@ -1,13 +1,13 @@
 """Augmentation-ideal filtrations and their cross-checks.
 
-Pieces: finite group algebras over GF(p) with exact structure tables; the
-descending ladder of augmentation-ideal powers and its graded dimensions,
-built from the bottom up: from the ideal of O^p(G), each power inserts the
-lifted Jennings monomials of one weight into the power below it; the
-p-central series of a finite group down to O^p(G), each term one normal
-closure, which for a p-group is the fastest-descending (Jennings) series,
-with the product-formula Hilbert coefficients that reproduce the ladder
-dimensions, also on the p-parts of congruence quotients of infinite groups;
+Pieces: finite group algebras over GF(p), each the whole group's ball at
+lambda = 1; the Jennings series of any finite group, its dimension
+subgroups mod p down to O^p(G), each term one normal closure, with the
+product-formula Hilbert coefficients that give the ladder dimensions, also
+on the p-parts of congruence quotients of infinite groups; the descending
+ladder of augmentation-ideal powers and its graded dimensions, built from
+the bottom up on that series: from the ideal of O^p(G), each power inserts
+the lifted Jennings monomials of one weight into the power below it;
 truncated Magnus valuations over GF(p) for free-group words;
 graded dimensions of the free group algebra; Witt necklace ranks; ideal
 generators in the style of Reidemeister-Schreier together with the
@@ -26,7 +26,7 @@ from . import budgets
 from .errors import ContractError, ResourceBudgetError
 from .groups import GroupOracle, ball
 from .scalars import check_prime
-from .subspace import (Ambient, Subspace, echelon_insert, full_subspace, intersect,
+from .subspace import (BallAmbient, Subspace, echelon_insert, full_subspace, intersect,
                        pivot_columns, rank_mod_p, rref, span)
 from .tiling import congruence_quotient
 
@@ -34,36 +34,25 @@ MAGNUS_DEFAULT_TRUNCATION = 12
 MAGNUS_MAX_GENERATORS = 3
 
 
-class FiniteGroupAlgebra(Ambient):
-    """GF(p)-group algebra of a finite group, with exact right translations.
-
-    Basis enumeration is BFS order from the identity over the generator
-    symbols, so the identity has index 0 and enumerations are reproducible.
-    """
+class FiniteGroupAlgebra(BallAmbient):
+    """GF(p)-group algebra of a finite group: the ball of the whole group at
+    lambda = 1, its basis in BFS order from the identity over the generator
+    symbols, so the identity has index 0 and enumerations are reproducible."""
 
     def __init__(self, group: GroupOracle, prime: int, max_order: int | None = None):
         if group.order is None:
             raise ContractError(f"{group.name} has no finite enumeration")
         _check_algebra_order(group.order, max_order)
-        labels = ball(group, group.order).elements
-        if len(labels) != group.order:
+        whole = ball(group, group.order)
+        if len(whole) != group.order:
             raise ContractError(
                 f"generators of {group.name} do not generate: reached "
-                f"{len(labels)} of {group.order} elements"
+                f"{len(whole)} of {group.order} elements"
             )
-        super().__init__(labels, prime)
-        self.group = group
-
-    def translation(self, h):
-        """Right multiplication by h permutes the basis with unit
-        coefficients: src[j] is the index of label_j * h^-1."""
-        h_inv = self.group.inv(h)
-        src = np.array([self.index[self.group.mul(g, h_inv)] for g in self.labels],
-                       dtype=np.int64)
-        return src, None, src[:0]
+        super().__init__(group, whole, prime, lam=1)
 
     def generator_elements(self) -> list:
-        return list(self.group.generators.values())
+        return list(self.oracle.generators.values())
 
 
 def build_group_algebra(group: GroupOracle, p: int,
@@ -107,10 +96,10 @@ def aug_ladder(alg: FiniteGroupAlgebra) -> AugmentationLadder:
     dimensions are known before any is built, and a ladder whose rows would
     pass budgets.LADDER_BYTES raises ResourceBudgetError.
     """
-    group, p, n = alg.group, alg.prime, alg.dim
-    bottom = p_residual(group, p)
-    series = _p_central_series(group, p, bottom)
-    coeffs = jennings_hilbert_coeffs(_layer_dims(series, p), p)
+    group, p, n = alg.oracle, alg.prime, alg.dim
+    series = jennings_series(group, p)
+    bottom = series.subgroups[-1]
+    coeffs = jennings_hilbert_coeffs(series.dims, p)
     tails = np.cumsum(coeffs[::-1])[::-1].tolist()  # monomials of weight >= w
     stable = n - n // len(bottom)  # dim I_N
     need = sum([n] + [stable + t for t in tails[1:]] + [stable]) * n * 8
@@ -119,7 +108,7 @@ def aug_ladder(alg: FiniteGroupAlgebra) -> AugmentationLadder:
             f"augmentation ladder of {group.name} at p = {p} needs {need} bytes, "
             f"over the ladder cap of {budgets.LADDER_BYTES}"
         )
-    monomials, weights = _jennings_monomials(alg, _layer_lifts(alg, series))
+    monomials, weights = _jennings_monomials(alg, _layer_lifts(alg, series.subgroups))
     rows = _coset_differences(alg, bottom)
     powers = [Subspace(alg, rows, _canonical=True)]
     for w in range(len(coeffs) - 1, 0, -1):
@@ -140,7 +129,7 @@ def _coset_differences(alg: FiniteGroupAlgebra, sub: frozenset) -> np.ndarray:
     last = np.full(n, -1)  # the last basis index of each element's coset
     for i, g in enumerate(alg.labels):
         if last[i] < 0:
-            coset = [alg.index[alg.group.mul(h, g)] for h in sub]
+            coset = [alg.index[alg.oracle.mul(h, g)] for h in sub]
             last[coset] = max(coset)
     pivots = np.flatnonzero(last != np.arange(n))
     rows = np.zeros((pivots.size, n), dtype=np.int64)
@@ -163,7 +152,7 @@ def _layer_lifts(alg: FiniteGroupAlgebra, series: list[frozenset]) -> list[tuple
                 lifts.append((g, i + 1))
                 step = covered
                 for _ in range(p - 1):  # covered <- covered <g>, as g^p lies below
-                    step = {alg.group.mul(x, g) for x in step}
+                    step = {alg.oracle.mul(x, g) for x in step}
                     covered |= step
     return lifts
 
@@ -186,7 +175,7 @@ def _jennings_monomials(alg: FiniteGroupAlgebra, lifts: list[tuple]):
 
 
 # ---------------------------------------------------------------------------
-# Jennings series of a finite p-group
+# Jennings series of a finite group, down to O^p(G)
 
 
 @dataclass(frozen=True)
@@ -230,10 +219,13 @@ def _normal_subgroup(group: GroupOracle, seeds) -> frozenset:
 def p_residual(group: GroupOracle, p: int) -> frozenset:
     """O^p(G), the smallest normal subgroup of a finite group with a p-group
     quotient: the normal closure of the powers g^(p^a), p^a the p-part of
-    |G|, which are exactly the elements of order prime to p."""
+    |G|, which are exactly the elements of order prime to p.  A p-group
+    has none but the identity."""
     q = 1
     while group.order % (q * p) == 0:
         q *= p
+    if q == group.order:
+        return frozenset([group.identity])
     return _normal_subgroup(group, dict.fromkeys(_pow(group, g, q) for g in group.elements()))
 
 
@@ -276,21 +268,18 @@ def _layer_dims(series: list[frozenset], p: int) -> list[int]:
 
 
 def jennings_series(group: GroupOracle, p: int) -> JenningsSeries:
-    """Fastest descending series with G_n = [G_{n-1}, G] * (G_{ceil(n/p)})^p.
+    """Fastest descending series with G_n = [G_{n-1}, G] (G_{ceil(n/p)})^p
+    O^p(G), the dimension subgroups mod p of a finite group.
 
     Each G_n is the normal closure of the commutators [a, c], a in G_{n-1}
-    and c a generator, together with the p-th powers of G_{ceil(n/p)}.
-    Each quotient is elementary abelian; the series reaches the trivial
-    subgroup because the group is a finite p-group.
+    and c a generator, the p-th powers of G_{ceil(n/p)} and O^p(G).  Each
+    quotient is elementary abelian; the series ends at O^p(G), which is G
+    itself (dims []) when p does not divide |G|.
     """
     if group.order is None:
         raise ContractError("need a finite group")
-    order = group.order
-    while order % p == 0:
-        order //= p
-    if order != 1:
-        raise ContractError(f"{group.name} order is not a power of {p}")
-    series = _p_central_series(group, p, frozenset([group.identity]))
+    check_prime(p)
+    series = _p_central_series(group, p, p_residual(group, p))
     return JenningsSeries(group, p, series, _layer_dims(series, p))
 
 
@@ -340,11 +329,12 @@ def _poly_mul(a: list[int], b: list[int], max_deg: int) -> list[int]:
 
 
 def graded_dims_via_jennings(group: GroupOracle, p: int) -> list[int]:
-    """Ladder dimensions of GF(p)G for a p-group G, by the Jennings series.
+    """Ladder dimensions of GF(p)G for a finite group G, by the Jennings
+    series: those of GF(p)[G/O^p(G)].
 
-    The product formula reproduces aug_ladder exactly on every small built-in
-    p-group (tested); with no dense algebra, it is how growth on infinite
-    groups gets its dims (congruence_graded_dims)."""
+    The product formula reproduces aug_ladder exactly (tested); with no
+    dense algebra, it is how growth on infinite groups gets its dims
+    (congruence_graded_dims)."""
     series = jennings_series(group, p)
     return jennings_hilbert_coeffs(series.dims, p)
 

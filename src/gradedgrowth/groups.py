@@ -11,13 +11,14 @@ appends or cancels one letter, the lamplighter toggles one lamp, and a
 rewriting-backed group shifts one normal form through the reduction stack.
 Word lengths always come from BFS over the generator symbols in declaration
 order, so every group flows through one deterministic code path; closed
-formulas appear only in tests.
+formulas appear only in tests.  A ball is one table of word lengths, filled
+in BFS discovery order, which is its enumeration.
 
 Element representations are typed per family: integer vectors for free
 abelian groups, integer triples for the discrete Heisenberg group,
 (sorted lamp tuple, position) pairs for the lamplighter, reduced words for
-free groups, small integers or tuples for finite built-ins, and shortlex
-normal-form strings for rewriting-backed groups.
+free groups, small integers or tuples for finite built-ins (Q8 is a
+Cayley table), and shortlex normal-form strings for rewriting-backed groups.
 """
 
 from __future__ import annotations
@@ -313,50 +314,6 @@ class Dihedral(GroupOracle):
         return ((i, f) for f in (0, 1) for i in range(self.n))
 
 
-class Quaternion8(GroupOracle):
-    """Q8 = {+-1, +-i, +-j, +-k}; elements encoded 0..7 as (unit index, sign bit)."""
-
-    kind = "finite_quaternion"
-    name = "q8"
-    order = 8
-    generators = {"i": 2, "I": 3, "j": 4, "J": 5}
-
-    # element = 2*u + s with u in {0:1, 1:i, 2:j, 3:k}, s the sign bit
-    _UNIT_MUL = {}  # (u, v) -> (w, sign)
-    for _u in range(4):
-        _UNIT_MUL[(0, _u)] = (_u, 0)
-        _UNIT_MUL[(_u, 0)] = (_u, 0)
-    _UNIT_MUL[(1, 1)] = (0, 1)
-    _UNIT_MUL[(2, 2)] = (0, 1)
-    _UNIT_MUL[(3, 3)] = (0, 1)
-    _UNIT_MUL[(1, 2)] = (3, 0)
-    _UNIT_MUL[(2, 1)] = (3, 1)
-    _UNIT_MUL[(2, 3)] = (1, 0)
-    _UNIT_MUL[(3, 2)] = (1, 1)
-    _UNIT_MUL[(3, 1)] = (2, 0)
-    _UNIT_MUL[(1, 3)] = (2, 1)
-    del _u
-
-    @property
-    def identity(self):
-        return 0
-
-    def mul(self, g, h):
-        u, su = divmod(g, 2)
-        v, sv = divmod(h, 2)
-        w, sw = self._UNIT_MUL[(u, v)]
-        return 2 * w + (su ^ sv ^ sw)
-
-    def inv(self, g):
-        u, s = divmod(g, 2)
-        if u == 0:
-            return g
-        return 2 * u + (1 - s)
-
-    def elements(self):
-        return iter(range(8))
-
-
 class HeisenbergMod(GroupOracle):
     """Heisenberg group over Z/m (order m^3)."""
 
@@ -444,26 +401,50 @@ class CayleyTable(GroupOracle):
         return iter(range(self.order))
 
 
+def quaternion8() -> CayleyTable:
+    """Q8 = {+-1, +-i, +-j, +-k} as a Cayley table: element 2u + s is
+    (-1)**s times the unit u of 1, i, j, k, multiplied by ij = k, jk = i,
+    ki = j and i^2 = j^2 = k^2 = -1."""
+    cyclic = {(1, 2): 3, (2, 3): 1, (3, 1): 2}  # ij = k, jk = i, ki = j
+
+    def product(g: int, h: int) -> int:
+        u, v, sign = g // 2, h // 2, (g ^ h) % 2
+        if not u * v:
+            return 2 * (u + v) + sign
+        if u == v:
+            return 1 - sign
+        if (u, v) in cyclic:
+            return 2 * cyclic[u, v] + sign
+        return 2 * cyclic[v, u] + 1 - sign  # ji = -k, kj = -i, ik = -j
+
+    table = [[product(g, h) for h in range(8)] for g in range(8)]
+    return CayleyTable(table, {"i": 2, "I": 3, "j": 4, "J": 5}, name="q8")
+
+
 # ---------------------------------------------------------------------------
 # word-metric balls
 
 
 @dataclass(frozen=True)
 class WordMetricBall:
-    """Exact word lengths on a ball, with deterministic BFS enumeration."""
+    """Exact word lengths on a ball, one table in BFS discovery order."""
 
     oracle: GroupOracle
     radius: int
     lengths: dict = field(repr=False)
-    by_sphere: list = field(repr=False)
 
     @property
     def elements(self) -> list:
         """Enumeration order: spheres concatenated, each in BFS discovery order."""
-        out = []
-        for sph in self.by_sphere:
-            out.extend(sph)
-        return out
+        return list(self.lengths)
+
+    @property
+    def by_sphere(self) -> list[list]:
+        """The elements of each length 0..radius, in enumeration order."""
+        spheres = [[] for _ in range(self.radius + 1)]
+        for g, n in self.lengths.items():
+            spheres[n].append(g)
+        return spheres
 
     def __contains__(self, g) -> bool:
         return g in self.lengths
@@ -498,7 +479,6 @@ def ball(oracle: GroupOracle, radius: int, max_elements: int | None = None) -> W
     cap = budgets.ball_cap(max_elements)
     e = oracle.identity
     lengths = {e: 0}
-    by_sphere = [[e]]
     frontier = [e]
     symbols = oracle.generator_symbols
     for r in range(1, radius + 1):
@@ -515,15 +495,8 @@ def ball(oracle: GroupOracle, radius: int, max_elements: int | None = None) -> W
                         )
         if not nxt:
             break
-        by_sphere.append(nxt)
         frontier = nxt
-    while len(by_sphere) <= radius:
-        by_sphere.append([])
-    return WordMetricBall(oracle, radius, lengths, by_sphere)
-
-
-def word_length(b: WordMetricBall, g) -> int:
-    return b.word_length(g)
+    return WordMetricBall(oracle, radius, lengths)
 
 
 def is_dead_end(oracle: GroupOracle, b: WordMetricBall, g) -> bool:
@@ -542,12 +515,7 @@ def find_dead_ends(oracle: GroupOracle, radius: int) -> list:
     if radius < 1:
         raise ContractError("radius must be >= 1")
     b = ball(oracle, radius)
-    out = []
-    for sph in b.by_sphere[:radius]:
-        for g in sph:
-            if is_dead_end(oracle, b, g):
-                out.append(g)
-    return out
+    return [g for g, n in b.lengths.items() if n < radius and is_dead_end(oracle, b, g)]
 
 
 # ---------------------------------------------------------------------------

@@ -107,8 +107,7 @@ def delta(group: GroupOracle, b: WordMetricBall, p: int | None, lam, g,
 def delta_mul(group: GroupOracle, b: WordMetricBall, p: int | None, lam, g,
               h) -> HeckeElement:
     """d_g * d_h as a single-term element (or zero at lambda = 0)."""
-    gh = group.mul(g, h)
-    return HeckeElement(group, b, p, lam, {gh: lam ** b.excess(g, h, gh)})
+    return hecke_mul(delta(group, b, p, lam, g), delta(group, b, p, lam, h))
 
 
 def hecke_mul(a: HeckeElement, b: HeckeElement) -> HeckeElement:

@@ -11,7 +11,7 @@ import json
 from .errors import ContractError
 from .groups import (AbelianProduct, CayleyTable, Cyclic, Dihedral, FreeAbelian,
                      FreeGroup, GroupOracle, Heisenberg, HeisenbergMod,
-                     Lamplighter, Quaternion8, ZdMod)
+                     Lamplighter, ZdMod, quaternion8)
 from .rewriting import RewritingGroup, triangle_group
 from .serialize import reading
 
@@ -69,7 +69,7 @@ def make_group(spec: dict) -> GroupOracle:
         if kind == "dihedral":
             return Dihedral(int(params["n"]))
         if kind == "quaternion8":
-            return Quaternion8()
+            return quaternion8()
         if kind == "heisenberg_mod":
             return HeisenbergMod(int(params["m"]))
         if kind == "zd_mod":

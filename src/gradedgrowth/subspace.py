@@ -2,11 +2,12 @@
 
 A Subspace is stored as a canonical reduced row-echelon basis (pivots 1,
 columns cleared above and below, pivot columns strictly increasing) over a
-fixed ambient enumeration, so two equal subspaces have identical rows.  An
-ambient is a basis plus one right-multiplication table per basis element h,
-built once: either a word-metric ball of an infinite group carrying the
-deformed (lambda-twisted) product, or a finite group algebra.  One kernel,
-``Ambient.translate_rows``, moves a block of rows by such a table; every
+fixed ambient enumeration, so two equal subspaces have identical rows.  The
+one ambient, ``BallAmbient``, is a word-metric ball as a basis, carrying the
+deformed (lambda-twisted) product, plus one right-multiplication table per
+basis element h, built once by one builder; a finite group algebra is the
+whole group's ball at lambda = 1.  One kernel, ``BallAmbient.translate_rows``,
+moves a block of rows by such a table; every
 product (``apply_right``, ``right_multiply``, the ladder and ideal steps of
 ``filtration``) is built on it.
 
@@ -29,7 +30,7 @@ through ``rref``, and the new pivots are cleared from the old rows and
 merged in by pivot, so the result is the canonical form of the sum without
 re-eliminating the rows already there.
 
-Every entry point (``rref``, ``Ambient``, ``hecke.HeckeElement``) applies
+Every entry point (``rref``, ``BallAmbient``, ``hecke.HeckeElement``) applies
 the one prime bound p < 2**16 of ``scalars.check_prime``.  The odd-p loop
 rests on it: (p-1)**2 < 2**32 per step leaves int64 room for 2**30 steps
 before a reduction is due.
@@ -173,18 +174,22 @@ def echelon_insert(rows: np.ndarray, block: np.ndarray,
     return out, new
 
 
-class Ambient:
-    """An enumeration of basis labels plus one right-multiplication table per
-    basis element; subclasses say only how to build a table."""
+class BallAmbient:
+    """Slice of the deformed group algebra spanned by a word-metric ball,
+    with one right-multiplication table per basis element, built on first
+    use.  The product of basis elements g, h carries the twist
+    lambda**(len(g) + len(h) - len(gh)); lambda = 1 recovers the plain group
+    algebra and lambda = 0 the length-graded degeneration.
+    """
 
-    labels: tuple
-    prime: int
-
-    def __init__(self, labels, prime: int):
+    def __init__(self, oracle: GroupOracle, ball: WordMetricBall, prime: int, lam: int):
         check_prime(prime)
-        self.labels = tuple(labels)
+        self.oracle = oracle
+        self.ball = ball
+        self.labels = tuple(ball.elements)
         self.index = {g: i for i, g in enumerate(self.labels)}
         self.prime = prime
+        self.lam = lam % prime
         self._tables: dict = {}
 
     @property
@@ -195,9 +200,22 @@ class Ambient:
         """h's right-multiplication table (src, scale, escaping):
         basis[src[j]] * h = scale[j] * basis[j], with scale None when every
         coefficient is 1, and escaping the indices of the basis elements
-        whose product with h leaves the enumeration.  Subclasses build it;
-        translate_rows keeps it in _tables."""
-        raise NotImplementedError
+        whose product with h leaves the enumeration.  A basis element with
+        no preimage in the ball gets scale 0; translate_rows keeps the
+        table in _tables."""
+        self.ball.word_length(h)  # raises if h itself is outside
+        src = np.zeros(self.dim, dtype=np.int64)
+        scale = np.zeros(self.dim, dtype=np.int64)
+        escaping = []
+        for i, g in enumerate(self.labels):
+            gh = self.oracle.mul(g, h)
+            j = self.index.get(gh)
+            if j is None:
+                escaping.append(i)
+                continue
+            src[j] = i
+            scale[j] = pow(self.lam, self.ball.excess(g, h, gh), self.prime)
+        return src, scale if (scale != 1).any() else None, np.array(escaping, dtype=np.intp)
 
     def translate_rows(self, rows: np.ndarray, h) -> np.ndarray:
         """Every row of the block times h, as one gather by h's table (and
@@ -240,44 +258,12 @@ class Ambient:
         return (out % self.prime).reshape(v.shape)
 
 
-class BallAmbient(Ambient):
-    """Slice of the deformed group algebra spanned by a word-metric ball.
-
-    The product of basis elements g, h carries the twist
-    lambda**(len(g) + len(h) - len(gh)); lambda = 1 recovers the plain group
-    algebra and lambda = 0 the length-graded degeneration.
-    """
-
-    def __init__(self, oracle: GroupOracle, ball: WordMetricBall, prime: int, lam: int):
-        super().__init__(ball.elements, prime)
-        self.oracle = oracle
-        self.ball = ball
-        self.lam = lam % prime
-
-    def translation(self, h):
-        """The twisted gather; a basis element with no preimage in the ball
-        gets scale 0."""
-        self.ball.word_length(h)  # raises if h itself is outside
-        src = np.zeros(self.dim, dtype=np.int64)
-        scale = np.zeros(self.dim, dtype=np.int64)
-        escaping = []
-        for i, g in enumerate(self.labels):
-            gh = self.oracle.mul(g, h)
-            j = self.index.get(gh)
-            if j is None:
-                escaping.append(i)
-                continue
-            src[j] = i
-            scale[j] = pow(self.lam, self.ball.excess(g, h, gh), self.prime)
-        return src, scale if (scale != 1).any() else None, np.array(escaping, dtype=np.intp)
-
-
 class Subspace:
     """Immutable canonical-echelon subspace of an ambient enumeration."""
 
     __slots__ = ("ambient", "rows", "_pivots")
 
-    def __init__(self, ambient: Ambient, rows: np.ndarray, *, _canonical=False):
+    def __init__(self, ambient: BallAmbient, rows: np.ndarray, *, _canonical=False):
         if rows.size and rows.shape[1] != ambient.dim:
             raise ContractError("vector length does not match the ambient enumeration")
         if not _canonical:
@@ -331,7 +317,7 @@ def _check_same_ambient(a: Subspace, b: Subspace):
         raise ContractError("subspaces live in different ambient enumerations")
 
 
-def span(ambient: Ambient, vectors) -> Subspace:
+def span(ambient: BallAmbient, vectors) -> Subspace:
     """Canonical subspace spanned by vectors ({label: coeff} dicts or arrays)."""
     rows = []
     for v in vectors:
@@ -347,11 +333,11 @@ def span(ambient: Ambient, vectors) -> Subspace:
     return Subspace(ambient, np.array(rows))
 
 
-def zero_subspace(ambient: Ambient) -> Subspace:
+def zero_subspace(ambient: BallAmbient) -> Subspace:
     return span(ambient, [])
 
 
-def full_subspace(ambient: Ambient) -> Subspace:
+def full_subspace(ambient: BallAmbient) -> Subspace:
     return Subspace(ambient, np.eye(ambient.dim, dtype=np.int64), _canonical=True)
 
 

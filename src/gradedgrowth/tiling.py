@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import budgets
-from .errors import ContractError, SearchFailedError
+from .errors import ContractError, ResourceBudgetError, SearchFailedError
 from .groups import FreeAbelian, GroupOracle, Heisenberg, HeisenbergMod, ZdMod, ball
 from .serialize import element_from_json, element_json, frac_from_json, frac_json, reading
 from .subspace import set_defect
@@ -97,17 +97,20 @@ def _zd_box(d: int, side: int) -> list:
 def folner_search(oracle: GroupOracle, k: Sequence, bound: Fraction,
                   max_radius: int = 40) -> list:
     """First ball (or box, for the free abelian groups) whose counting defect
-    against K comes in under the bound.  Failure is explicit and never a
-    non-amenability claim."""
+    against K comes in under the bound.  A box is held to the ball's element
+    cap.  Failure is explicit and never a non-amenability claim."""
     bound = Fraction(bound)
     if bound <= 0:
         raise ContractError("bound must be positive")
     if max_radius < 1:
         raise ContractError(f"max radius must be at least 1, got {max_radius}")
     k = list(k)
+    cap = budgets.ball_cap()
     for r in range(1, max_radius + 1):
         candidates = [ball(oracle, r).elements]
         if isinstance(oracle, FreeAbelian):
+            if r**oracle.d > cap:
+                raise ResourceBudgetError(f"box of {oracle.name} exceeded cap of {cap} elements")
             candidates.append(_zd_box(oracle.d, r))
         for f in candidates:
             if set_defect(f, k, oracle) < bound:
@@ -367,14 +370,22 @@ def pick_zeta(delta: Fraction, k_size: int, epsilon: Fraction) -> Fraction:
 
 def worst_case_height(params: ThetaParams, k_size: int, epsilon: Fraction) -> int:
     """Iterations of theta at mu = delta from (0,0) until coverage clears
-    1 - eps/(2 #K), at most 10,000."""
+    target = 1 - eps/(2 #K) or alpha reaches 1, at most 10,000.  In closed
+    form, with c = delta zeta/(1 - delta): 1 - alpha_t = (1 - c)**t and
+    nu_t = (1 - delta)(1 - (1 - c)**t)/zeta, so past t = 1 the height is the
+    least t with (1 - c)**t < q = 1 - target zeta/(1 - delta)."""
+    delta, zeta = params.delta, params.zeta
     target = 1 - epsilon / (2 * k_size)
-    nu, alpha = Fraction(0), Fraction(0)
-    for t in range(1, 10_001):
-        nu, alpha = theta(params, params.delta, nu, min(alpha, Fraction(1)))
-        if nu > target:
-            return t
-        if alpha >= 1:
+    c = delta * zeta / (1 - delta)
+    if c >= 1 or delta > target:
+        return 1
+    q = 1 - target * zeta / (1 - delta)
+    estimate = math.log(q) / math.log1p(-float(c)) if q > 0 else math.inf
+    if estimate <= 10_001:
+        t = max(1, math.floor(estimate) - 1)  # at most the answer; settled exactly
+        while (1 - c) ** t >= q:
+            t += 1
+        if t <= 10_000:
             return t
     raise SearchFailedError("coverage bookkeeping did not reach the target")
 
@@ -622,10 +633,16 @@ def _attempt_quotient(oracle, omega, level, k, epsilon, params,
 
 def verify_certificate(cert: TilingCertificate, oracle: GroupOracle,
                        omega: QuotientSet) -> tuple[dict, Fraction]:
-    """Re-verify a certificate from its own data: the decomposition is
-    disjoint, the projection restricted to the transversal is a bijection,
-    and the defect recounts to the recorded value.  Returns the checks and
-    the recounted defect."""
+    """Re-verify a certificate from its own data: every element it lists is
+    a vector of the group's width of integers (else ContractError), the
+    decomposition is disjoint, the projection restricted to the transversal
+    is a bijection, and the defect recounts to the recorded value.  Returns
+    the checks and the recounted defect."""
+    width = len(oracle.identity)
+    for g in itertools.chain(cert.k, cert.remainder, cert.transversal, *cert.tower,
+                             *([x, *piece] for _, x, piece in cert.placements)):
+        if not (isinstance(g, tuple) and len(g) == width and all(type(a) is int for a in g)):
+            raise ContractError(f"certificate element {g!r} is not a list of {width} integers")
     pieces = [tuple(piece) for _, _, piece in cert.placements]
     flat = [g for piece in pieces for g in piece] + list(cert.remainder)
     disjoint = len(set(flat)) == len(flat)

@@ -231,6 +231,23 @@ class TestVerifyRoundTrip:
         result = json.loads(out.read_text())["result"]
         assert result["matches"] is False and result["projection_bijective"] is True
 
+    @pytest.mark.parametrize("field,index,value", [
+        ("transversal", (0, 1), "x"),  # a coordinate that is not an integer
+        ("k", (0,), [0, 0, 0]),  # an element of the wrong width
+    ], ids=["non-integer-coordinate", "wrong-width"])
+    def test_malformed_tiling_element_is_4(self, tmp_path, field, index, value):
+        cert = tmp_path / "cert.json"
+        assert main(["tile", "--group", "z2", "--epsilon", "1/2",
+                     "--out", str(cert)]) == 0
+        payload = json.loads(cert.read_text())
+        target = payload[field]
+        for i in index[:-1]:
+            target = target[i]
+        target[index[-1]] = value
+        cert.write_text(json.dumps(payload))
+        assert main(["verify", "--certificate", str(cert),
+                     "--out", str(tmp_path / "v.json")]) == 4
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self):
@@ -338,6 +355,26 @@ class TestExitCodes:
         code = main(["deadends", "--group", "z3", "--radius", "30",
                      "--out", str(tmp_path / "x")])
         assert code == 3
+
+    @pytest.mark.parametrize("args,code", [(["--max-order", "1"], 3), ([], 0)])
+    def test_growth_max_order_caps_a_finite_group(self, tmp_path, args, code):
+        assert main(["growth", "--group", "c2xc2", "--p", "2"] + args
+                    + ["--out", str(tmp_path / "x")]) == code
+
+    def test_folner_box_over_the_ball_budget_is_3(self, tmp_path, monkeypatch):
+        # under a 20k-element cap the balls of Z^8 up to radius 4 fit, the
+        # 4**8 = 65,536-element box does not
+        registry = tmp_path / "reg.json"
+        registry.write_text(json.dumps({"z8": {"kind": "free_abelian", "params": {"d": 8}}}))
+        monkeypatch.setenv("GRADEDGROWTH_BUDGET_MB", "1")
+        assert main(["--registry", str(registry), "folner", "--group", "z8",
+                     "--bound", "1/100", "--max-radius", "5",
+                     "--out", str(tmp_path / "x")]) == 3
+
+    def test_probe_keeps_the_algebra_cap(self, tmp_path):
+        # the level-2 quotient over chain base 50 has order 2,500 > 2,048
+        assert main(["tile-algebra-probe", "--p", "2", "--epsilon", "1/100",
+                     "--chain-base", "50", "--out", str(tmp_path / "x")]) == 3
 
     @pytest.mark.parametrize("value", ["lots", "0", "-5"])
     def test_invalid_budget_is_4(self, tmp_path, monkeypatch, value):

@@ -7,7 +7,7 @@ pivot is found by scanning rows in Python.  The engine's two inner loops
 same canonical int64 matrix, byte for byte.  The one-shot remainder is
 compared with its sequential form too, the one insertion kernel
 (`echelon_insert`) with `rref` of the stacked rows, and the one
-row-translation kernel (`Ambient.translate_rows`, under `apply_right`) with
+row-translation kernel (`BallAmbient.translate_rows`, under `apply_right`) with
 `reference_apply_right`, the per-vector `np.add.at` loop it replaced, on a
 table built straight from the group law.
 """
@@ -25,7 +25,7 @@ from gradedgrowth.groups import ZdMod, ball
 from gradedgrowth.hecke import HeckeElement, crystal_monomial_check, delta
 from gradedgrowth.registry import get_group
 from gradedgrowth.scalars import check_prime
-from gradedgrowth.subspace import Ambient, BallAmbient, rank_mod_p, rref, span
+from gradedgrowth.subspace import BallAmbient, rank_mod_p, rref, span
 
 PRIMES = [2, 3, 5, 65521]
 
@@ -70,12 +70,12 @@ def sequential_remainder(rows: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     return w
 
 
-def reference_right_translation(amb: Ambient, h) -> tuple[np.ndarray, np.ndarray]:
+def reference_right_translation(amb: BallAmbient, h) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (perm, coef): basis g_i maps to coef[i] * basis[perm[i]];
     perm[i] = -1 marks a product escaping the enumeration.  Built from the
     group law and the word lengths, not from the ambient's own table."""
     finite = isinstance(amb, FiniteGroupAlgebra)
-    group = amb.group if finite else amb.oracle
+    group = amb.oracle
     perm = np.full(amb.dim, -1, dtype=np.int64)
     coef = np.zeros(amb.dim, dtype=np.int64)
     for i, g in enumerate(amb.labels):
@@ -92,7 +92,7 @@ def reference_right_translation(amb: Ambient, h) -> tuple[np.ndarray, np.ndarray
     return perm, coef
 
 
-def reference_apply_right(amb: Ambient, v: np.ndarray, element: dict) -> np.ndarray:
+def reference_apply_right(amb: BallAmbient, v: np.ndarray, element: dict) -> np.ndarray:
     """v * element, where element is a {label: coefficient} mapping."""
     out = np.zeros(amb.dim, dtype=np.int64)
     for h, c in element.items():
@@ -276,7 +276,7 @@ class TestPrimeBound:
         with pytest.raises(ContractError):
             crystal_monomial_check(z1, 1, p)
         with pytest.raises(ContractError):
-            Ambient(["e"], p)
+            BallAmbient(z1, b, p, 1)
         with pytest.raises(ContractError):
             rref(np.eye(2, dtype=np.int64), p)
         with pytest.raises(ContractError):
@@ -342,7 +342,7 @@ KERNEL_CASES = [("finite", "q8", None), ("finite", "heisenberg_mod_3", None),
 _KERNEL_AMBIENTS: dict = {}
 
 
-def kernel_ambient(case, p: int, lam: int) -> Ambient:
+def kernel_ambient(case, p: int, lam: int) -> BallAmbient:
     kind, name, radius = case
     key = (case, p, lam if kind == "ball" else None)
     if key not in _KERNEL_AMBIENTS:

@@ -39,7 +39,7 @@ class TestGroupAlgebra:
     def test_dimensions(self, name, dim):
         alg = build_group_algebra(get_group(name), 2)
         assert alg.dim == dim
-        assert alg.labels[0] == alg.group.identity
+        assert alg.labels[0] == alg.oracle.identity
 
     def test_order_cap(self):
         with pytest.raises(ResourceBudgetError):
@@ -102,9 +102,18 @@ class TestJennings:
     def test_q8(self):
         assert jennings_series(get_group("q8"), 2).dims == [2, 1]
 
-    def test_non_p_group_rejected(self):
+    def test_non_p_group_descends_to_p_residual(self):
+        # 2 does not divide |C3|, so O^2(C3) = C3 and the series stops there
+        c3 = get_group("c3")
+        js = jennings_series(c3, 2)
+        assert js.subgroups == [frozenset(c3.elements())]
+        assert js.dims == []
+
+    @pytest.mark.parametrize("p", [0, 1, 4])
+    def test_non_prime_rejected(self, p):
+        # p = 1 used to loop for ever in the search for the p-part of |G|
         with pytest.raises(ContractError):
-            jennings_series(get_group("c3"), 2)
+            jennings_series(get_group("c4"), p)
 
     def test_quotients_elementary_abelian(self):
         js = jennings_series(get_group("d4"), 2)
@@ -227,14 +236,14 @@ class TestRSGenerators:
     def test_f2c3_augmentation(self):
         alg = build_group_algebra(get_group("c3"), 2)
         aug = aug_ladder(alg).powers[1]
-        s = alg.group.multiply(alg.group.identity, "s")
+        s = alg.oracle.multiply(alg.oracle.identity, "s")
         gens = rs_generators(alg, aug, [s])
         assert right_ideal_closure(alg, gens) == aug
 
     def test_f3c3_squared_ideal(self):
         alg = build_group_algebra(get_group("c3"), 3)
         w2 = aug_ladder(alg).powers[2]
-        s = alg.group.multiply(alg.group.identity, "s")
+        s = alg.oracle.multiply(alg.oracle.identity, "s")
         gens = rs_generators(alg, w2, [s])
         assert right_ideal_closure(alg, gens) == w2
 

@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 from gradedgrowth.errors import ContractError, OutOfRangeError, ResourceBudgetError
 from gradedgrowth.groups import (AbelianProduct, CayleyTable, FreeAbelian, FreeGroup,
                                  Heisenberg, HeisenbergMod, Lamplighter, ZdMod, ball,
-                                 find_dead_ends, is_dead_end, triangle_dead_end_family,
-                                 word_length)
+                                 find_dead_ends, is_dead_end, triangle_dead_end_family)
 from gradedgrowth.registry import BUILTIN_SPECS, get_group, make_group
 from gradedgrowth.rewriting import RewritingGroup
 
@@ -69,24 +68,31 @@ class TestBall:
         with pytest.raises(ContractError):
             ball(z1, -1)
 
+    @pytest.mark.parametrize("name,radius", [("free2", 4), ("lamplighter", 8), ("t334", 8)])
+    def test_elements_are_the_spheres_concatenated(self, name, radius):
+        b = ball(get_group(name), radius)
+        assert b.elements == sum(b.by_sphere, [])
+        assert len(b.by_sphere) == radius + 1
+        assert all(b.lengths[g] == n for n, sphere in enumerate(b.by_sphere) for g in sphere)
+
 
 class TestWordLength:
     def test_z2_manhattan(self, z2):
         b = ball(z2, 6)
-        assert word_length(b, (2, 3)) == 5
+        assert b.word_length((2, 3)) == 5
 
     def test_identity(self, z2):
-        assert word_length(ball(z2, 0), (0, 0)) == 0
+        assert ball(z2, 0).word_length((0, 0)) == 0
 
     def test_free_reduced_length(self):
         f = FreeGroup(2)
         b = ball(f, 4)
-        assert word_length(b, f.normalize("abA")) == 3
+        assert b.word_length(f.normalize("abA")) == 3
 
     def test_outside_ball_raises(self, z1):
         b = ball(z1, 2)
         with pytest.raises(OutOfRangeError):
-            word_length(b, (5,))
+            b.word_length((5,))
 
     def test_length_symmetric_under_inversion(self, lamplighter, lamplighter_ball8):
         b = lamplighter_ball8
@@ -156,6 +162,29 @@ class TestFiniteOracles:
             for b in sample:
                 for c in sample:
                     assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
+
+    def test_q8_is_hamiltons_unit_group(self):
+        # element 2u + s stands for (-1)**s times the u-th of 1, i, j, k,
+        # checked on 4-tuples against Hamilton's product
+        def quaternion(g):
+            u, s = divmod(g, 2)
+            return tuple((-1) ** s if k == u else 0 for k in range(4))
+
+        def hamilton(a, b):
+            a1, a2, a3, a4 = a
+            b1, b2, b3, b4 = b
+            return (a1 * b1 - a2 * b2 - a3 * b3 - a4 * b4,
+                    a1 * b2 + a2 * b1 + a3 * b4 - a4 * b3,
+                    a1 * b3 - a2 * b4 + a3 * b1 + a4 * b2,
+                    a1 * b4 + a2 * b3 - a3 * b2 + a4 * b1)
+
+        q = get_group("q8")
+        assert (q.name, q.order, q.identity) == ("q8", 8, 0)
+        assert q.generators == {"i": 2, "I": 3, "j": 4, "J": 5}
+        for g, h in itertools.product(range(8), repeat=2):
+            assert quaternion(q.mul(g, h)) == hamilton(quaternion(g), quaternion(h))
+        for g in range(8):
+            assert hamilton(quaternion(g), quaternion(q.inv(g))) == (1, 0, 0, 0)
 
     def test_q8_structure(self):
         q = get_group("q8")

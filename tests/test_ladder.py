@@ -24,8 +24,8 @@ from hypothesis import given, settings, strategies as st
 
 from gradedgrowth import budgets
 from gradedgrowth.errors import ResourceBudgetError
-from gradedgrowth.filtration import (aug_ladder, build_group_algebra, jennings_series,
-                                     p_residual)
+from gradedgrowth.filtration import (aug_ladder, build_group_algebra,
+                                     graded_dims_via_jennings, jennings_series, p_residual)
 from gradedgrowth.groups import (AbelianProduct, CayleyTable, Cyclic, Dihedral,
                                  HeisenbergMod, ZdMod)
 from gradedgrowth.registry import BUILTIN_SPECS, get_group
@@ -160,6 +160,16 @@ class TestPResidual:
 
     def test_a4_at_three_is_the_klein_group(self):
         assert len(p_residual(A4, 3)) == 4
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("name", sorted(EXTRA))
+    def test_jennings_series_of_any_finite_group(self, name, p):
+        # the series ends at O^p(G), and its product formula gives the dims
+        # of G/O^p(G), which are the ladder's
+        group = EXTRA[name]
+        assert jennings_series(group, p).subgroups[-1] == p_residual(group, p)
+        assert (graded_dims_via_jennings(group, p)
+                == aug_ladder(build_group_algebra(group, p)).graded_dims)
 
     def test_jennings_series_unchanged_on_a_long_cyclic_series(self):
         js = jennings_series(Cyclic(64), 2)

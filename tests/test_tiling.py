@@ -14,9 +14,9 @@ from gradedgrowth.subspace import set_defect
 from gradedgrowth.tiling import (GreedyFillResult, HeisenbergQuotient, QuotientSet,
                                  ThetaParams, TilingCertificate, ZdQuotient, _level_ok,
                                  build_transversal, congruence_quotient, folner_search,
-                                 greedy_fill, inverse_envelope, pick_delta, pick_zeta,
-                                 quotient_chain, theta, verify_certificate,
-                                 worst_case_height)
+                                 covering_recipe, greedy_fill, inverse_envelope,
+                                 pick_delta, pick_zeta, quotient_chain, theta,
+                                 verify_certificate, worst_case_height)
 
 K2 = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
 
@@ -307,6 +307,27 @@ class TestGreedyFillDifferential:
         assert list(acted[:, 0]) == list(omega.index([omega.act(x, g) for x in omega.elements]))
 
 
+def reference_worst_case_height(params: ThetaParams, k_size: int, epsilon: Fraction) -> int:
+    """The step-by-step loop that the closed form replaced, kept verbatim."""
+    target = 1 - epsilon / (2 * k_size)
+    nu, alpha = Fraction(0), Fraction(0)
+    for t in range(1, 10_001):
+        nu, alpha = theta(params, params.delta, nu, min(alpha, Fraction(1)))
+        if nu > target:
+            return t
+        if alpha >= 1:
+            return t
+    raise SearchFailedError("coverage bookkeeping did not reach the target")
+
+
+# (#K, epsilon) with the recipe's delta >= 1/128, where the loop takes under
+# a second, and one pair at delta = 1/256
+HEIGHT_CASES = [(k, eps) for k in (1, 2, 3, 5, 8)
+                for eps in map(Fraction, ["4", "2", "1", "3/4", "1/2", "1/3", "1/4",
+                                          "1/8", "1/16"])
+                if pick_delta(k, eps) >= Fraction(1, 128)] + [(5, Fraction(1, 16))]
+
+
 class TestRecipeConstants:
     def test_delta_for_acceptance_case(self):
         assert pick_delta(5, Fraction(1, 2)) == Fraction(1, 32)
@@ -317,6 +338,30 @@ class TestRecipeConstants:
     def test_height_cap(self):
         params = ThetaParams(Fraction(1, 32), Fraction(65, 64))
         assert worst_case_height(params, 5, Fraction(1, 2)) == 166
+
+    @pytest.mark.parametrize("k_size,epsilon", HEIGHT_CASES, ids=str)
+    def test_height_matches_the_loop(self, k_size, epsilon):
+        params = covering_recipe(k_size, epsilon)[0]
+        assert (worst_case_height(params, k_size, epsilon)
+                == reference_worst_case_height(params, k_size, epsilon))
+
+    @pytest.mark.parametrize("epsilon,height", [(Fraction(1, 32), 4347),
+                                                (Fraction(1, 64), 9429)])
+    def test_tall_heights(self, epsilon, height):
+        # the loop takes about 42 s and over 250 s for these two
+        assert covering_recipe(5, epsilon)[1] == height
+
+    def test_height_one_and_unreachable_targets(self):
+        # c = delta zeta/(1 - delta) = 2: alpha reaches 1 at once
+        assert worst_case_height(ThetaParams(Fraction(1, 2), Fraction(2)), 1,
+                                 Fraction(1, 2)) == 1
+        # nu_t stays below (1 - delta)/zeta = 3/8 < target = 3/4
+        with pytest.raises(SearchFailedError):
+            worst_case_height(ThetaParams(Fraction(1, 4), Fraction(2)), 1, Fraction(1, 2))
+        # c = 2**-40: the target is reached only after about 2**40 steps
+        with pytest.raises(SearchFailedError):
+            worst_case_height(ThetaParams(Fraction(1, 2**40), Fraction(1)), 1,
+                              Fraction(1, 2))
 
 
 class TestQuotients:
