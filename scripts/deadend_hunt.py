@@ -29,20 +29,21 @@ def main(argv=None) -> int:
         for n in args.family_indices:
             word = triangle_dead_end_family(k, n)
             g = group.normalize(word)
-            b = ball(group, b_radius(group, g) + 1)
+            b = ball_below_radius(group, g)
             verdict = is_dead_end(group, b, g)
             print(f"T(3,3,{k}) family index {n}: word={word} normal_form={g!r} "
                   f"length={b.word_length(g)} dead_end={verdict}")
     return 0
 
 
-def b_radius(group, g):
-    # grow a ball until it knows the element, then one more for the check
+def ball_below_radius(group, g):
+    """The first ball, grown one radius at a time, that holds g below its
+    radius, so that every neighbour of g is in it too."""
     r = 1
     while True:
         b = ball(group, r)
-        if g in b:
-            return r
+        if b.lengths.get(g, r) < r:
+            return b
         r += 1
 
 

@@ -43,9 +43,7 @@ def _env_mb() -> int | None:
     return mb
 
 
-def ball_cap(override: int | None = None) -> int:
-    if override is not None:
-        return override
+def ball_cap() -> int:
     mb = _env_mb()
     if mb is not None:
         return mb * _BALL_ELEMS_PER_MB

@@ -221,6 +221,7 @@ def p_residual(group: GroupOracle, p: int) -> frozenset:
     quotient: the normal closure of the powers g^(p^a), p^a the p-part of
     |G|, which are exactly the elements of order prime to p.  A p-group
     has none but the identity."""
+    check_prime(p)
     q = 1
     while group.order % (q * p) == 0:
         q *= p
@@ -235,7 +236,10 @@ def _p_central_series(group: GroupOracle, p: int, bottom: frozenset) -> list[fro
     H_(n-1) and c a generator, the p-th powers of H_(ceil(n/p)) and the
     elements of `bottom`, so the series lifts the Jennings series of
     G/bottom.  H_n repeats H_(n-1) without a closure when both of its
-    inputs repeat."""
+    inputs repeat.  Once a term repeats and its p-th-power input is that
+    same subgroup, every later term is that subgroup too; if it is still
+    above `bottom`, the series never reaches it and ContractError is
+    raised."""
     conj = list(group.generators.values())
     series = [frozenset(group.elements())]
     while len(series[-1]) > len(bottom):
@@ -248,7 +252,12 @@ def _p_central_series(group: GroupOracle, p: int, bottom: frozenset) -> list[fro
                  for a in series[-1] for c in conj]
         pth = [_pow(group, g, p) for g in powered]
         nxt = _normal_subgroup(group, comms + pth + list(bottom))
-        series.append(series[-1] if nxt == series[-1] else nxt)
+        if nxt == series[-1]:
+            if powered is series[-1]:
+                raise ContractError(
+                    f"p-central series of {group.name} at p = {p} stops above its bottom")
+            nxt = series[-1]
+        series.append(nxt)
     return series
 
 

@@ -12,7 +12,9 @@ rewriting-backed group shifts one normal form through the reduction stack.
 Word lengths always come from BFS over the generator symbols in declaration
 order, so every group flows through one deterministic code path; closed
 formulas appear only in tests.  A ball is one table of word lengths, filled
-in BFS discovery order, which is its enumeration.
+in BFS discovery order, which is its enumeration.  Dead ends are read off
+the same BFS: each product g*s out of the ball's interior is computed once,
+and `is_dead_end` stays as the reference check for a single element.
 
 Element representations are typed per family: integer vectors for free
 abelian groups, integer triples for the discrete Heisenberg group,
@@ -427,11 +429,16 @@ def quaternion8() -> CayleyTable:
 
 @dataclass(frozen=True)
 class WordMetricBall:
-    """Exact word lengths on a ball, one table in BFS discovery order."""
+    """Exact word lengths on a ball, one table in BFS discovery order.
+
+    `dead_ends` holds the elements of length <= radius - 1 with no longer
+    neighbour, in enumeration order, as the BFS found them.
+    """
 
     oracle: GroupOracle
     radius: int
     lengths: dict = field(repr=False)
+    dead_ends: tuple = field(repr=False)
 
     @property
     def elements(self) -> list:
@@ -472,31 +479,45 @@ class WordMetricBall:
         return e
 
 
-def ball(oracle: GroupOracle, radius: int, max_elements: int | None = None) -> WordMetricBall:
-    """BFS ball of the word metric; generator order fixes the enumeration."""
+def ball(oracle: GroupOracle, radius: int) -> WordMetricBall:
+    """BFS ball of the word metric; generator order fixes the enumeration.
+
+    Round r expands each element g of length r - 1 once; g is a dead end
+    when none of its products g*s is new or already has length r.
+    """
     if radius < 0:
         raise ContractError("radius must be >= 0")
-    cap = budgets.ball_cap(max_elements)
+    cap = budgets.ball_cap()
     e = oracle.identity
     lengths = {e: 0}
+    dead_ends = []
     frontier = [e]
     symbols = oracle.generator_symbols
+    multiply = oracle.multiply
+    length_of = lengths.get
     for r in range(1, radius + 1):
         nxt = []
         for g in frontier:
+            dead = True
             for s in symbols:
-                h = oracle.multiply(g, s)
-                if h not in lengths:
+                h = multiply(g, s)
+                n = length_of(h)
+                if n is None:
                     lengths[h] = r
                     nxt.append(h)
+                    dead = False
                     if len(lengths) > cap:
                         raise ResourceBudgetError(
                             f"ball of {oracle.name} exceeded cap of {cap} elements"
                         )
+                elif n == r:
+                    dead = False
+            if dead:
+                dead_ends.append(g)
         if not nxt:
             break
         frontier = nxt
-    return WordMetricBall(oracle, radius, lengths)
+    return WordMetricBall(oracle, radius, lengths, tuple(dead_ends))
 
 
 def is_dead_end(oracle: GroupOracle, b: WordMetricBall, g) -> bool:
@@ -514,8 +535,7 @@ def find_dead_ends(oracle: GroupOracle, radius: int) -> list:
     """All dead ends of length <= radius-1, in (length, enumeration) order."""
     if radius < 1:
         raise ContractError("radius must be >= 1")
-    b = ball(oracle, radius)
-    return [g for g, n in b.lengths.items() if n < radius and is_dead_end(oracle, b, g)]
+    return list(ball(oracle, radius).dead_ends)
 
 
 # ---------------------------------------------------------------------------

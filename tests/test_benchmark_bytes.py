@@ -1,11 +1,15 @@
-"""The commands of the odd_ideals benchmark workload give recorded bytes.
+"""The commands of the odd_ideals and cayley benchmark workloads give
+recorded bytes.
 
 The benchmark's own checks read only counts and verdicts, so a changed
 complement in `rs_generators` or a changed ladder power would still pass
-them.  Each command here runs in its own interpreter under PYTHONHASHSEED=0
-with the benchmark's registry, and its stdout sha1 must equal the value
-recorded below (and in CHANGES.md) before the row-translation kernel was
-unified.
+them, and so would an extra or a missing dead end on t334 or t335 (the
+triangle check asks only that the family members be listed).  Each command
+here runs in its own interpreter under PYTHONHASHSEED=0 with the
+benchmark's registry, and its stdout sha1 must equal the value recorded
+below (and in CHANGES.md): the odd_ideals ones before the row-translation
+kernel was unified, the deadends ones before dead ends were read off the
+ball BFS.
 """
 
 import hashlib
@@ -26,6 +30,9 @@ RECORDED = {
         "c8a85d73fe10fef620bb91cf934c986d5dd94d88",
     "rs-check --group z2m9 --p 3 --ideals 10 --seed 1":
         "7910dfeb19f0f8df4202b949d103e2f9b07e6e31",
+    "deadends --group t334 --radius 15": "4b5478bd9314ecb9f79ea53dc177c82ddb089f3d",
+    "deadends --group t335 --radius 12": "572271da6dbb529cfd2f553c2f8dff60cb0dfa1e",
+    "deadends --group lamplighter --radius 19": "1328702b69a1e6da47112b3d291d0829a9e6f1a6",
 }
 
 

@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from gradedgrowth.filtration import (aug_ladder, build_group_algebra,
                                      magnus_deg, quotient_agreement_dims,
                                      right_ideal_closure, rs_generators,
                                      rs_step_bound, witt_ranks)
-from gradedgrowth.groups import HeisenbergMod, ZdMod
+from gradedgrowth.groups import Cyclic, HeisenbergMod, ZdMod
 from gradedgrowth.registry import P_GROUP_NAMES, get_group
 from gradedgrowth.subspace import span
 from gradedgrowth.tiling import congruence_quotient
@@ -32,6 +34,20 @@ def aperiodic_word_count(k: int, n: int) -> int:
             count += 1
     assert count % n == 0
     return count // n
+
+
+@contextmanager
+def within_one_second():
+    """Fail the block, instead of hanging, if it runs for a second."""
+    def expire(signum, frame):
+        raise AssertionError("still running after 1 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestGroupAlgebra:
@@ -114,6 +130,21 @@ class TestJennings:
         # p = 1 used to loop for ever in the search for the p-part of |G|
         with pytest.raises(ContractError):
             jennings_series(get_group("c4"), p)
+
+    @pytest.mark.parametrize("p", [0, 1, 4])
+    def test_p_residual_rejects_non_prime(self, p):
+        # p = 1 looped for ever in the search for the p-part of |G|; p = 0
+        # divided by zero
+        with within_one_second(), pytest.raises(ContractError):
+            filtration.p_residual(get_group("c4"), p)
+
+    @pytest.mark.parametrize("n,p", [(12, 2), (12, 3), (3, 2)])
+    def test_series_stuck_above_its_bottom_rejected(self, n, p):
+        # O^p(C_n) is C3, C4 and C3 here, so the p-central series stops
+        # there and never reaches the trivial group; it used to loop for ever
+        g = Cyclic(n)
+        with within_one_second(), pytest.raises(ContractError):
+            filtration._p_central_series(g, p, frozenset([g.identity]))
 
     def test_quotients_elementary_abelian(self):
         js = jennings_series(get_group("d4"), 2)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gradedgrowth.errors import ContractError, OutOfRangeError, ResourceBudgetError
-from gradedgrowth.groups import (AbelianProduct, CayleyTable, FreeAbelian, FreeGroup,
+from gradedgrowth.groups import (AbelianProduct, CayleyTable, Cyclic, FreeAbelian, FreeGroup,
                                  Heisenberg, HeisenbergMod, Lamplighter, ZdMod, ball,
                                  find_dead_ends, is_dead_end, triangle_dead_end_family)
 from gradedgrowth.registry import BUILTIN_SPECS, get_group, make_group
@@ -56,9 +56,11 @@ class TestBall:
         for g, n in b3.lengths.items():
             assert b4.lengths[g] == n
 
-    def test_memory_cap(self, z2):
+    def test_memory_cap(self, z2, monkeypatch):
+        # 1 MB caps a ball at 20,000 elements; the radius-100 ball has 20,201
+        monkeypatch.setenv("GRADEDGROWTH_BUDGET_MB", "1")
         with pytest.raises(ResourceBudgetError):
-            ball(z2, 10, max_elements=50)
+            ball(z2, 100)
 
     def test_radius_zero(self, z1):
         b = ball(z1, 0)
@@ -295,6 +297,56 @@ class TestDeadEnds:
         b = ball(lamplighter, 9)
         lengths = [b.word_length(g) for g in found]
         assert lengths == sorted(lengths)
+
+
+def reference_find_dead_ends(oracle, radius):
+    """`find_dead_ends` as an `is_dead_end` scan of the ball's lengths."""
+    if radius < 1:
+        raise ContractError("radius must be >= 1")
+    b = ball(oracle, radius)
+    return [g for g, n in b.lengths.items() if n < radius and is_dead_end(oracle, b, g)]
+
+
+class TestDeadEndsFromBFS:
+    """The dead ends the BFS records equal the `is_dead_end` scan."""
+
+    @pytest.mark.parametrize("name,radii", [
+        ("z", range(1, 9)), ("z2", range(1, 7)), ("free2", range(1, 6)),
+        ("heisenberg", range(1, 7)), ("lamplighter", range(1, 11)),
+        ("t334", range(1, 13)), ("t335", range(1, 11)),
+    ])
+    def test_infinite_groups(self, name, radii):
+        oracle = get_group(name)
+        for r in radii:
+            assert list(ball(oracle, r).dead_ends) == reference_find_dead_ends(oracle, r), r
+
+    @pytest.mark.parametrize("oracle", [Cyclic(12), get_group("d4"), get_group("q8"),
+                                        get_group("heisenberg_mod_3")], ids=str)
+    def test_finite_groups_past_their_diameter(self, oracle):
+        # the BFS stops early once a round finds nothing new
+        diameter = max(ball(oracle, oracle.order).lengths.values())
+        for r in (diameter, diameter + 1, diameter + 3):
+            found = list(ball(oracle, r).dead_ends)
+            assert found == reference_find_dead_ends(oracle, r), r
+        assert found  # every element of maximal length is a dead end
+
+    @pytest.mark.parametrize("name,radius", [("lamplighter", 8), ("t334", 7),
+                                             ("heisenberg_mod_3", 9)])
+    def test_each_product_computed_once(self, name, radius):
+        # exactly |S| products per element of length < radius, none beyond the BFS
+        oracle = get_group(name)
+        interior = sum(1 for n in ball(oracle, radius).lengths.values() if n < radius)
+        calls = []
+        multiply = oracle.multiply
+
+        def counted(g, s):
+            calls.append(s)
+            return multiply(g, s)
+
+        oracle.multiply = counted
+        found = find_dead_ends(oracle, radius)
+        assert found
+        assert len(calls) == len(oracle.generator_symbols) * interior
 
 
 class TestTriangleFamily:
