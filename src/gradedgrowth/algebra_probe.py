@@ -10,10 +10,14 @@ general theorem; outcomes are data, not ground truth.
 
 The covering steps follow the same recipe as the transversal pipeline
 (tiling.covering_recipe and tiling.theta_step), with ranks in place of
-cardinalities.  The transversal T is the covered subspace B plus a complement
-of B, which is always the whole quotient algebra; so the reported defect is
-that of the lifted interval t**0, ..., t**(m-1) against K and does not depend
-on the covering steps, which are reported as data.
+cardinalities.  K is spanned by monomials t**e, so every subspace the probe
+builds (each interval tile, the covered subspace B, B K*, the lift of T and
+T K) is spanned by monomials too; it is held as its set of exponents, and
+each rank is that set's size: a support count, with no elimination.  The
+transversal T is B plus a complement of B, which is always the whole
+quotient algebra; so the reported defect is that of the lifted interval
+t**0, ..., t**(m-1) against K (a set defect in Z) and does not depend on the
+covering steps, which are reported as data.
 """
 
 from __future__ import annotations
@@ -21,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import budgets
 from .errors import ContractError, SearchFailedError
 from .groups import Cyclic, FreeAbelian, ball
-from .subspace import (BallAmbient, Subspace, intersect, invariance_defect,
-                       right_multiply, span, sum_subspaces, zero_subspace)
-from .filtration import FiniteGroupAlgebra
+from .scalars import check_prime
 from .serialize import frac_from_json, frac_json, reading
+from .subspace import set_defect
 from .tiling import covering_recipe, theta_step
 
 # chain levels scanned before the probe gives up
@@ -109,51 +113,51 @@ def algebra_tiling_probe(p: int, k_basis: list[dict], epsilon,
 
 def _attempt_level(p, k_basis, epsilon, params, t_cap, target, base, level, k_dim):
     m = base**level
-    quotient = FiniteGroupAlgebra(Cyclic(m), p)
-    # each basis element of K is one monomial: its exponent mod m labels it
-    k_sub = span(quotient, [{g % m: c for g, c in t.items() if c} for t in k_basis])
-    if k_sub.rank != k_dim:
+    budgets.check_algebra_order(m)
+    # the basis of GF(p)[Z/m] in its BFS order, over which the tiles run;
+    # Cyclic rejects m < 2
+    spanning = ball(Cyclic(m), m).elements
+    check_prime(p)
+    # each basis element of K is one monomial: its exponent mod m labels it,
+    # and a coefficient that is 0 mod p makes it the zero vector
+    if len({g % m for t in k_basis for g, c in t.items() if c % p}) != k_dim:
         raise SearchFailedError("K does not embed into this quotient")
     # K K* must meet the ideal trivially: differences of exponents stay
     # distinct mod m, i.e. the span of K K* keeps full dimension
     diffs = sorted({a - b for ta in k_basis for a in ta for tb in k_basis for b in tb})
     if len({d % m for d in diffs}) != len(diffs):
         raise SearchFailedError("K K* meets the ideal: quotient too small")
-
-    # spanning set of invertible images: the group-element basis, in order
-    spanning = quotient.labels
+    k_exps = sorted({g for terms in k_basis for g, c in terms.items() if c})
 
     report = ProbeReport(prime=p, epsilon=epsilon, delta=params.delta,
                          zeta=params.zeta, height_cap=t_cap,
-                         quotient_level=level, omega_dim=quotient.dim,
-                         k_dim=k_dim)
-    n = quotient.dim
-    b = zero_subspace(quotient)
+                         quotient_level=level, omega_dim=m, k_dim=k_dim)
+    # B, each tile and B K* are spans of monomials, held as exponent sets
+    b = set()
     nu, alpha = Fraction(0), Fraction(0)
     tower_level_dims = []
     for u in range(1, t_cap + 1):
         if alpha >= 1 or nu > target:
             break
-        level_sub = _next_level_subspace(quotient, base, m, k_basis, epsilon,
-                                         params, tower_level_dims)
-        tower_level_dims.append(level_sub.rank)
-        threshold = params.delta * level_sub.rank
+        side = _next_level_side(base, m, k_exps, epsilon, params, tower_level_dims)
+        tower_level_dims.append(side)
+        threshold = params.delta * side
         s = 0
         for h in spanning:
-            tile = Subspace(quotient, quotient.translate_rows(level_sub.rows, h))
-            if intersect(tile, b).rank <= threshold:
+            tile = {(j + h) % m for j in range(side)}
+            if len(tile & b) <= threshold:
                 s += 1
-                b = sum_subspaces(b, tile)
-        mu = (Fraction(b.rank, n) - nu) / (1 - alpha)
+                b |= tile
+        mu = (Fraction(len(b), m) - nu) / (1 - alpha)
         nu_out, alpha_out = theta_step(params, mu, nu, alpha)
         # boundary growth measured against K itself
-        bl = right_multiply(b, [_inv_terms(t, m) for t in k_basis])
+        bl = {(x - e) % m for x in b for e in k_exps}
         step = ProbeStep(
-            step=u, level_dim=level_sub.rank, s=s, mu=mu,
+            step=u, level_dim=side, s=s, mu=mu,
             nu=nu_out, alpha=alpha_out,
             mu_at_least_delta=mu >= params.delta,
-            coverage_identity_ok=Fraction(b.rank, n) == nu_out,
-            boundary_bound_ok=Fraction(bl.rank, n) <= alpha_out,
+            coverage_identity_ok=Fraction(len(b), m) == nu_out,
+            boundary_bound_ok=Fraction(len(bl), m) <= alpha_out,
         )
         report.steps.append(step)
         nu, alpha = nu_out, alpha_out
@@ -161,10 +165,12 @@ def _attempt_level(p, k_basis, epsilon, params, t_cap, target, base, level, k_di
             break
 
     # T, B plus a complement of B, is the whole quotient algebra; its defect
-    # is measured on the lift, with honest (unwrapped) products against K
+    # is measured on the lift t**0, ..., t**(m-1), with honest (unwrapped)
+    # products against K
     report.complement_found = True
-    report.complement_dim = n
-    report.defect = _lifted_defect(p, m, k_basis)
+    report.complement_dim = m
+    report.defect = set_defect([(j,) for j in range(m)], [(e,) for e in k_exps],
+                               FreeAbelian(1))
     report.defect_below_epsilon = report.defect < epsilon
     report.all_step_assertions_held = all(
         st.mu_at_least_delta and st.coverage_identity_ok and st.boundary_bound_ok
@@ -173,38 +179,21 @@ def _attempt_level(p, k_basis, epsilon, params, t_cap, target, base, level, k_di
     return report if report.defect_below_epsilon else None
 
 
-def _next_level_subspace(quotient, base, m, k_basis, epsilon, params, prev_dims):
-    """Interval spans aligned with the chain, of side base, base**2, ...; each
-    level must satisfy the dimension version of the boundary bound against K,
-    measured in the integer group ring (monomial bases make dimensions support
-    counts)."""
-    k_exps = sorted({g for terms in k_basis for g, c in terms.items() if c})
+def _next_level_side(base, m, k_exps, epsilon, params, prev_dims):
+    """Side of the next interval level, aligned with the chain: base,
+    base**2, ... up to m; each level must satisfy the dimension version of
+    the boundary bound against K, measured in the integer group ring, where
+    the span of t**i, i < side, times K is spanned by the monomials t**(i + e)."""
     side = base
     while side <= m:
-        # dim(level * K) in the full ring: union of shifted intervals
-        support = {i + e for i in range(side) for e in set(k_exps) | {0}}
-        if Fraction(len(support)) <= (1 + epsilon / 2) * (1 - params.delta) * side:
-            sub = span(quotient, [{j % m: 1} for j in range(side)])
-            if sub.rank == side and side not in prev_dims:
-                return sub
+        # dim(level * K) in the full ring: union of shifted intervals (0 is
+        # among the exponents of K)
+        support = {i + e for i in range(side) for e in k_exps}
+        bound = (1 + epsilon / 2) * (1 - params.delta) * side
+        if len(support) <= bound and side not in prev_dims:
+            return side
         side *= base
     raise SearchFailedError("no interval level satisfies the boundary bound")
-
-
-def _inv_terms(terms: dict, m: int) -> dict:
-    ((g, c),) = [(g, c) for g, c in terms.items() if c]
-    return {(-g) % m: c}
-
-
-def _lifted_defect(p: int, m: int, k_basis: list[dict]) -> Fraction:
-    """Invariance defect against K, in the integer group ring over GF(p), of
-    the lift of the whole quotient algebra: the span of t**j, 0 <= j < m."""
-    radius = m + max(abs(g) for terms in k_basis for g in terms) + 1
-    z = FreeAbelian(1)
-    ambient = BallAmbient(z, ball(z, radius), p, lam=1)
-    t_lift = span(ambient, [ambient.vector({(j,): 1}) for j in range(m)])
-    return invariance_defect(t_lift, [{(g,): c for g, c in terms.items()}
-                                      for terms in k_basis])
 
 
 def probe_report_jsonable(report: ProbeReport) -> dict:

@@ -4,9 +4,9 @@ The environment variable GRADEDGROWTH_BUDGET_MB, when set to a positive
 integer, replaces the default caps of exactly two operations: the ball BFS
 (`ball_cap`) and the chain of tiling quotients (`quotient_cap`), each at
 20,000 elements per megabyte.  The cap on finite group algebras
-(`algebra_cap`, 2,048 elements) does not read it; only an explicit override
-such as `growth --max-order` changes that cap.  Any other value of the
-variable raises ContractError.
+(`algebra_cap`, 2,048 elements, checked by `check_algebra_order`) does not
+read it; only an explicit override such as `growth --max-order` changes
+that cap.  Any other value of the variable raises ContractError.
 
 The augmentation ladder of a finite group algebra stores every power as a
 dense int64 matrix; its powers' dimensions are known before any is built,
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import ContractError
+from .errors import ContractError, ResourceBudgetError
 
 DEFAULT_BALL_CAP = 10_000_000
 DEFAULT_ALGEBRA_CAP = 2048
@@ -54,6 +54,14 @@ def algebra_cap(override: int | None = None) -> int:
     if override is not None:
         return override
     return DEFAULT_ALGEBRA_CAP
+
+
+def check_algebra_order(order: int, max_order: int | None = None) -> None:
+    """ResourceBudgetError when a finite group algebra of this order would
+    pass the algebra cap."""
+    cap = algebra_cap(max_order)
+    if order > cap:
+        raise ResourceBudgetError(f"group order {order} exceeds algebra cap {cap}")
 
 
 def quotient_cap() -> int:

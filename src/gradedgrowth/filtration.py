@@ -11,7 +11,9 @@ the lifted Jennings monomials of one weight into the power below it;
 truncated Magnus valuations over GF(p) for free-group words;
 graded dimensions of the free group algebra; Witt necklace ranks; ideal
 generators in the style of Reidemeister-Schreier together with the
-single-step growth bound; and growth reports with Fekete-style estimates.
+single-step growth bound, both read off one identity-last echelon form of
+the ideal, as the complement F and its translates FS are spanned by group
+elements; and growth reports with Fekete-style estimates.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from . import budgets
 from .errors import ContractError, ResourceBudgetError
 from .groups import GroupOracle, ball
 from .scalars import check_prime
-from .subspace import (BallAmbient, Subspace, echelon_insert, full_subspace, intersect,
+from .subspace import (BallAmbient, Subspace, echelon_insert, full_subspace,
                        pivot_columns, rank_mod_p, rref, span)
 from .tiling import congruence_quotient
 
@@ -42,7 +44,7 @@ class FiniteGroupAlgebra(BallAmbient):
     def __init__(self, group: GroupOracle, prime: int, max_order: int | None = None):
         if group.order is None:
             raise ContractError(f"{group.name} has no finite enumeration")
-        _check_algebra_order(group.order, max_order)
+        budgets.check_algebra_order(group.order, max_order)
         whole = ball(group, group.order)
         if len(whole) != group.order:
             raise ContractError(
@@ -58,12 +60,6 @@ class FiniteGroupAlgebra(BallAmbient):
 def build_group_algebra(group: GroupOracle, p: int,
                         max_order: int | None = None) -> FiniteGroupAlgebra:
     return FiniteGroupAlgebra(group, p, max_order)
-
-
-def _check_algebra_order(order: int, max_order: int | None) -> None:
-    cap = budgets.algebra_cap(max_order)
-    if order > cap:
-        raise ResourceBudgetError(f"group order {order} exceeds algebra cap {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +350,7 @@ def congruence_graded_dims(oracle: GroupOracle, m: int, p: int,
     Heisenberg over Z/m, checked like build_group_algebra: modulus, cap, prime.
     Q = P x R with P the same group over Z/m_p and #R prime to p; the
     augmentation ideal of GF(p)R is idempotent, so only P counts."""
-    _check_algebra_order(congruence_quotient(oracle, m).size(), max_order)
+    budgets.check_algebra_order(congruence_quotient(oracle, m).size(), max_order)
     check_prime(p)
     m_p = math.gcd(m, p ** m.bit_length())  # the largest power of p dividing m
     return ([1] if m_p == 1 else
@@ -408,6 +404,7 @@ def parse_free_word(word: str) -> list[tuple[int, int]]:
 
 
 def magnus_series(word: str, p: int, trunc: int = MAGNUS_DEFAULT_TRUNCATION) -> dict:
+    check_prime(p)
     pairs = parse_free_word(word)
     ks = {i for i, _ in pairs}
     if any(i > MAGNUS_MAX_GENERATORS for i in ks):
@@ -503,21 +500,13 @@ def _mobius(n: int) -> int:
 
 
 def _identity_last_echelon(i_sub: Subspace):
-    """Echelon data for I with the identity coordinate ordered last, so the
-    echelon complement automatically contains 1 (unless 1 lies in I)."""
-    amb = i_sub.ambient
-    n = amb.dim
-    perm = list(range(1, n)) + [0]
-    inv_perm = np.argsort(perm)
-    rows = rref(i_sub.rows[:, perm], amb.prime)
-    return perm, inv_perm, rows, pivot_columns(rows)
-
-
-def _project_to_complement(vecs, perm, inv_perm, rows, pivots, p):
-    """Remainders of the vectors (one per row) after elimination against the
-    identity-last echelon rows, in one product as in Subspace.reduce_vector."""
-    w = vecs[:, perm] % p
-    return ((w - w[:, pivots] @ rows) % p)[:, inv_perm]
+    """Echelon rows of I, computed with the identity coordinate ordered
+    last, so the echelon complement automatically contains 1 (unless 1 lies
+    in I); returns their pivots and the rows, both in the basis order."""
+    n = i_sub.ambient.dim
+    perm = np.array(list(range(1, n)) + [0])
+    rows = rref(i_sub.rows[:, perm], i_sub.ambient.prime)
+    return perm[pivot_columns(rows)], rows[:, np.argsort(perm)]
 
 
 def is_right_ideal(alg: FiniteGroupAlgebra, i_sub: Subspace) -> bool:
@@ -527,31 +516,37 @@ def is_right_ideal(alg: FiniteGroupAlgebra, i_sub: Subspace) -> bool:
 
 @functools.lru_cache(maxsize=1)
 def _unital_complement(alg: FiniteGroupAlgebra, i_sub: Subspace):
-    """Checks that I is a right ideal of alg without 1; returns its identity-
-    last echelon data and the unit rows spanning its echelon complement F.
-    The last answer is kept: rs-check asks twice about each ideal."""
+    """Checks that I is a right ideal of alg without 1; returns the basis
+    indices of its echelon complement F, in identity-last order, and the
+    identity-last echelon row of I at each pivot index.  The last answer is
+    kept: rs-check asks twice about each ideal."""
     if i_sub.ambient is not alg:
         raise ContractError("ideal must live in the given group algebra")
     if not is_right_ideal(alg, i_sub):
         raise ContractError("subspace is not a right ideal")
-    perm, inv_perm, rows, pivots = _identity_last_echelon(i_sub)
-    pivot_set = set(pivots.tolist())
-    if alg.dim - 1 in pivot_set:  # the identity coordinate is a pivot row
+    pivots, rows = _identity_last_echelon(i_sub)
+    rows.setflags(write=False)  # kept in the cache and handed to every caller
+    row_at = dict(zip(pivots.tolist(), rows))
+    if 0 in row_at:  # the identity coordinate is a pivot
         raise ContractError("1 lies in the ideal: no unital complement")
-    complement = [perm[j] for j in range(alg.dim) if j not in pivot_set]
-    return perm, inv_perm, rows, pivots, np.eye(alg.dim, dtype=np.int64)[complement]
+    return [j for j in range(1, alg.dim) if j not in row_at] + [0], row_at
+
+
+def _products(alg: FiniteGroupAlgebra, complement: list, s_elements: list) -> list[int]:
+    """Basis index of f s for each f in F and each s in turn, f-major."""
+    mul, labels, index = alg.oracle.mul, alg.labels, alg.index
+    return [index[mul(labels[f], s)] for f in complement for s in s_elements]
 
 
 def rs_generators(alg: FiniteGroupAlgebra, i_sub: Subspace, s_elements: list) -> list[np.ndarray]:
     """Generators {f s - proj_F(f s)} of the right ideal I, where F is the
-    echelon complement of I containing 1 and proj_F projects along I."""
-    perm, inv_perm, rows, pivots, units = _unital_complement(alg, i_sub)
-    moved = [alg.translate_rows(units, s) for s in s_elements]
-    # coordinate-major: f s for each s in turn, then the next f
-    vecs = np.stack(moved, axis=1).reshape(-1, alg.dim) if moved else units[:0]
-    p = alg.prime
-    gens = (vecs - _project_to_complement(vecs, perm, inv_perm, rows, pivots, p)) % p
-    return [gen for gen in gens if np.any(gen)]
+    echelon complement of I containing 1 and proj_F projects along I.
+
+    F is spanned by basis elements, so each f s is a basis element: either
+    it lies in F and gives 0, or it is the pivot of exactly one
+    identity-last echelon row of I, which is f s - proj_F(f s)."""
+    complement, row_at = _unital_complement(alg, i_sub)
+    return [row_at[j] for j in _products(alg, complement, s_elements) if j in row_at]
 
 
 def right_ideal_closure(alg: FiniteGroupAlgebra, vectors) -> Subspace:
@@ -561,28 +556,28 @@ def right_ideal_closure(alg: FiniteGroupAlgebra, vectors) -> Subspace:
     rows = fresh = span(alg, list(vectors)).rows
     gens = alg.generator_elements()
     while fresh.shape[0]:
-        rows, fresh = echelon_insert(rows, _translates(alg, fresh, gens), alg.prime)
+        moved = np.vstack([fresh[:0]] + [alg.translate_rows(fresh, s) for s in gens])
+        rows, fresh = echelon_insert(rows, moved, alg.prime)
     return Subspace(alg, rows, _canonical=True)
-
-
-def _translates(alg: FiniteGroupAlgebra, rows: np.ndarray, elements: list) -> np.ndarray:
-    """Every row times each element, stacked."""
-    return np.vstack([rows[:0]] + [alg.translate_rows(rows, s) for s in elements])
 
 
 def rs_step_bound(alg: FiniteGroupAlgebra, i_sub: Subspace,
                   s_elements: list) -> tuple[bool, int, int]:
-    """Check dim(I / I w) <= dim((F + FS) cap I); returns (holds, lhs, rhs)."""
+    """Check dim(I / I w) <= dim((F + FS) cap I); returns (holds, lhs, rhs).
+
+    F + FS is spanned by the basis elements C = F u FS, so its meet with I
+    is the kernel of I's projection onto the other coordinates, of
+    dimension rank I - rank(I's rows outside C)."""
     p = alg.prime
-    units = _unital_complement(alg, i_sub)[-1]
-    f_rows = units[np.argsort(pivot_columns(units))]  # canonical: unit rows in order
+    complement = _unital_complement(alg, i_sub)[0]
     # I*w is spanned by I*(s-1) over the generators
     i_w = Subspace(alg, np.vstack([i_sub.rows[:0]] + [
         (alg.translate_rows(i_sub.rows, s) - i_sub.rows) % p
         for s in alg.generator_elements()]))
     lhs = i_sub.rank - i_w.rank
-    grown = echelon_insert(f_rows, _translates(alg, f_rows, s_elements), p)[0]
-    rhs = intersect(Subspace(alg, grown, _canonical=True), i_sub).rank
+    covered = set(complement).union(_products(alg, complement, s_elements))
+    outside = [j for j in range(alg.dim) if j not in covered]
+    rhs = i_sub.rank - rank_mod_p(i_sub.rows[:, outside], p)
     return lhs <= rhs, lhs, rhs
 
 
@@ -598,10 +593,6 @@ class GrowthReport:
     fekete_argmin: int  # largest n attaining the minimum
     poly_degree_fit: float | None
     submultiplicativity_violations: list[tuple[int, int]]
-
-    def rows(self) -> list[tuple[int, int, float]]:
-        return [(n, self.dims[n], self.nth_roots[n - 1])
-                for n in range(1, len(self.dims))]
 
 
 def growth_report(dims: list[int]) -> GrowthReport:

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import ContractError
 from .filtration import MAGNUS_DEFAULT_TRUNCATION, magnus_deg
+from .scalars import check_prime
 from .serialize import frac_from_json, frac_json, reading
 
 
@@ -129,6 +130,7 @@ def relator_degrees(relators, p: int, trunc: int = MAGNUS_DEFAULT_TRUNCATION,
     they are replaced by trunc + 1 (a lower bound on the true degree, which
     only weakens the certificate's sum, keeping one-sided soundness).
     """
+    check_prime(p)
     out = []
     for rel in relators:
         deg = magnus_deg(rel, p, trunc)

@@ -278,9 +278,6 @@ class Subspace:
     def rank(self) -> int:
         return self.rows.shape[0]
 
-    def pivots(self) -> list[int]:
-        return self._pivots.tolist()
-
     def contains_vector(self, v: np.ndarray) -> bool:
         """Whether v, or every row of a block v, lies in the subspace."""
         return not np.any(self.reduce_vector(v))

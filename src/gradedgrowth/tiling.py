@@ -143,12 +143,17 @@ class QuotientSet:
         self.finite = finite
         self.m = finite.m
         self.name = f"{oracle.name} mod {self.m}"
-        width = len(finite.identity)
-        self._radix = self.m ** np.arange(width - 1, -1, -1, dtype=np.int64)
 
     @cached_property
     def elements(self) -> list:
         return list(self.finite.elements())
+
+    @cached_property
+    def _radix(self) -> np.ndarray:
+        """Place values of the mixed radix; built on first use, which comes
+        only on quotients under the quotient cap, where they fit in int64."""
+        width = len(self.finite.identity)
+        return self.m ** np.arange(width - 1, -1, -1, dtype=np.int64)
 
     def index(self, cosets) -> np.ndarray:
         """Positions in `elements` of cosets whose coordinates run along the

@@ -1,15 +1,19 @@
-"""The commands of the odd_ideals and cayley benchmark workloads give
-recorded bytes.
+"""Commands of the gf2_ladder, odd_ideals and cayley benchmark workloads
+give recorded bytes.
 
 The benchmark's own checks read only counts and verdicts, so a changed
 complement in `rs_generators` or a changed ladder power would still pass
 them, and so would an extra or a missing dead end on t334 or t335 (the
-triangle check asks only that the family members be listed).  Each command
-here runs in its own interpreter under PYTHONHASHSEED=0 with the
-benchmark's registry, and its stdout sha1 must equal the value recorded
-below (and in CHANGES.md): the odd_ideals ones before the row-translation
-kernel was unified, the deadends ones before dead ends were read off the
-ball BFS.
+triangle check asks only that the family members be listed); the gf2_ladder
+growth checks take their expected prefixes from the Jennings code that the
+growth commands run themselves, so they cannot catch a wrong answer at all
+(its Heisenberg table is locked by the README's sha1s).  Each command here runs in its own interpreter under
+PYTHONHASHSEED=0 with the benchmark's registry, and its stdout sha1 must
+equal the value recorded below (and in CHANGES.md): the odd_ideals ones
+before the row-translation kernel was unified, the deadends ones before dead
+ends were read off the ball BFS, the gf2_ladder ones (the z2 growth table
+and the Q8 rs-check) before rs-check read its generators and its step bound
+off one echelon form.
 """
 
 import hashlib
@@ -33,6 +37,9 @@ RECORDED = {
     "deadends --group t334 --radius 15": "4b5478bd9314ecb9f79ea53dc177c82ddb089f3d",
     "deadends --group t335 --radius 12": "572271da6dbb529cfd2f553c2f8dff60cb0dfa1e",
     "deadends --group lamplighter --radius 19": "1328702b69a1e6da47112b3d291d0829a9e6f1a6",
+    "growth --group z2 --p 2 --quotient-level 3 --format json":
+        "09cbc939078439ec2da5f49f602631a1d23accb0",
+    "rs-check --group q8 --p 2 --ideals 20 --seed 1": "9b607a45a0f5df9da2208dfaf92b8663396046f7",
 }
 
 

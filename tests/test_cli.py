@@ -304,6 +304,34 @@ class TestExitCodes:
         assert main(["growth", "--group", "heisenberg"] + args
                     + ["--out", str(tmp_path / "x")]) == code
 
+    @pytest.mark.parametrize("args", [
+        ["--quotient-level", "63"],  # 2**63 and 2**64 overflow int64
+        ["--quotient-base", "3", "--quotient-level", "40"],
+    ], ids=["2**63", "3**40"])
+    def test_quotient_modulus_past_int64_is_3(self, tmp_path, args):
+        assert main(["growth", "--group", "z2", "--p", "2"] + args
+                    + ["--out", str(tmp_path / "x")]) == 3
+
+    @pytest.mark.parametrize("level", [63, 100])
+    def test_tiling_certificate_past_int64_is_4(self, tmp_path, level):
+        cert = tmp_path / "cert.json"
+        assert main(["tile", "--group", "z2", "--epsilon", "1/2",
+                     "--out", str(cert)]) == 0
+        payload = json.loads(cert.read_text())
+        payload["quotient_level"] = level
+        cert.write_text(json.dumps(payload))
+        out = tmp_path / "v.json"
+        assert main(["verify", "--certificate", str(cert), "--out", str(out)]) == 4
+        assert json.loads(out.read_text())["result"]["matches"] is False
+
+    @pytest.mark.parametrize("p", ["0", "4", "-3", "65537"])
+    @pytest.mark.parametrize("relators", [["xyXY"], []], ids=["one-relator", "no-relators"])
+    def test_presentation_prime_is_checked(self, tmp_path, relators, p):
+        pres = tmp_path / "pres.json"
+        pres.write_text(json.dumps({"generators": ["x", "y"], "relators": relators}))
+        assert main(["gs", "--presentation", str(pres), "--p", p,
+                     "--out", str(tmp_path / "x")]) == 4
+
     def test_presentation_without_relators_is_4(self, tmp_path):
         pres = tmp_path / "pres.json"
         pres.write_text(json.dumps({"generators": ["x", "y"]}))

@@ -9,7 +9,11 @@ compared with its sequential form too, the one insertion kernel
 (`echelon_insert`) with `rref` of the stacked rows, and the one
 row-translation kernel (`BallAmbient.translate_rows`, under `apply_right`) with
 `reference_apply_right`, the per-vector `np.add.at` loop it replaced, on a
-table built straight from the group law.
+table built straight from the group law.  The ideal generators and the
+single-step bound, which read off one identity-last echelon form of I,
+are compared with `reference_rs_generators` (each f s minus its sequential
+remainder against I) and `reference_rs_step_bound` (a Zassenhaus
+intersection of I with span(F u FS)), the formulas they replaced.
 """
 
 import numpy as np
@@ -18,14 +22,14 @@ from hypothesis import given, settings, strategies as st
 
 from gradedgrowth import subspace
 from gradedgrowth.errors import ContractError, OutOfRangeError
-from gradedgrowth.filtration import (FiniteGroupAlgebra, _identity_last_echelon,
-                                     _project_to_complement, build_group_algebra,
-                                     right_ideal_closure)
+from gradedgrowth.filtration import (FiniteGroupAlgebra, aug_ladder, build_group_algebra,
+                                     right_ideal_closure, rs_generators, rs_step_bound)
 from gradedgrowth.groups import ZdMod, ball
 from gradedgrowth.hecke import HeckeElement, crystal_monomial_check, delta
 from gradedgrowth.registry import get_group
 from gradedgrowth.scalars import check_prime
-from gradedgrowth.subspace import BallAmbient, rank_mod_p, rref, span
+from gradedgrowth.subspace import (BallAmbient, Subspace, intersect, pivot_columns,
+                                   rank_mod_p, rref, span)
 
 PRIMES = [2, 3, 5, 65521]
 
@@ -313,17 +317,6 @@ class TestBlockKernels:
             assert np.array_equal(sub.reduce_vector(v), want)
             assert np.array_equal(got, want)
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
-    def test_complement_projection_matches_sequential(self, algebra, seed, count):
-        rng = np.random.default_rng(seed)
-        ideal = right_ideal_closure(algebra, rng.integers(0, algebra.prime, (count, algebra.dim)))
-        perm, inv_perm, rows, pivots = _identity_last_echelon(ideal)
-        vecs = rng.integers(0, algebra.prime, (4, algebra.dim))
-        got = _project_to_complement(vecs, perm, inv_perm, rows, pivots, algebra.prime)
-        for v, g in zip(vecs, got):
-            want = sequential_remainder(rows, v[perm], algebra.prime)[inv_perm]
-            assert np.array_equal(g, want)
-
     @given(st.integers(0, 2**32 - 1), st.integers(0, 12))
     def test_translate_rows_matches_apply_right(self, algebra, seed, count):
         rng = np.random.default_rng(seed)
@@ -333,6 +326,73 @@ class TestBlockKernels:
             assert moved.shape == rows.shape
             for row, got in zip(rows, moved):
                 assert np.array_equal(got, reference_apply_right(algebra, row, {h: 1}))
+
+
+def reference_unital_complement(alg: FiniteGroupAlgebra, ideal: Subspace):
+    """I's echelon rows with the identity coordinate ordered last, and the
+    unit rows spanning their echelon complement F."""
+    n = alg.dim
+    perm = list(range(1, n)) + [0]
+    inv_perm = np.argsort(perm)
+    rows = rref(ideal.rows[:, perm], alg.prime)
+    pivot_set = set(pivot_columns(rows).tolist())
+    complement = [perm[j] for j in range(n) if j not in pivot_set]
+    return perm, inv_perm, rows, np.eye(n, dtype=np.int64)[complement]
+
+
+def reference_rs_generators(alg: FiniteGroupAlgebra, ideal: Subspace, s_elements: list) -> list:
+    """{f s - proj_F(f s)}, nonzero ones only, with proj_F the sequential
+    remainder against I's identity-last echelon rows."""
+    perm, inv_perm, rows, units = reference_unital_complement(alg, ideal)
+    moved = [alg.translate_rows(units, s) for s in s_elements]
+    # coordinate-major: f s for each s in turn, then the next f
+    vecs = np.stack(moved, axis=1).reshape(-1, alg.dim) if moved else units[:0]
+    p = alg.prime
+    gens = [(v - sequential_remainder(rows, v[perm], p)[inv_perm]) % p for v in vecs]
+    return [gen for gen in gens if np.any(gen)]
+
+
+def reference_rs_step_bound(alg: FiniteGroupAlgebra, ideal: Subspace,
+                            s_elements: list) -> tuple[bool, int, int]:
+    """(dim(I / I w) <= dim((F + FS) cap I), both sides), the meet by
+    Zassenhaus."""
+    p = alg.prime
+    units = reference_unital_complement(alg, ideal)[-1]
+    i_w = Subspace(alg, np.vstack([ideal.rows[:0]] + [
+        (alg.translate_rows(ideal.rows, s) - ideal.rows) % p
+        for s in alg.generator_elements()]))
+    lhs = ideal.rank - i_w.rank
+    grown = span(alg, list(units) + [v for s in s_elements for v in alg.translate_rows(units, s)])
+    rhs = intersect(grown, ideal).rank
+    return lhs <= rhs, lhs, rhs
+
+
+@pytest.fixture(scope="module", params=[("c2xc2", 2), ("q8", 2), ("d4", 2),
+                                        ("heisenberg_mod_3", 3), ("c9", 3)],
+                ids=["c2xc2", "q8", "d4", "heisenberg_mod_3", "c9"])
+def rs_algebra(request):
+    """A p-group algebra and its ladder powers w, w^2, ..., which hold every
+    proper right ideal's generators."""
+    name, p = request.param
+    alg = build_group_algebra(get_group(name), p)
+    return alg, aug_ladder(alg).powers[1:]
+
+
+class TestIdealGeneratorsMatchReference:
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.booleans())
+    def test_generators_and_bound(self, rs_algebra, seed, count, every_element):
+        alg, powers = rs_algebra
+        rng = np.random.default_rng(seed)
+        power = powers[rng.integers(len(powers))]
+        vecs = rng.integers(0, alg.prime, (count, power.rank)) @ power.rows % alg.prime
+        ideal = right_ideal_closure(alg, list(vecs))
+        s_elements = list(alg.labels) if every_element else alg.generator_elements()
+        got = rs_generators(alg, ideal, s_elements)
+        want = reference_rs_generators(alg, ideal, s_elements)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert all(g.dtype == np.int64 and g.shape == (alg.dim,) for g in got)
+        assert rs_step_bound(alg, ideal, s_elements) == reference_rs_step_bound(
+            alg, ideal, s_elements)
 
 
 # (kind, group, radius of the ball ambient); the finite ones ignore lambda

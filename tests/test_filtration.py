@@ -12,7 +12,7 @@ from gradedgrowth.filtration import (aug_ladder, build_group_algebra,
                                      congruence_graded_dims, free_graded_dims,
                                      graded_dims_via_jennings, growth_report,
                                      jennings_hilbert_coeffs, jennings_series,
-                                     magnus_deg, quotient_agreement_dims,
+                                     magnus_deg, magnus_series, quotient_agreement_dims,
                                      right_ideal_closure, rs_generators,
                                      rs_step_bound, witt_ranks)
 from gradedgrowth.groups import Cyclic, HeisenbergMod, ZdMod
@@ -234,6 +234,11 @@ class TestMagnus:
     def test_rejects_unknown_letters(self):
         with pytest.raises(ContractError):
             magnus_deg("ab", 2)
+
+    @pytest.mark.parametrize("p", [0, 4, -3, 65537])
+    def test_non_prime_rejected(self, p):
+        with pytest.raises(ContractError, match="p < 2"):
+            magnus_series("xyXY", p)
 
 
 class TestFreeGradedDims:

@@ -93,6 +93,13 @@ class TestRelatorDegrees:
     def test_assume_min_degree(self):
         assert relator_degrees(["xX"], 2, trunc=4, assume_min_degree=True) == [5]
 
+    @pytest.mark.parametrize("p", [0, 4, -3, 65537])
+    @pytest.mark.parametrize("relators", [["xyXY"], []], ids=["one-relator", "no-relators"])
+    def test_non_prime_rejected(self, relators, p):
+        # mod 4 or mod -3 would give wrong degrees, mod 0 divides by zero
+        with pytest.raises(ContractError, match="p < 2"):
+            relator_degrees(relators, p)
+
 
 class TestCertificateJson:
     def test_round_trip_and_verify(self):

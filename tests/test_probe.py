@@ -1,12 +1,179 @@
+"""The subspace-tiling probe, and a differential test that locks its
+exponent-set counting to the rank-based level it replaced.
+
+`reference_attempt_level` is that level, kept here verbatim with its
+helpers: every tile, B and B K* is a `Subspace` of the finite group algebra
+GF(p)[Z/m], every overlap an `intersect`, and the defect an
+`invariance_defect` on a ball of Z.
+"""
+
 from fractions import Fraction
 
 import pytest
 
-from gradedgrowth.algebra_probe import (algebra_tiling_probe, monomial_probe_json,
-                                        probe_report_jsonable, verify_probe_json)
-from gradedgrowth.errors import ContractError
-from gradedgrowth.groups import FreeAbelian
-from gradedgrowth.subspace import set_defect
+from gradedgrowth import algebra_probe
+from gradedgrowth.algebra_probe import (ProbeReport, ProbeStep, algebra_tiling_probe,
+                                        monomial_probe_json, probe_report_jsonable,
+                                        verify_probe_json)
+from gradedgrowth.errors import (ContractError, ResourceBudgetError,
+                                 SearchFailedError)
+from gradedgrowth.filtration import FiniteGroupAlgebra
+from gradedgrowth.groups import Cyclic, FreeAbelian, ball
+from gradedgrowth.subspace import (BallAmbient, Subspace, intersect, invariance_defect,
+                                   right_multiply, set_defect, span, sum_subspaces,
+                                   zero_subspace)
+from gradedgrowth.tiling import theta_step
+
+
+def reference_attempt_level(p, k_basis, epsilon, params, t_cap, target, base, level, k_dim):
+    m = base**level
+    quotient = FiniteGroupAlgebra(Cyclic(m), p)
+    # each basis element of K is one monomial: its exponent mod m labels it
+    k_sub = span(quotient, [{g % m: c for g, c in t.items() if c} for t in k_basis])
+    if k_sub.rank != k_dim:
+        raise SearchFailedError("K does not embed into this quotient")
+    # K K* must meet the ideal trivially: differences of exponents stay
+    # distinct mod m, i.e. the span of K K* keeps full dimension
+    diffs = sorted({a - b for ta in k_basis for a in ta for tb in k_basis for b in tb})
+    if len({d % m for d in diffs}) != len(diffs):
+        raise SearchFailedError("K K* meets the ideal: quotient too small")
+
+    # spanning set of invertible images: the group-element basis, in order
+    spanning = quotient.labels
+
+    report = ProbeReport(prime=p, epsilon=epsilon, delta=params.delta,
+                         zeta=params.zeta, height_cap=t_cap,
+                         quotient_level=level, omega_dim=quotient.dim,
+                         k_dim=k_dim)
+    n = quotient.dim
+    b = zero_subspace(quotient)
+    nu, alpha = Fraction(0), Fraction(0)
+    tower_level_dims = []
+    for u in range(1, t_cap + 1):
+        if alpha >= 1 or nu > target:
+            break
+        level_sub = reference_next_level_subspace(quotient, base, m, k_basis, epsilon,
+                                         params, tower_level_dims)
+        tower_level_dims.append(level_sub.rank)
+        threshold = params.delta * level_sub.rank
+        s = 0
+        for h in spanning:
+            tile = Subspace(quotient, quotient.translate_rows(level_sub.rows, h))
+            if intersect(tile, b).rank <= threshold:
+                s += 1
+                b = sum_subspaces(b, tile)
+        mu = (Fraction(b.rank, n) - nu) / (1 - alpha)
+        nu_out, alpha_out = theta_step(params, mu, nu, alpha)
+        # boundary growth measured against K itself
+        bl = right_multiply(b, [reference_inv_terms(t, m) for t in k_basis])
+        step = ProbeStep(
+            step=u, level_dim=level_sub.rank, s=s, mu=mu,
+            nu=nu_out, alpha=alpha_out,
+            mu_at_least_delta=mu >= params.delta,
+            coverage_identity_ok=Fraction(b.rank, n) == nu_out,
+            boundary_bound_ok=Fraction(bl.rank, n) <= alpha_out,
+        )
+        report.steps.append(step)
+        nu, alpha = nu_out, alpha_out
+        if mu >= 1:
+            break
+
+    # T, B plus a complement of B, is the whole quotient algebra; its defect
+    # is measured on the lift, with honest (unwrapped) products against K
+    report.complement_found = True
+    report.complement_dim = n
+    report.defect = reference_lifted_defect(p, m, k_basis)
+    report.defect_below_epsilon = report.defect < epsilon
+    report.all_step_assertions_held = all(
+        st.mu_at_least_delta and st.coverage_identity_ok and st.boundary_bound_ok
+        for st in report.steps
+    )
+    return report if report.defect_below_epsilon else None
+
+
+def reference_next_level_subspace(quotient, base, m, k_basis, epsilon, params, prev_dims):
+    """Interval spans aligned with the chain, of side base, base**2, ...; each
+    level must satisfy the dimension version of the boundary bound against K,
+    measured in the integer group ring (monomial bases make dimensions support
+    counts)."""
+    k_exps = sorted({g for terms in k_basis for g, c in terms.items() if c})
+    side = base
+    while side <= m:
+        # dim(level * K) in the full ring: union of shifted intervals
+        support = {i + e for i in range(side) for e in set(k_exps) | {0}}
+        if Fraction(len(support)) <= (1 + epsilon / 2) * (1 - params.delta) * side:
+            sub = span(quotient, [{j % m: 1} for j in range(side)])
+            if sub.rank == side and side not in prev_dims:
+                return sub
+        side *= base
+    raise SearchFailedError("no interval level satisfies the boundary bound")
+
+
+def reference_inv_terms(terms: dict, m: int) -> dict:
+    ((g, c),) = [(g, c) for g, c in terms.items() if c]
+    return {(-g) % m: c}
+
+
+def reference_lifted_defect(p: int, m: int, k_basis: list[dict]) -> Fraction:
+    """Invariance defect against K, in the integer group ring over GF(p), of
+    the lift of the whole quotient algebra: the span of t**j, 0 <= j < m."""
+    radius = m + max(abs(g) for terms in k_basis for g in terms) + 1
+    z = FreeAbelian(1)
+    ambient = BallAmbient(z, ball(z, radius), p, lam=1)
+    t_lift = span(ambient, [ambient.vector({(j,): 1}) for j in range(m)])
+    return invariance_defect(t_lift, [{(g,): c for g, c in terms.items()}
+                                      for terms in k_basis])
+
+
+def probe_outcome(p, exponents, epsilon, base):
+    """The probe's JSON, or the class of the error that ended it."""
+    try:
+        return monomial_probe_json(p, exponents, Fraction(epsilon), chain_base=base)
+    except (SearchFailedError, ResourceBudgetError) as exc:
+        return type(exc)
+
+
+def library_outcome(p, k_basis):
+    try:
+        return probe_report_jsonable(algebra_tiling_probe(p, k_basis, Fraction(1, 2)))
+    except (SearchFailedError, ResourceBudgetError) as exc:
+        return type(exc)
+
+
+# (exponents, epsilon, chain base) beyond the grid: a search that fails at
+# every level, and one that meets the algebra cap at chain base 3, level 7
+ENDINGS = [([0, 7], "1/8", 2, SearchFailedError), ([0, 1, 1], "1/2", 3, ResourceBudgetError)]
+
+
+class TestCountingMatchesRanks:
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("base", [2, 3])
+    @pytest.mark.parametrize("exponents", [[0, 1], [1], [0, 1, 1], [-1, 1], [0, -3],
+                                           [0, 1, 3]],
+                             ids=["unit-t", "t", "repeated", "t-inverse", "negative",
+                                  "gap"])
+    @pytest.mark.parametrize("epsilon", ["1/2", "2", "8"])
+    def test_same_report_or_error(self, monkeypatch, p, base, exponents, epsilon):
+        got = probe_outcome(p, exponents, epsilon, base)
+        monkeypatch.setattr(algebra_probe, "_attempt_level", reference_attempt_level)
+        assert got == probe_outcome(p, exponents, epsilon, base)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("k_basis", [
+        [{0: 1}, {1: 2}],  # 0 mod 2: K does not embed at p = 2
+        [{0: 1, 8: 0}, {2: -1}],  # its zero term still counts in K K*: level 4 -> 5
+    ], ids=["coefficient-2", "zero-term"])
+    def test_coefficients_count_mod_p(self, monkeypatch, p, k_basis):
+        got = library_outcome(p, k_basis)
+        monkeypatch.setattr(algebra_probe, "_attempt_level", reference_attempt_level)
+        assert got == library_outcome(p, k_basis)
+
+    @pytest.mark.parametrize("exponents,epsilon,base,error", ENDINGS,
+                             ids=["search-failed", "over-the-cap"])
+    def test_same_error(self, monkeypatch, exponents, epsilon, base, error):
+        assert probe_outcome(2, exponents, epsilon, base) is error
+        monkeypatch.setattr(algebra_probe, "_attempt_level", reference_attempt_level)
+        assert probe_outcome(2, exponents, epsilon, base) is error
 
 
 class TestProbe:
