@@ -100,6 +100,7 @@ def algebra_tiling_probe(p: int, k_basis: list[dict], epsilon,
 
     last_exc = None
     for level in range(1, MAX_LEVEL + 1):
+        _check_level(p, k_basis, chain_base**level)
         try:
             report = _attempt_level(p, k_basis, epsilon, params, t_cap, target,
                                     chain_base, level, k_dim)
@@ -111,15 +112,23 @@ def algebra_tiling_probe(p: int, k_basis: list[dict], epsilon,
     raise SearchFailedError(f"probe exhausted its chain levels: {last_exc}")
 
 
+def _check_level(p: int, k_basis: list[dict], m: int) -> None:
+    """The guards of the chain level GF(p)[Z/m], in exit-code order: Z/m
+    needs m >= 2, then the algebra cap, then the prime; and then every basis
+    element of K must stay a single monomial mod p."""
+    Cyclic(m)  # rejects m < 2
+    budgets.check_algebra_order(m)
+    check_prime(p)
+    if not all(_is_invertible_element({g: c % p for g, c in t.items()}) for t in k_basis):
+        raise ContractError(f"K must have a basis of invertible elements: "
+                            f"a basis coefficient is 0 mod {p}")
+
+
 def _attempt_level(p, k_basis, epsilon, params, t_cap, target, base, level, k_dim):
     m = base**level
-    budgets.check_algebra_order(m)
-    # the basis of GF(p)[Z/m] in its BFS order, over which the tiles run;
-    # Cyclic rejects m < 2
+    # the basis of GF(p)[Z/m] in its BFS order, over which the tiles run
     spanning = ball(Cyclic(m), m).elements
-    check_prime(p)
-    # each basis element of K is one monomial: its exponent mod m labels it,
-    # and a coefficient that is 0 mod p makes it the zero vector
+    # each basis element of K is one monomial: its exponent mod m labels it
     if len({g % m for t in k_basis for g, c in t.items() if c % p}) != k_dim:
         raise SearchFailedError("K does not embed into this quotient")
     # K K* must meet the ideal trivially: differences of exponents stay

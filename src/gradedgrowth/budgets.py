@@ -8,10 +8,14 @@ integer, replaces the default caps of exactly two operations: the ball BFS
 read it; only an explicit override such as `growth --max-order` changes
 that cap.  Any other value of the variable raises ContractError.
 
-The augmentation ladder of a finite group algebra stores every power as a
-dense int64 matrix; its powers' dimensions are known before any is built,
-and a ladder whose rows would take more than LADDER_BYTES (1 GiB, fixed) is
-refused.
+The augmentation ladder of a finite group algebra climbs from its bottom
+power to w, one echelon insertion per power, and keeps one flag basis.  Its
+powers' dimensions are known before the climb, and a ladder whose powers,
+summed as dense int64 matrices, would pass LADDER_BYTES (1 GiB, fixed) is
+refused.  That sum bounds the rows that the insertions write in all, not
+what the ladder holds: while it climbs, the current power's rows, the
+Jennings monomials and the flag, each at most |G|^2 entries; afterwards,
+the flag alone.
 """
 
 from __future__ import annotations

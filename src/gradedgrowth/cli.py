@@ -114,7 +114,7 @@ def _cmd_growth(args) -> int:
         alg = build_group_algebra(oracle, args.p, args.max_order)
         lad = aug_ladder(alg)
         dims = lad.graded_dims
-        power_dims = [s.rank for s in lad.powers]
+        power_dims = lad.power_dims
         note = "finite group algebra"
     else:
         base = args.quotient_base

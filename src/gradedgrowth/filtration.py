@@ -7,7 +7,9 @@ product-formula Hilbert coefficients that give the ladder dimensions, also
 on the p-parts of congruence quotients of infinite groups; the descending
 ladder of augmentation-ideal powers and its graded dimensions, built from
 the bottom up on that series: from the ideal of O^p(G), each power inserts
-the lifted Jennings monomials of one weight into the power below it;
+the lifted Jennings monomials of one weight into the power below it, and
+the ladder keeps the rows that each insertion adds as one flag basis, from
+which any power is built on demand;
 truncated Magnus valuations over GF(p) for free-group words;
 graded dimensions of the free group algebra; Witt necklace ranks; ideal
 generators in the style of Reidemeister-Schreier together with the
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,12 +69,42 @@ def build_group_algebra(group: GroupOracle, p: int,
 # the augmentation ladder
 
 
+class LadderPowers(Sequence):
+    """w^0, w^1, ... of a ladder as a read-only sequence, each power built
+    when it is asked for: w^0 is the whole algebra, and w^n, n >= 1, is the
+    span of the first dim w^n rows of the ladder's flag basis, put in its
+    canonical echelon form.  A slice is the sequence of the chosen powers."""
+
+    def __init__(self, alg: FiniteGroupAlgebra, flag: np.ndarray, dims: tuple):
+        self._alg, self._flag, self._dims = alg, flag, dims
+
+    def __len__(self) -> int:
+        return len(self._dims)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return LadderPowers(self._alg, self._flag, self._dims[k])
+        d = self._dims[k]
+        if d == self._alg.dim:
+            return full_subspace(self._alg)
+        return Subspace(self._alg, self._flag[:d])
+
+
 @dataclass(frozen=True)
 class AugmentationLadder:
     algebra: FiniteGroupAlgebra
-    powers: list  # [R, w, w^2, ...] ending at the first stabilized power
-    graded_dims: list[int]
-    stabilized_dim: int  # 0 for p-groups; the stable ideal dimension otherwise
+    power_dims: list[int]  # dim w^n for n = 0, 1, ..., ending at the first repeat
+    powers: LadderPowers  # [R, w, w^2, ...], built on demand
+
+    @property
+    def graded_dims(self) -> list[int]:
+        d = self.power_dims
+        return [a - b for a, b in zip(d, d[1:])]
+
+    @property
+    def stabilized_dim(self) -> int:
+        """0 for p-groups; the stable ideal dimension otherwise."""
+        return self.power_dims[-1]
 
     @property
     def terminates_at_zero(self) -> bool:
@@ -80,25 +113,30 @@ class AugmentationLadder:
 
 def aug_ladder(alg: FiniteGroupAlgebra) -> AugmentationLadder:
     """Powers of the augmentation ideal w until the first repeat, built from
-    the bottom up.
+    the bottom up and kept as one flag basis.
 
     Let N = O^p(G) and I_N = w(kN) kG.  For n >= 1, w^n is I_N plus the span
     of the lifted Jennings monomials prod_j (g_j - 1)^(a_j), 0 <= a_j < p,
     of weight sum_j a_j wt(g_j) >= n, where the g_j lift bases of the layers
     of the p-central series of G down to N (Jennings 1941, Quillen 1968).
-    So the ladder starts from I_N, whose canonical rows are read off its
+    So the climb starts from I_N, whose canonical rows are read off its
     cosets, and inserts the monomials of each weight from the top down, one
-    echelon_insert per power; w^0 is the whole algebra.  The powers'
-    dimensions are known before any is built, and a ladder whose rows would
-    pass budgets.LADDER_BYTES raises ResourceBudgetError.
+    echelon_insert per power, holding only the current power's rows.  The
+    flag basis is I_N's rows followed by the rows that each insertion adds,
+    so w^n is spanned by its first dim w^n rows; a power's canonical rows
+    are built only when `powers` is indexed.  The powers' dimensions are
+    known before the climb, and a ladder whose insertions would write more
+    than budgets.LADDER_BYTES of rows in all raises ResourceBudgetError.
     """
     group, p, n = alg.oracle, alg.prime, alg.dim
     series = jennings_series(group, p)
     bottom = series.subgroups[-1]
     coeffs = jennings_hilbert_coeffs(series.dims, p)
-    tails = np.cumsum(coeffs[::-1])[::-1].tolist()  # monomials of weight >= w
     stable = n - n // len(bottom)  # dim I_N
-    need = sum([n] + [stable + t for t in tails[1:]] + [stable]) * n * 8
+    # dim w^n is dim I_N plus the number of monomials of weight >= n, and
+    # the ladder ends at the first repeat, I_N itself
+    dims = [stable + t for t in np.cumsum(coeffs[::-1])[::-1].tolist()] + [stable]
+    need = sum(dims) * n * 8
     if need > budgets.LADDER_BYTES:
         raise ResourceBudgetError(
             f"augmentation ladder of {group.name} at p = {p} needs {need} bytes, "
@@ -106,15 +144,12 @@ def aug_ladder(alg: FiniteGroupAlgebra) -> AugmentationLadder:
         )
     monomials, weights = _jennings_monomials(alg, _layer_lifts(alg, series.subgroups))
     rows = _coset_differences(alg, bottom)
-    powers = [Subspace(alg, rows, _canonical=True)]
+    flag = np.empty((dims[1], n), dtype=np.int64)
+    flag[:stable] = rows
     for w in range(len(coeffs) - 1, 0, -1):
-        rows = echelon_insert(rows, monomials[weights == w], p)[0]
-        powers.append(Subspace(alg, rows, _canonical=True))
-    powers.append(full_subspace(alg))
-    powers.reverse()
-    dims = [s.rank for s in powers]
-    graded = [dims[i] - dims[i + 1] for i in range(len(dims) - 1)]
-    return AugmentationLadder(alg, powers, graded, dims[-1])
+        rows, flag[dims[w + 1]:dims[w]] = echelon_insert(rows, monomials[weights == w], p)
+    flag.setflags(write=False)
+    return AugmentationLadder(alg, dims, LadderPowers(alg, flag, tuple(dims)))
 
 
 def _coset_differences(alg: FiniteGroupAlgebra, sub: frozenset) -> np.ndarray:
@@ -634,9 +669,15 @@ def growth_report(dims: list[int]) -> GrowthReport:
 
 
 def quotient_agreement_dims(ladders: list[list[int]]) -> list[int]:
-    """Common prefix of graded dims across consecutive quotient levels; the
-    stabilization horizon below which the finite quotients already tell the
-    truth about the infinite group."""
+    """Common prefix of graded dims across consecutive quotient levels.
+
+    For the congruence quotients of Z^d or the Heisenberg group at levels m
+    and m * base, the prefix is exactly the level-m dims cut at degree m_p,
+    the largest power of p dividing m (tested).  The level-m dims are those
+    of the level-m_p quotient, the kernel onto which is normally generated
+    by m_p-th powers; these lie in the dimension subgroup D_(m_p) (Jennings
+    1941, Lazard 1954), so both levels give the group's graded dims in every
+    degree below m_p."""
     if not ladders:
         return []
     prefix = []

@@ -404,6 +404,16 @@ class TestExitCodes:
         assert main(["tile-algebra-probe", "--p", "2", "--epsilon", "1/100",
                      "--chain-base", "50", "--out", str(tmp_path / "x")]) == 3
 
+    @pytest.mark.parametrize("base,code,message", [
+        ("1", 4, "cyclic order"),  # m < 2 comes first
+        ("4096", 3, "algebra cap"),  # then the cap
+        ("2", 4, "prime"),  # then the prime
+    ], ids=["order-below-two", "cap", "prime"])
+    def test_probe_guard_order(self, tmp_path, capsys, base, code, message):
+        assert main(["tile-algebra-probe", "--p", "4", "--epsilon", "1/2",
+                     "--chain-base", base, "--out", str(tmp_path / "x")]) == code
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["lots", "0", "-5"])
     def test_invalid_budget_is_4(self, tmp_path, monkeypatch, value):
         monkeypatch.setenv("GRADEDGROWTH_BUDGET_MB", value)

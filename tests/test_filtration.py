@@ -399,6 +399,42 @@ class TestQuotientAgreement:
         assert prefix[:3] == l2[:3]
 
 
+def p_part(m: int, p: int) -> int:
+    """The largest power of p dividing m."""
+    q = 1
+    while m % (q * p) == 0:
+        q *= p
+    return q
+
+
+def agreement_cases(max_order: int):
+    """(family, base, level, p) for levels 1-3 of Z, Z^2, Z^3 and the
+    Heisenberg group in the bases 2, 3, 4, 6 and 10, at p = 2, 3, 5, where
+    the next level's quotient has order at most max_order."""
+    cases = []
+    for name in ("z", "z2", "z3", "heisenberg"):
+        oracle = get_group(name)
+        for base in (2, 3, 4, 6, 10):
+            for level in (1, 2, 3):
+                if congruence_quotient(oracle, base ** (level + 1)).size() <= max_order:
+                    cases.extend((name, base, level, p) for p in (2, 3, 5))
+    return cases
+
+
+class TestAgreementPrefixIsExact:
+    """growth's agreement prefix of levels m and m * base is the level-m
+    dims cut at degree m_p, the largest power of p dividing m: the degree
+    bound below which a congruence quotient's dims are the group's."""
+
+    @pytest.mark.parametrize("name,base,level,p", agreement_cases(5000))
+    def test_prefix_is_the_lower_level_below_m_p(self, name, base, level, p):
+        oracle = get_group(name)
+        m = base**level
+        lo = congruence_graded_dims(oracle, m, p, max_order=5000)
+        hi = congruence_graded_dims(oracle, m * base, p, max_order=5000)
+        assert quotient_agreement_dims([lo, hi]) == lo[:p_part(m, p)]
+
+
 class TestJenningsAtScale:
     def test_heisenberg_mod_32_profile(self):
         js = jennings_series(HeisenbergMod(32), 2)
@@ -430,7 +466,7 @@ class TestCongruenceGradedDims:
     """Jennings' formula on the p-part of each congruence quotient against
     the dense ladder on the whole quotient: every case up to order 256, and
     the two non-cyclic 2-groups of order 512.  Larger quotients take seconds
-    to minutes on the ladder, and Z/1024 at p = 2 holds gigabytes of powers."""
+    to minutes on the ladder, and Z/1024 at p = 2 is over the ladder's byte cap."""
 
     @pytest.mark.parametrize("name,m,p", congruence_cases(256)
                              + [("heisenberg", 8, 2), ("z3", 8, 2)])

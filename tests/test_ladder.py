@@ -7,15 +7,20 @@ repeats.  It knows nothing of Jennings' basis or of O^p(G), so it keeps the
 ladder independent of the product formula that the Jennings cross-checks
 compare it with.  Every power must have the same canonical rows, byte for
 byte.  `p_residual` is locked to the subgroup generated by the elements of
-order prime to p, and the ladder's byte cap to the CLI's exit code 3.
+order prime to p, and the ladder's byte cap to the CLI's exit code 3.  The
+ladder keeps one flag basis, not every power, and its memory is bounded
+here: in-process by `tracemalloc`, and for a whole `growth` process by its
+own peak RSS.
 """
 
+import hashlib
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -213,3 +218,74 @@ class TestLadderBudget:
         out = json.loads(proc.stdout)
         assert out["graded_dims"] == [1]
         assert out["power_dims"] == [2048, 2047]
+
+
+class TestPowersSequence:
+    """`powers` is a read-only sequence that builds each power on demand."""
+
+    @pytest.mark.parametrize("group,p", [(ZdMod(1, 243), 3), (get_group("q8"), 2)],
+                             ids=["c243", "q8"])
+    def test_indexing_and_slicing_match_the_reference(self, group, p):
+        alg = build_group_algebra(group, p)
+        lad = aug_ladder(alg)
+        powers = reference_aug_ladder(alg)[0]
+        assert len(lad.powers) == len(powers) == len(lad.power_dims)
+        assert lad.power_dims == [s.rank for s in powers]
+        assert lad.powers[0] == full_subspace(alg)
+        assert lad.powers[-1] == powers[-1]
+        for got, want in ((lad.powers[1:], powers[1:]), (lad.powers[::2], powers[::2])):
+            assert len(got) == len(want)
+            assert list(got) == want
+        with pytest.raises(IndexError):
+            lad.powers[len(powers)]
+        with pytest.raises(TypeError):
+            lad.powers[0] = powers[0]
+
+
+def _growth_usage(tmp_path, m: int, p: int):
+    """Exit code, stdout bytes and resource usage of `growth` on a cyclic
+    group of order m, given by a registry spec named c<m>.  The usage is
+    the child's own, read with wait4 on its pid: RUSAGE_CHILDREN would
+    fold in every earlier child of this process."""
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps({f"c{m}": {"kind": "zd_mod", "params": {"d": 1, "m": m}}}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "out.json"
+    with open(out, "wb") as sink:
+        proc = subprocess.Popen([sys.executable, "-m", "gradedgrowth.cli", "--registry",
+                                 str(registry), "growth", "--group", f"c{m}", "--p", str(p),
+                                 "--format", "json"],
+                                env=env, stdout=sink, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, out.read_bytes(), usage
+
+
+class TestLadderMemory:
+    """The ladder holds one flag basis, about n^2 int64 entries for a group
+    of order n, and a few times that while it climbs; the dense ladder held
+    64 to 129 times n^2 entries on these groups."""
+
+    @pytest.mark.parametrize("m,p", [(243, 3), (256, 2), (125, 5)])
+    def test_bytes_held_and_peak(self, m, p):
+        alg = build_group_algebra(ZdMod(1, m), p)
+        tracemalloc.start()
+        try:
+            lad = aug_ladder(alg)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        square = m * m * 8
+        assert held <= 2 * square, held / square
+        assert peak <= 10 * square, peak / square
+        assert lad.power_dims == list(range(m, -1, -1))
+
+    def test_growth_on_order_1728_peaks_under_256_mb(self, tmp_path):
+        # 28 powers of rank at least 1,700 over 1,728 columns: the dense
+        # ladder peaked at 671 MB
+        code, stdout, usage = _growth_usage(tmp_path, 1728, 3)
+        assert code == 0
+        assert (hashlib.sha1(stdout).hexdigest()
+                == "3e524d1513615fb27e69286529166c6448e9475c")
+        assert usage.ru_maxrss < 256 * 1024  # kilobytes on Linux

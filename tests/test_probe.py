@@ -136,7 +136,7 @@ def probe_outcome(p, exponents, epsilon, base):
 def library_outcome(p, k_basis):
     try:
         return probe_report_jsonable(algebra_tiling_probe(p, k_basis, Fraction(1, 2)))
-    except (SearchFailedError, ResourceBudgetError) as exc:
+    except (ContractError, SearchFailedError, ResourceBudgetError) as exc:
         return type(exc)
 
 
@@ -160,7 +160,7 @@ class TestCountingMatchesRanks:
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("k_basis", [
-        [{0: 1}, {1: 2}],  # 0 mod 2: K does not embed at p = 2
+        [{0: 1}, {1: 2}],  # 0 mod 2: a contract error at p = 2, before any level
         [{0: 1, 8: 0}, {2: -1}],  # its zero term still counts in K K*: level 4 -> 5
     ], ids=["coefficient-2", "zero-term"])
     def test_coefficients_count_mod_p(self, monkeypatch, p, k_basis):
@@ -174,6 +174,9 @@ class TestCountingMatchesRanks:
         assert probe_outcome(2, exponents, epsilon, base) is error
         monkeypatch.setattr(algebra_probe, "_attempt_level", reference_attempt_level)
         assert probe_outcome(2, exponents, epsilon, base) is error
+
+
+ZERO_MOD_2 = [{0: 1}, {1: 2}]
 
 
 class TestProbe:
@@ -210,6 +213,12 @@ class TestProbe:
     def test_non_invertible_basis_rejected(self):
         with pytest.raises(ContractError):
             algebra_tiling_probe(2, [{0: 1, 1: 1}], Fraction(1, 2))
+
+    def test_coefficient_zero_mod_p_rejected(self):
+        # t**1 with coefficient 2 is the zero vector over GF(2), not a unit
+        with pytest.raises(ContractError, match="0 mod 2"):
+            algebra_tiling_probe(2, ZERO_MOD_2, Fraction(1, 2))
+        assert algebra_tiling_probe(3, ZERO_MOD_2, Fraction(1, 2)).k_dim == 2
 
     def test_step_assertions_recorded_not_assumed(self):
         rep = algebra_tiling_probe(2, [{0: 1}, {1: 1}], Fraction(1, 2))
@@ -254,3 +263,21 @@ class TestProbe:
         del payload["config"]
         with pytest.raises(ContractError):
             verify_probe_json(payload)
+
+
+class TestGuardOrder:
+    """Each level's guards run in exit-code order, each before every later
+    one: Z/m needs m >= 2 (exit 4), then the algebra cap (exit 3), then the
+    prime (exit 4), and only then the coefficients mod p (exit 4)."""
+
+    def test_order_below_two_first(self):
+        with pytest.raises(ContractError, match="cyclic order"):
+            algebra_tiling_probe(4, ZERO_MOD_2, Fraction(1, 2), chain_base=1)
+
+    def test_cap_before_the_prime(self):
+        with pytest.raises(ResourceBudgetError):
+            algebra_tiling_probe(4, ZERO_MOD_2, Fraction(1, 2), chain_base=4096)
+
+    def test_prime_before_the_coefficients(self):
+        with pytest.raises(ContractError, match="prime"):
+            algebra_tiling_probe(4, ZERO_MOD_2, Fraction(1, 2))
