@@ -8,16 +8,18 @@ from the congruence quotients) and REPORTS whether each step-level
 assertion happened to hold.  The report never contains any field claiming a
 general theorem; outcomes are data, not ground truth.
 
-The covering steps follow the same recipe as the transversal pipeline
-(tiling.covering_recipe and tiling.theta_step), with ranks in place of
-cardinalities.  K is spanned by monomials t**e, so every subspace the probe
-builds (each interval tile, the covered subspace B, B K*, the lift of T and
-T K) is spanned by monomials too; it is held as its set of exponents, and
-each rank is that set's size: a support count, with no elimination.  The
-transversal T is B plus a complement of B, which is always the whole
-quotient algebra; so the reported defect is that of the lifted interval
-t**0, ..., t**(m-1) against K (a set defect in Z) and does not depend on the
-covering steps, which are reported as data.
+The covering steps are the transversal pipeline's own, with ranks in
+place of cardinalities: tiling.covering_recipe fixes the constants and
+tiling.cover runs the greedy_fill passes.  K is spanned by monomials t**e,
+so every subspace the probe builds (each interval tile, the covered
+subspace B, B K*, the lift of T and T K) is spanned by monomials too, and
+its rank is the number of its exponents mod m.  So cover runs on the cosets
+of Z/m, with K's exponents as the base set and the intervals t**0, ...,
+t**(side-1) as the tower levels, and nothing is eliminated.  The transversal
+T is B plus a complement of B, which is always the whole quotient algebra;
+so the reported defect is that of the lifted interval t**0, ..., t**(m-1)
+against K (a set defect in Z) and does not depend on the covering steps,
+which are reported as data.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from fractions import Fraction
 
 from . import budgets
 from .errors import ContractError, SearchFailedError
-from .groups import Cyclic, FreeAbelian, ball
+from .groups import Cyclic, FreeAbelian
 from .scalars import check_prime
 from .serialize import frac_from_json, frac_json, reading
 from .subspace import set_defect
-from .tiling import covering_recipe, theta_step
+from .tiling import boundary_bound_ok, congruence_quotient, cover, covering_recipe
 
 # chain levels scanned before the probe gives up
 MAX_LEVEL = 7
@@ -126,8 +128,6 @@ def _check_level(p: int, k_basis: list[dict], m: int) -> None:
 
 def _attempt_level(p, k_basis, epsilon, params, t_cap, target, base, level, k_dim):
     m = base**level
-    # the basis of GF(p)[Z/m] in its BFS order, over which the tiles run
-    spanning = ball(Cyclic(m), m).elements
     # each basis element of K is one monomial: its exponent mod m labels it
     if len({g % m for t in k_basis for g, c in t.items() if c % p}) != k_dim:
         raise SearchFailedError("K does not embed into this quotient")
@@ -136,50 +136,29 @@ def _attempt_level(p, k_basis, epsilon, params, t_cap, target, base, level, k_di
     diffs = sorted({a - b for ta in k_basis for a in ta for tb in k_basis for b in tb})
     if len({d % m for d in diffs}) != len(diffs):
         raise SearchFailedError("K K* meets the ideal: quotient too small")
-    k_exps = sorted({g for terms in k_basis for g, c in terms.items() if c})
+    k = [(e,) for e in sorted({g for terms in k_basis for g, c in terms.items() if c})]
 
+    # every subspace is spanned by monomials, so the covering runs on their
+    # exponents: the cosets of Z/m, with the interval levels as tiles
+    tower, fills = cover(congruence_quotient(FreeAbelian(1), m), k, params, t_cap, target,
+                         lambda built: _next_level(base, m, k, epsilon, params, built))
     report = ProbeReport(prime=p, epsilon=epsilon, delta=params.delta,
                          zeta=params.zeta, height_cap=t_cap,
-                         quotient_level=level, omega_dim=m, k_dim=k_dim)
-    # B, each tile and B K* are spans of monomials, held as exponent sets
-    b = set()
-    nu, alpha = Fraction(0), Fraction(0)
-    tower_level_dims = []
-    for u in range(1, t_cap + 1):
-        if alpha >= 1 or nu > target:
-            break
-        side = _next_level_side(base, m, k_exps, epsilon, params, tower_level_dims)
-        tower_level_dims.append(side)
-        threshold = params.delta * side
-        s = 0
-        for h in spanning:
-            tile = {(j + h) % m for j in range(side)}
-            if len(tile & b) <= threshold:
-                s += 1
-                b |= tile
-        mu = (Fraction(len(b), m) - nu) / (1 - alpha)
-        nu_out, alpha_out = theta_step(params, mu, nu, alpha)
-        # boundary growth measured against K itself
-        bl = {(x - e) % m for x in b for e in k_exps}
-        step = ProbeStep(
-            step=u, level_dim=side, s=s, mu=mu,
-            nu=nu_out, alpha=alpha_out,
-            mu_at_least_delta=mu >= params.delta,
-            coverage_identity_ok=Fraction(len(b), m) == nu_out,
-            boundary_bound_ok=Fraction(len(bl), m) <= alpha_out,
-        )
-        report.steps.append(step)
-        nu, alpha = nu_out, alpha_out
-        if mu >= 1:
-            break
+                         quotient_level=level, omega_dim=m, k_dim=k_dim, steps=[
+        ProbeStep(step=u, level_dim=len(interval), s=res.s, mu=res.mu,
+                  nu=res.nu_out, alpha=res.alpha_out,
+                  mu_at_least_delta=res.mu_at_least_delta,
+                  coverage_identity_ok=res.coverage_identity_ok,
+                  boundary_bound_ok=res.boundary_bound_ok)
+        for u, (interval, res) in enumerate(zip(tower, fills), 1)
+    ])
 
     # T, B plus a complement of B, is the whole quotient algebra; its defect
     # is measured on the lift t**0, ..., t**(m-1), with honest (unwrapped)
     # products against K
     report.complement_found = True
     report.complement_dim = m
-    report.defect = set_defect([(j,) for j in range(m)], [(e,) for e in k_exps],
-                               FreeAbelian(1))
+    report.defect = set_defect([(j,) for j in range(m)], k, FreeAbelian(1))
     report.defect_below_epsilon = report.defect < epsilon
     report.all_step_assertions_held = all(
         st.mu_at_least_delta and st.coverage_identity_ok and st.boundary_bound_ok
@@ -188,19 +167,18 @@ def _attempt_level(p, k_basis, epsilon, params, t_cap, target, base, level, k_di
     return report if report.defect_below_epsilon else None
 
 
-def _next_level_side(base, m, k_exps, epsilon, params, prev_dims):
-    """Side of the next interval level, aligned with the chain: base,
-    base**2, ... up to m; each level must satisfy the dimension version of
-    the boundary bound against K, measured in the integer group ring, where
-    the span of t**i, i < side, times K is spanned by the monomials t**(i + e)."""
+def _next_level(base, m, k, epsilon, params, tower):
+    """The next interval level t**0, ..., t**(side-1), aligned with the
+    chain: the first unused side among base, base**2, ... up to m whose
+    span meets the dimension version of the boundary bound against K in
+    the integer group ring, where it is the count of the monomials
+    t**(i + e)."""
+    used = {len(interval) for interval in tower}
     side = base
     while side <= m:
-        # dim(level * K) in the full ring: union of shifted intervals (0 is
-        # among the exponents of K)
-        support = {i + e for i in range(side) for e in k_exps}
-        bound = (1 + epsilon / 2) * (1 - params.delta) * side
-        if len(support) <= bound and side not in prev_dims:
-            return side
+        interval = [(j,) for j in range(side)]
+        if side not in used and boundary_bound_ok(FreeAbelian(1), interval, k, epsilon, params):
+            return interval
         side *= base
     raise SearchFailedError("no interval level satisfies the boundary bound")
 
@@ -259,9 +237,12 @@ def verify_probe_json(payload: dict) -> dict:
     whole report; lists the top-level fields that differ."""
     with reading("probe report config"):
         config = payload["config"]
-        args = (config["p"], config["k_exponents"], frac_from_json(config["epsilon"]),
-                config["chain_base"])
-    rerun = monomial_probe_json(*args)
+        p, exponents, base = config["p"], config["k_exponents"], config["chain_base"]
+        epsilon = frac_from_json(config["epsilon"])
+    if not (type(exponents) is list and all(type(x) is int for x in (p, base, *exponents))):
+        raise ContractError("probe report config: p and chain_base must be integers, "
+                            "and k_exponents a list of integers")
+    rerun = monomial_probe_json(p, exponents, epsilon, base)
     mismatched = sorted(key for key in set(payload) | set(rerun)
                         if payload.get(key) != rerun.get(key))
     return {"mismatched_fields": mismatched, "matches": not mismatched}

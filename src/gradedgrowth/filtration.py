@@ -143,19 +143,20 @@ def aug_ladder(alg: FiniteGroupAlgebra) -> AugmentationLadder:
             f"over the ladder cap of {budgets.LADDER_BYTES}"
         )
     monomials, weights = _jennings_monomials(alg, _layer_lifts(alg, series.subgroups))
-    rows = _coset_differences(alg, bottom)
-    flag = np.empty((dims[1], n), dtype=np.int64)
-    flag[:stable] = rows
+    flag = np.zeros((dims[1], n), dtype=np.int64)
+    rows = _coset_differences(alg, bottom, flag[:stable])
     for w in range(len(coeffs) - 1, 0, -1):
         rows, flag[dims[w + 1]:dims[w]] = echelon_insert(rows, monomials[weights == w], p)
     flag.setflags(write=False)
     return AugmentationLadder(alg, dims, LadderPowers(alg, flag, tuple(dims)))
 
 
-def _coset_differences(alg: FiniteGroupAlgebra, sub: frozenset) -> np.ndarray:
+def _coset_differences(alg: FiniteGroupAlgebra, sub: frozenset,
+                       rows: np.ndarray) -> np.ndarray:
     """Canonical echelon rows of w(kN) kG for a normal subgroup N: for each
     coset with basis indices i_1 < ... < i_m, the rows e_(i_j) - e_(i_m),
-    j < m, all in pivot order."""
+    j < m, all in pivot order.  They are written into `rows`, a zero array
+    of dim w(kN) kG rows, which is returned."""
     n = alg.dim
     last = np.full(n, -1)  # the last basis index of each element's coset
     for i, g in enumerate(alg.labels):
@@ -163,7 +164,6 @@ def _coset_differences(alg: FiniteGroupAlgebra, sub: frozenset) -> np.ndarray:
             coset = [alg.index[alg.oracle.mul(h, g)] for h in sub]
             last[coset] = max(coset)
     pivots = np.flatnonzero(last != np.arange(n))
-    rows = np.zeros((pivots.size, n), dtype=np.int64)
     rows[np.arange(pivots.size), pivots] = 1
     rows[np.arange(pivots.size), last[pivots]] = alg.prime - 1
     return rows

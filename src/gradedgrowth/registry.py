@@ -101,6 +101,8 @@ def load_registry(path: str | None = None) -> dict:
 
 
 def get_group(name: str, registry_path: str | None = None) -> GroupOracle:
+    if not isinstance(name, str):
+        raise ContractError(f"a group name must be a string, got {name!r}")
     registry = load_registry(registry_path)
     if name not in registry:
         raise ContractError(

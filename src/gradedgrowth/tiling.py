@@ -26,8 +26,12 @@ delta, zeta and height cap are kept, every per-step hypothesis and bound is
 checked exactly at runtime and recorded, and the final defect is verified
 by direct count, never assumed from the recipe.
 
-covering_recipe fixes the recipe's constants and theta_step is its
-bookkeeping map; the subspace probe (algebra_probe) runs both on ranks.
+covering_recipe fixes the recipe's constants, theta_step is its
+bookkeeping map, and cover is its one covering loop: greedy_fill passes,
+each over the tower level that the caller's level rule picks.  The
+transversal pipeline's rule scans its tower candidates; the subspace probe
+(algebra_probe) runs the same loop on the cosets of Z/m with interval
+levels, whose counts are its ranks.
 """
 
 from __future__ import annotations
@@ -420,12 +424,19 @@ def _tower_candidates(oracle: GroupOracle, omega: QuotientSet, base: int):
         yield ball(oracle, r).elements
 
 
+def boundary_bound_ok(oracle: GroupOracle, level: Sequence, k: Sequence,
+                      epsilon: Fraction, params: ThetaParams) -> bool:
+    """The tower's boundary bound against the base set K, counted in the
+    group: #(K_i K) <= (1 + eps/2)(1 - delta) #K_i."""
+    grown = {oracle.mul(g, x) for g in level for x in k}
+    return len(grown) <= (1 + epsilon / 2) * (1 - params.delta) * len(level)
+
+
 def _level_ok(oracle: GroupOracle, omega: QuotientSet, candidate: list,
               k: list, epsilon: Fraction, params: ThetaParams,
               previous: list[list]) -> bool:
-    # boundary bound against the base set K (identity in K, so K_i K covers K_i)
-    grown = {oracle.mul(g, x) for g in candidate for x in k}
-    if Fraction(len(grown)) > (1 + epsilon / 2) * (1 - params.delta) * len(candidate):
+    # identity in K, so K_i K covers K_i
+    if not boundary_bound_ok(oracle, candidate, k, epsilon, params):
         return False
     # injectivity in the quotient (equivalently: differences avoid N - {1})
     if len({omega.project(g) for g in candidate}) != len(candidate):
@@ -436,6 +447,24 @@ def _level_ok(oracle: GroupOracle, omega: QuotientSet, candidate: list,
         if Fraction(len(set(prev) | envelope)) >= params.zeta * len(prev):
             return False
     return True
+
+
+def cover(omega: QuotientSet, k: Sequence, params: ThetaParams, t_cap: int,
+          target: Fraction, next_level) -> tuple[list, list[GreedyFillResult]]:
+    """The recipe's covering loop: up to t_cap greedy_fill passes from an
+    empty region, each with the tower level next_level(tower so far), the
+    base set K as the boundary set and (B, nu, alpha) carried from the
+    pass before.  It stops once nu clears the target, alpha reaches 1 or a
+    pass has mu >= 1.  Returns the tower and the passes, one per level."""
+    tower, fills = [], []
+    b, nu, alpha = set(), Fraction(0), Fraction(0)
+    while len(fills) < t_cap and alpha < 1 and nu <= target:
+        tower.append(next_level(tower))
+        fills.append(greedy_fill(omega, b, tower[-1], k, params, nu, alpha))
+        if fills[-1].mu >= 1:
+            break
+        b, nu, alpha = fills[-1].covered, fills[-1].nu_out, fills[-1].alpha_out
+    return tower, fills
 
 
 # ---------------------------------------------------------------------------
@@ -562,62 +591,41 @@ def build_transversal(oracle: GroupOracle, k: Sequence, epsilon,
 def _attempt_quotient(oracle, omega, level, k, epsilon, params,
                       t_cap, target, base):
     n = omega.size()
-    tower: list[list] = []
-    b: set = set()
-    nu, alpha = Fraction(0), Fraction(0)
-    trace = []
-    placements = []  # (usage index, center coset, carved coset set)
-    for u in range(1, t_cap + 1):
-        if alpha >= 1 or nu > target:
-            break
-        level_set = None
-        for cand in _tower_candidates(oracle, omega, base):
-            if len(cand) > n:
-                continue
-            if _level_ok(oracle, omega, cand, k, epsilon, params, tower):
-                level_set = cand
-                break
-        if level_set is None:
-            raise SearchFailedError(
-                "tower construction exhausted its candidates (boundary, "
-                "injectivity or almost-invariance constraint unmet)"
-            )
-        tower.append(level_set)
-        res = greedy_fill(omega, b, level_set, k, params, nu, alpha)
-        trace.append({
-            "step": u,
-            "level_size": len(level_set),
-            "s": res.s,
-            "mu": res.mu,
-            "nu": res.nu_out,
-            "alpha": res.alpha_out,
-            "hypotheses_ok": res.hypotheses_ok,
-            "hypothesis_failures": res.hypothesis_failures,
-            "mu_at_least_delta": res.mu_at_least_delta,
-            "coverage_identity_ok": res.coverage_identity_ok,
-            "boundary_bound_ok": res.boundary_bound_ok,
-            "maximality_ok": res.maximality_ok,
-        })
-        for center, tile in zip(res.centers, res.tiles):
-            placements.append((u, center, tile))
-        b = res.covered
-        nu, alpha = res.nu_out, res.alpha_out
-        if res.mu >= 1:
-            break
 
-    remainder_cosets = [c for c in omega.elements if c not in b]
-    lifted_placements = []
+    def next_level(tower):
+        for cand in _tower_candidates(oracle, omega, base):
+            if len(cand) <= n and _level_ok(oracle, omega, cand, k, epsilon, params, tower):
+                return cand
+        raise SearchFailedError(
+            "tower construction exhausted its candidates (boundary, "
+            "injectivity or almost-invariance constraint unmet)"
+        )
+
+    tower, fills = cover(omega, k, params, t_cap, target, next_level)
+    trace = [{
+        "step": u,
+        "level_size": len(level_set),
+        "s": res.s,
+        "mu": res.mu,
+        "nu": res.nu_out,
+        "alpha": res.alpha_out,
+        "hypotheses_ok": res.hypotheses_ok,
+        "hypothesis_failures": res.hypothesis_failures,
+        "mu_at_least_delta": res.mu_at_least_delta,
+        "coverage_identity_ok": res.coverage_identity_ok,
+        "boundary_bound_ok": res.boundary_bound_ok,
+        "maximality_ok": res.maximality_ok,
+    } for u, (level_set, res) in enumerate(zip(tower, fills), 1)]
+    lifted_placements = []  # (usage index, lifted center, lifted tile elements)
     transversal = []
-    for u, center, tile_cosets in placements:
-        x = omega.section(center)
-        piece = []
-        for g in tower[u - 1]:
-            elt = oracle.mul(x, g)
-            if omega.act(center, g) in tile_cosets:
-                piece.append(elt)
-        lifted_placements.append((u, x, piece))
-        transversal.extend(piece)
-    remainder = [omega.section(c) for c in remainder_cosets]
+    for u, (level_set, res) in enumerate(zip(tower, fills), 1):
+        for center, tile_cosets in zip(res.centers, res.tiles):
+            x = omega.section(center)
+            piece = [oracle.mul(x, g) for g in level_set if omega.act(center, g) in tile_cosets]
+            lifted_placements.append((u, x, piece))
+            transversal.extend(piece)
+    covered = fills[-1].covered if fills else set()
+    remainder = [omega.section(c) for c in omega.elements if c not in covered]
     transversal.extend(remainder)
 
     # independent sanity of the construction before measuring the defect

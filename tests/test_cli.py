@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -9,7 +10,10 @@ import pytest
 
 from gradedgrowth.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
+PROBE = ["tile-algebra-probe", "--p", "2", "--epsilon", "1/2"]
+TILE_Z2 = ["tile", "--group", "z2", "--epsilon", "1/2"]
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -247,6 +251,33 @@ class TestVerifyRoundTrip:
         cert.write_text(json.dumps(payload))
         assert main(["verify", "--certificate", str(cert),
                      "--out", str(tmp_path / "v.json")]) == 4
+
+    @pytest.mark.parametrize("command,key,value", [
+        (PROBE, ("config", "p"), "2"),
+        (PROBE, ("config", "p"), 2.0),
+        (PROBE, ("config", "k_exponents"), "0,1"),
+        (PROBE, ("config", "chain_base"), "2"),
+        (TILE_Z2, ("group",), ["z2"]),
+        (TILE_Z2, ("group",), {}),
+    ], ids=["p-string", "p-float", "exponents-string", "base-string", "group-list",
+            "group-object"])
+    def test_ill_typed_field_is_4(self, tmp_path, command, key, value):
+        cert = tmp_path / "cert.json"
+        assert main(command + ["--out", str(cert)]) == 0
+        payload = json.loads(cert.read_text())
+        target = payload
+        for part in key[:-1]:
+            target = target[part]
+        target[key[-1]] = value
+        cert.write_text(json.dumps(payload))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                           os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "gradedgrowth.cli", "verify",
+                               "--certificate", str(cert)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 4, proc.stderr
+        assert "contract violation" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestExitCodes:

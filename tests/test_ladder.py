@@ -213,11 +213,14 @@ class TestLadderBudget:
         assert "ladder" in proc.stderr and proc.stdout == ""
 
     def test_cli_order_prime_to_p_answers_from_the_trivial_group(self, tmp_path):
-        proc = _growth(tmp_path, 2048, 3)
-        assert proc.returncode == 0, proc.stderr
-        out = json.loads(proc.stdout)
+        code, stdout, peak_kb = _growth_usage(tmp_path, 2048, 3)
+        assert code == 0
+        out = json.loads(stdout)
         assert out["graded_dims"] == [1]
         assert out["power_dims"] == [2048, 2047]
+        # I_N's rows are written straight into the 33.5 MB flag, not copied
+        # into it: holding both peaked at 94 MB
+        assert peak_kb < 80 * 1024
 
 
 class TestPowersSequence:
@@ -242,24 +245,37 @@ class TestPowersSequence:
             lad.powers[0] = powers[0]
 
 
+# Runs a command as a grandchild and prints its exit code and its peak RSS,
+# read with wait4 on its pid.  A process started straight from the test
+# process would report at least the test process's own peak RSS: the exec
+# that starts it records the high-water mark of the address space it
+# replaces, which fork copies from the parent (and vfork shares with it).
+_LAUNCH = """import os, subprocess, sys
+with open(sys.argv[1], "wb") as sink:
+    proc = subprocess.Popen(sys.argv[2:], stdout=sink, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
 def _growth_usage(tmp_path, m: int, p: int):
-    """Exit code, stdout bytes and resource usage of `growth` on a cyclic
-    group of order m, given by a registry spec named c<m>.  The usage is
-    the child's own, read with wait4 on its pid: RUSAGE_CHILDREN would
-    fold in every earlier child of this process."""
+    """Exit code, stdout bytes and peak RSS (kilobytes on Linux) of `growth`
+    on a cyclic group of order m, given by a registry spec named c<m>.  The
+    peak is the growth process's own, read with wait4 on its pid by a small
+    launcher process: RUSAGE_CHILDREN would fold in every earlier child of
+    this process."""
     registry = tmp_path / "registry.json"
     registry.write_text(json.dumps({f"c{m}": {"kind": "zd_mod", "params": {"d": 1, "m": m}}}))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
                                                        os.environ.get("PYTHONPATH", "")]))
     out = tmp_path / "out.json"
-    with open(out, "wb") as sink:
-        proc = subprocess.Popen([sys.executable, "-m", "gradedgrowth.cli", "--registry",
-                                 str(registry), "growth", "--group", f"c{m}", "--p", str(p),
-                                 "--format", "json"],
-                                env=env, stdout=sink, stderr=subprocess.DEVNULL)
-        _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, out.read_bytes(), usage
+    launched = subprocess.run([sys.executable, "-c", _LAUNCH, str(out),
+                               sys.executable, "-m", "gradedgrowth.cli", "--registry",
+                               str(registry), "growth", "--group", f"c{m}", "--p", str(p),
+                               "--format", "json"],
+                              env=env, capture_output=True, text=True, check=True)
+    code, peak_kb = map(int, launched.stdout.split())
+    return code, out.read_bytes(), peak_kb
 
 
 class TestLadderMemory:
@@ -284,8 +300,8 @@ class TestLadderMemory:
     def test_growth_on_order_1728_peaks_under_256_mb(self, tmp_path):
         # 28 powers of rank at least 1,700 over 1,728 columns: the dense
         # ladder peaked at 671 MB
-        code, stdout, usage = _growth_usage(tmp_path, 1728, 3)
+        code, stdout, peak_kb = _growth_usage(tmp_path, 1728, 3)
         assert code == 0
         assert (hashlib.sha1(stdout).hexdigest()
                 == "3e524d1513615fb27e69286529166c6448e9475c")
-        assert usage.ru_maxrss < 256 * 1024  # kilobytes on Linux
+        assert peak_kb < 256 * 1024

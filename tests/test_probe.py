@@ -1,12 +1,15 @@
-"""The subspace-tiling probe, and a differential test that locks its
-exponent-set counting to the rank-based level it replaced.
+"""The subspace-tiling probe, a differential test that locks its covering
+to the rank-based level it replaced, and the stdout bytes of two probe runs.
 
-`reference_attempt_level` is that level, kept here verbatim with its
-helpers: every tile, B and B K* is a `Subspace` of the finite group algebra
-GF(p)[Z/m], every overlap an `intersect`, and the defect an
-`invariance_defect` on a ball of Z.
+Each chain level of the probe runs `tiling.cover` over `greedy_fill` on the
+cosets of Z/m, with interval tiles.  `reference_attempt_level` is the level
+before both the exponent-set counting and that covering loop, kept here
+verbatim with its helpers: every tile, B and B K* is a `Subspace` of the
+finite group algebra GF(p)[Z/m], scanned in the ball's BFS order, every
+overlap an `intersect`, and the defect an `invariance_defect` on a ball of Z.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -15,6 +18,7 @@ from gradedgrowth import algebra_probe
 from gradedgrowth.algebra_probe import (ProbeReport, ProbeStep, algebra_tiling_probe,
                                         monomial_probe_json, probe_report_jsonable,
                                         verify_probe_json)
+from gradedgrowth.cli import main
 from gradedgrowth.errors import (ContractError, ResourceBudgetError,
                                  SearchFailedError)
 from gradedgrowth.filtration import FiniteGroupAlgebra
@@ -174,6 +178,16 @@ class TestCountingMatchesRanks:
         assert probe_outcome(2, exponents, epsilon, base) is error
         monkeypatch.setattr(algebra_probe, "_attempt_level", reference_attempt_level)
         assert probe_outcome(2, exponents, epsilon, base) is error
+
+
+@pytest.mark.parametrize("args,sha1", [
+    (["--p", "3"], "ecc2011e67bac7b57a2b79c7c8dc1118222888f5"),
+    (["--p", "2", "--chain-base", "3"], "c22d4dbbccb69c304f72a1c39061bb0bad83bc98"),
+], ids=["p-3", "chain-base-3"])
+def test_recorded_stdout(capsys, args, sha1):
+    # recorded before the probe ran on tiling.cover
+    assert main(["tile-algebra-probe", "--epsilon", "1/2", *args]) == 0
+    assert hashlib.sha1(capsys.readouterr().out.encode()).hexdigest() == sha1
 
 
 ZERO_MOD_2 = [{0: 1}, {1: 2}]

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gradedgrowth.errors import ContractError, SearchFailedError
-from gradedgrowth.groups import FreeAbelian, FreeGroup, Heisenberg, HeisenbergMod, ZdMod
+from gradedgrowth.groups import FreeAbelian, FreeGroup, Heisenberg, HeisenbergMod, ZdMod, ball
 from gradedgrowth.subspace import set_defect
 from gradedgrowth.tiling import (GreedyFillResult, HeisenbergQuotient, QuotientSet,
                                  ThetaParams, TilingCertificate, ZdQuotient, _level_ok,
-                                 build_transversal, congruence_quotient, folner_search,
-                                 covering_recipe, greedy_fill, inverse_envelope,
+                                 build_transversal, congruence_quotient, cover,
+                                 folner_search, covering_recipe, greedy_fill, inverse_envelope,
                                  pick_delta, pick_zeta, quotient_chain, theta,
                                  verify_certificate, worst_case_height)
 
@@ -305,6 +305,50 @@ class TestGreedyFillDifferential:
         g = tuple(range(3, 3 + len(omega.elements[0])))
         acted = omega.act_indices(np.array(omega.elements), np.array([omega.project(g)]))
         assert list(acted[:, 0]) == list(omega.index([omega.act(x, g) for x in omega.elements]))
+
+
+# The covering loop that `cover` replaced in the transversal pipeline, kept
+# verbatim from `_attempt_quotient` with its candidate scan as `next_level`;
+# it runs the set-based reference pass.
+def reference_cover(omega, k, params, t_cap, target, next_level):
+    tower: list[list] = []
+    b: set = set()
+    nu, alpha = Fraction(0), Fraction(0)
+    fills = []
+    for u in range(1, t_cap + 1):
+        if alpha >= 1 or nu > target:
+            break
+        level_set = next_level(tower)
+        tower.append(level_set)
+        res = reference_greedy_fill(omega, b, level_set, k, params, nu, alpha)
+        fills.append(res)
+        b = res.covered
+        nu, alpha = res.nu_out, res.alpha_out
+        if res.mu >= 1:
+            break
+    return tower, fills
+
+
+class TestCoverLevels:
+    """`cover` through more than one tower level: on Z^2/8Z^2 the 13-point
+    diamonds leave 12 cosets that no radius-1 diamond fits into without
+    overlap, so the identity level finishes the cover."""
+
+    @pytest.mark.parametrize("epsilon", [Fraction(1, 2), Fraction(1)], ids=str)
+    def test_three_levels_match_the_reference(self, z2, epsilon):
+        k = ball(z2, 1).elements
+        levels = [ball(z2, 2).elements, k, [z2.identity]]
+        omega = congruence_quotient(z2, 8)
+        args = (omega, k, *covering_recipe(len(k), epsilon), lambda tower: levels[len(tower)])
+        tower, fills = cover(*args)
+        ref_tower, ref_fills = reference_cover(*args)
+        assert tower == ref_tower == levels
+        assert [res.s for res in fills] == [4, 0, 12]
+        assert [res.nu_out for res in fills] == [Fraction(13, 16), Fraction(13, 16), 1]
+        assert len(fills) == len(ref_fills)
+        for got, want in zip(fills, ref_fills):
+            for field in dataclasses.fields(GreedyFillResult):
+                assert getattr(got, field.name) == getattr(want, field.name), field.name
 
 
 def reference_worst_case_height(params: ThetaParams, k_size: int, epsilon: Fraction) -> int:
