@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from gradedgrowth.algebra_probe import algebra_tiling_probe
 from gradedgrowth.registry import get_group
+from gradedgrowth.serialize import frac_from_json
 from gradedgrowth.tiling import build_transversal, congruence_quotient, verify_certificate
 
 
@@ -40,14 +41,15 @@ def main(argv=None) -> int:
 
     print("\nexperimental subspace probe over GF(2)[Z], K = span{1, t}:")
     report = algebra_tiling_probe(2, [{0: 1}, {1: 1}], eps)
-    print(f"  quotient level={report.quotient_level} omega_dim={report.omega_dim} "
-          f"defect={report.defect}")
-    for st in report.steps:
-        print(f"  step {st.step}: level_dim={st.level_dim} s={st.s} mu={st.mu} "
-              f"mu>=delta={st.mu_at_least_delta} "
-              f"coverage_ok={st.coverage_identity_ok} "
-              f"boundary_ok={st.boundary_bound_ok}")
-    print(f"  all step assertions held: {report.all_step_assertions_held}"
+    print(f"  quotient level={report['quotient_level']} omega_dim={report['omega_dim']} "
+          f"defect={frac_from_json(report['defect'])}")
+    for st in report["steps"]:
+        print(f"  step {st['step']}: level_dim={st['level_dim']} s={st['s']} "
+              f"mu={frac_from_json(st['mu'])} "
+              f"mu>=delta={st['mu_at_least_delta']} "
+              f"coverage_ok={st['coverage_identity_ok']} "
+              f"boundary_ok={st['boundary_bound_ok']}")
+    print(f"  all step assertions held: {report['all_step_assertions_held']}"
           "  (recorded outcomes, not a theorem claim)")
     return 0
 

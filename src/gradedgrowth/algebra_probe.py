@@ -19,12 +19,13 @@ t**(side-1) as the tower levels, and nothing is eliminated.  The transversal
 T is B plus a complement of B, which is always the whole quotient algebra;
 so the reported defect is that of the lifted interval t**0, ..., t**(m-1)
 against K (a set defect in Z) and does not depend on the covering steps,
-which are reported as data.
+which are reported as data.  The report is built as plain JSON, every
+fraction as {num, den}, with one step per greedy_fill pass read off the
+GreedyFillResult that cover returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import budgets
@@ -45,46 +46,15 @@ def _is_invertible_element(terms: dict) -> bool:
     return len(nonzero) == 1
 
 
-@dataclass
-class ProbeStep:
-    step: int
-    level_dim: int
-    s: int
-    mu: Fraction
-    nu: Fraction
-    alpha: Fraction
-    mu_at_least_delta: bool
-    coverage_identity_ok: bool
-    boundary_bound_ok: bool
-
-
-@dataclass
-class ProbeReport:
-    prime: int
-    epsilon: Fraction
-    delta: Fraction
-    zeta: Fraction
-    height_cap: int
-    quotient_level: int
-    omega_dim: int
-    k_dim: int
-    steps: list[ProbeStep] = field(default_factory=list)
-    complement_found: bool = False
-    complement_dim: int = 0
-    defect: Fraction | None = None
-    defect_below_epsilon: bool | None = None
-    all_step_assertions_held: bool | None = None
-
-
 def algebra_tiling_probe(p: int, k_basis: list[dict], epsilon,
-                         chain_base: int = 2) -> ProbeReport:
+                         chain_base: int = 2) -> dict:
     """Run the subspace pipeline for GF(p)[Z] with the congruence ideal chain.
 
     k_basis: basis of the test subspace K as {exponent: coefficient} maps;
     every basis element must be invertible (a single monomial), and the
     unit is adjoined when no basis element is a multiple of it.  The probe
     scans chain levels 1..MAX_LEVEL until the lifted quotient algebra has
-    defect < epsilon.
+    defect < epsilon, and returns that level's report as JSON.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -142,29 +112,38 @@ def _attempt_level(p, k_basis, epsilon, params, t_cap, target, base, level, k_di
     # exponents: the cosets of Z/m, with the interval levels as tiles
     tower, fills = cover(congruence_quotient(FreeAbelian(1), m), k, params, t_cap, target,
                          lambda built: _next_level(base, m, k, epsilon, params, built))
-    report = ProbeReport(prime=p, epsilon=epsilon, delta=params.delta,
-                         zeta=params.zeta, height_cap=t_cap,
-                         quotient_level=level, omega_dim=m, k_dim=k_dim, steps=[
-        ProbeStep(step=u, level_dim=len(interval), s=res.s, mu=res.mu,
-                  nu=res.nu_out, alpha=res.alpha_out,
-                  mu_at_least_delta=res.mu_at_least_delta,
-                  coverage_identity_ok=res.coverage_identity_ok,
-                  boundary_bound_ok=res.boundary_bound_ok)
-        for u, (interval, res) in enumerate(zip(tower, fills), 1)
-    ])
-
     # T, B plus a complement of B, is the whole quotient algebra; its defect
     # is measured on the lift t**0, ..., t**(m-1), with honest (unwrapped)
     # products against K
-    report.complement_found = True
-    report.complement_dim = m
-    report.defect = set_defect([(j,) for j in range(m)], k, FreeAbelian(1))
-    report.defect_below_epsilon = report.defect < epsilon
-    report.all_step_assertions_held = all(
-        st.mu_at_least_delta and st.coverage_identity_ok and st.boundary_bound_ok
-        for st in report.steps
-    )
-    return report if report.defect_below_epsilon else None
+    defect = set_defect([(j,) for j in range(m)], k, FreeAbelian(1))
+    if defect >= epsilon:
+        return None
+    steps = [{"step": u, "level_dim": len(interval), "s": res.s, "mu": frac_json(res.mu),
+              "nu": frac_json(res.nu_out), "alpha": frac_json(res.alpha_out),
+              "mu_at_least_delta": res.mu_at_least_delta,
+              "coverage_identity_ok": res.coverage_identity_ok,
+              "boundary_bound_ok": res.boundary_bound_ok}
+             for u, (interval, res) in enumerate(zip(tower, fills), 1)]
+    return {
+        "certificate_type": "algebra_tiling_probe",
+        "experimental": True,
+        "prime": p,
+        "epsilon": frac_json(epsilon),
+        "delta": frac_json(params.delta),
+        "zeta": frac_json(params.zeta),
+        "height_cap": t_cap,
+        "quotient_level": level,
+        "omega_dim": m,
+        "k_dim": k_dim,
+        "steps": steps,
+        "complement_found": True,
+        "complement_dim": m,
+        "defect": frac_json(defect),
+        "defect_below_epsilon": True,
+        "all_step_assertions_held": all(
+            res.mu_at_least_delta and res.coverage_identity_ok and res.boundary_bound_ok
+            for res in fills),
+    }
 
 
 def _next_level(base, m, k, epsilon, params, tower):
@@ -183,48 +162,13 @@ def _next_level(base, m, k, epsilon, params, tower):
     raise SearchFailedError("no interval level satisfies the boundary bound")
 
 
-def probe_report_jsonable(report: ProbeReport) -> dict:
-    return {
-        "certificate_type": "algebra_tiling_probe",
-        "experimental": True,
-        "prime": report.prime,
-        "epsilon": frac_json(report.epsilon),
-        "delta": frac_json(report.delta),
-        "zeta": frac_json(report.zeta),
-        "height_cap": report.height_cap,
-        "quotient_level": report.quotient_level,
-        "omega_dim": report.omega_dim,
-        "k_dim": report.k_dim,
-        "steps": [
-            {
-                "step": st.step,
-                "level_dim": st.level_dim,
-                "s": st.s,
-                "mu": frac_json(st.mu),
-                "nu": frac_json(st.nu),
-                "alpha": frac_json(st.alpha),
-                "mu_at_least_delta": st.mu_at_least_delta,
-                "coverage_identity_ok": st.coverage_identity_ok,
-                "boundary_bound_ok": st.boundary_bound_ok,
-            }
-            for st in report.steps
-        ],
-        "complement_found": report.complement_found,
-        "complement_dim": report.complement_dim,
-        "defect": None if report.defect is None else frac_json(report.defect),
-        "defect_below_epsilon": report.defect_below_epsilon,
-        "all_step_assertions_held": report.all_step_assertions_held,
-    }
-
-
 def monomial_probe_json(p: int, exponents: list[int], epsilon,
                         chain_base: int = 2) -> dict:
     """The probe for K spanned by the monomials t**e, e in exponents, as
     JSON that embeds its configuration, so that it can be re-run."""
     epsilon = Fraction(epsilon)
-    report = algebra_tiling_probe(p, [{e: 1} for e in exponents], epsilon,
-                                  chain_base=chain_base)
-    payload = probe_report_jsonable(report)
+    payload = algebra_tiling_probe(p, [{e: 1} for e in exponents], epsilon,
+                                   chain_base=chain_base)
     payload["config"] = {"command": "tile-algebra-probe", "p": p,
                          "k_exponents": list(exponents),
                          "epsilon": frac_json(epsilon),

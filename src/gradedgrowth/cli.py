@@ -35,8 +35,6 @@ import dataclasses
 import json
 import random
 
-import numpy as np
-
 
 def _write(text: str, out_path: str | None):
     if out_path:
@@ -247,7 +245,7 @@ def _cmd_rs_check(args) -> int:
     attempts = 0
     while produced < args.ideals and attempts < 200 * args.ideals:
         attempts += 1
-        vec = np.array([rng.randrange(args.p) for _ in range(alg.dim)], dtype=np.int64)
+        vec = [rng.randrange(args.p) for _ in range(alg.dim)]
         ideal = right_ideal_closure(alg, [vec])
         if not 0 < ideal.rank < alg.dim:  # a proper right ideal holds no 1
             continue

@@ -101,15 +101,6 @@ class AugmentationLadder:
         d = self.power_dims
         return [a - b for a, b in zip(d, d[1:])]
 
-    @property
-    def stabilized_dim(self) -> int:
-        """0 for p-groups; the stable ideal dimension otherwise."""
-        return self.power_dims[-1]
-
-    @property
-    def terminates_at_zero(self) -> bool:
-        return self.stabilized_dim == 0
-
 
 def aug_ladder(alg: FiniteGroupAlgebra) -> AugmentationLadder:
     """Powers of the augmentation ideal w until the first repeat, built from

@@ -533,12 +533,16 @@ class TilingCertificate:
     @classmethod
     def from_json(cls, payload: dict) -> "TilingCertificate":
         with reading("tiling certificate"):
-            level = payload["quotient_level"]
+            level, config = payload["quotient_level"], payload.get("config", {})
+            base = config.get("chain_base", 2) if type(config) is dict else None
+            if not (type(level) is int and type(base) is int):
+                raise ContractError("tiling certificate: config must be an object, and "
+                                    "quotient_level and config.chain_base integers")
             return cls(
                 group=payload["group"],
                 quotient_name=payload["quotient_name"],
                 quotient_level=level,
-                modulus=payload.get("config", {}).get("chain_base", 2) ** level,
+                modulus=base**level,
                 omega_size=payload["omega_size"],
                 epsilon=frac_from_json(payload["epsilon"]),
                 delta=frac_from_json(payload["delta"]),

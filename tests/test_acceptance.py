@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gradedgrowth.algebra_probe import algebra_tiling_probe, probe_report_jsonable
+from gradedgrowth.algebra_probe import algebra_tiling_probe
 from gradedgrowth.filtration import (aug_ladder, build_group_algebra,
                                      free_graded_dims, graded_dims_via_jennings,
                                      growth_report, jennings_hilbert_coeffs,
@@ -243,8 +243,7 @@ def test_criterion_10_probe_honesty():
     """The experimental subspace-tiling probe emits per-assertion outcomes,
     never any field claiming the underlying theorem, and its report matches
     the frozen schema byte for byte."""
-    report = algebra_tiling_probe(2, [{0: 1}, {1: 1}], Fraction(1, 2))
-    payload = probe_report_jsonable(report)
+    payload = algebra_tiling_probe(2, [{0: 1}, {1: 1}], Fraction(1, 2))
     for step in payload["steps"]:
         assert isinstance(step["mu_at_least_delta"], bool)
         assert isinstance(step["coverage_identity_ok"], bool)

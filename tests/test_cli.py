@@ -259,8 +259,11 @@ class TestVerifyRoundTrip:
         (PROBE, ("config", "chain_base"), "2"),
         (TILE_Z2, ("group",), ["z2"]),
         (TILE_Z2, ("group",), {}),
+        (TILE_Z2, ("config",), []),
+        (TILE_Z2, ("config", "chain_base"), 2.0),
+        (TILE_Z2, ("quotient_level",), 5.0),
     ], ids=["p-string", "p-float", "exponents-string", "base-string", "group-list",
-            "group-object"])
+            "group-object", "config-list", "tiling-base-float", "level-float"])
     def test_ill_typed_field_is_4(self, tmp_path, command, key, value):
         cert = tmp_path / "cert.json"
         assert main(command + ["--out", str(cert)]) == 0

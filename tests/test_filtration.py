@@ -70,7 +70,7 @@ class TestAugLadder:
     def test_f2c2(self):
         lad = aug_ladder(build_group_algebra(get_group("c2"), 2))
         assert lad.graded_dims == [1, 1]
-        assert lad.terminates_at_zero
+        assert lad.power_dims[-1] == 0
 
     def test_f2c4(self):
         lad = aug_ladder(build_group_algebra(get_group("c4"), 2))
@@ -83,8 +83,7 @@ class TestAugLadder:
 
     def test_non_p_group_stabilizes_nonzero(self):
         lad = aug_ladder(build_group_algebra(get_group("c3"), 2))
-        assert not lad.terminates_at_zero
-        assert lad.stabilized_dim == 2  # |G| invertible: w is idempotent
+        assert lad.power_dims[-1] == 2  # |G| invertible: w is idempotent
 
     def test_power_products_contained(self):
         alg = build_group_algebra(get_group("q8"), 2)

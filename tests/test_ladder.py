@@ -104,7 +104,7 @@ def assert_same_ladder(group, p):
         assert got.rows.dtype == want.rows.dtype == np.int64
         assert got.rows.shape == want.rows.shape, (group.name, p, k)
         assert got.rows.tobytes() == want.rows.tobytes(), (group.name, p, k)
-    assert (lad.graded_dims, lad.stabilized_dim) == (graded, stable)
+    assert (lad.graded_dims, lad.power_dims[-1]) == (graded, stable)
 
 
 class TestLadderMatchesReference:

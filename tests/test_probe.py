@@ -1,28 +1,32 @@
 """The subspace-tiling probe, a differential test that locks its covering
-to the rank-based level it replaced, and the stdout bytes of two probe runs.
+to the rank-based level it replaced, one sha1 over a 900-configuration grid
+of probe outputs, and the stdout bytes of two probe runs.
 
 Each chain level of the probe runs `tiling.cover` over `greedy_fill` on the
-cosets of Z/m, with interval tiles.  `reference_attempt_level` is the level
-before both the exponent-set counting and that covering loop, kept here
-verbatim with its helpers: every tile, B and B K* is a `Subspace` of the
-finite group algebra GF(p)[Z/m], scanned in the ball's BFS order, every
-overlap an `intersect`, and the defect an `invariance_defect` on a ball of Z.
+cosets of Z/m, with interval tiles, and returns its report as JSON.
+`reference_attempt_level` is the level before both the exponent-set
+counting and that covering loop, its covering kept here verbatim with its
+helpers: every tile, B and B K* is a `Subspace` of the finite group algebra
+GF(p)[Z/m], scanned in the ball's BFS order, every overlap an `intersect`,
+and the defect an `invariance_defect` on a ball of Z.  It builds the same
+JSON report as the probe.
 """
 
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from gradedgrowth import algebra_probe
-from gradedgrowth.algebra_probe import (ProbeReport, ProbeStep, algebra_tiling_probe,
-                                        monomial_probe_json, probe_report_jsonable,
+from gradedgrowth.algebra_probe import (algebra_tiling_probe, monomial_probe_json,
                                         verify_probe_json)
 from gradedgrowth.cli import main
-from gradedgrowth.errors import (ContractError, ResourceBudgetError,
+from gradedgrowth.errors import (ContractError, GradedGrowthError, ResourceBudgetError,
                                  SearchFailedError)
 from gradedgrowth.filtration import FiniteGroupAlgebra
 from gradedgrowth.groups import Cyclic, FreeAbelian, ball
+from gradedgrowth.serialize import frac_from_json, frac_json
 from gradedgrowth.subspace import (BallAmbient, Subspace, intersect, invariance_defect,
                                    right_multiply, set_defect, span, sum_subspaces,
                                    zero_subspace)
@@ -45,10 +49,7 @@ def reference_attempt_level(p, k_basis, epsilon, params, t_cap, target, base, le
     # spanning set of invertible images: the group-element basis, in order
     spanning = quotient.labels
 
-    report = ProbeReport(prime=p, epsilon=epsilon, delta=params.delta,
-                         zeta=params.zeta, height_cap=t_cap,
-                         quotient_level=level, omega_dim=quotient.dim,
-                         k_dim=k_dim)
+    steps = []
     n = quotient.dim
     b = zero_subspace(quotient)
     nu, alpha = Fraction(0), Fraction(0)
@@ -70,29 +71,34 @@ def reference_attempt_level(p, k_basis, epsilon, params, t_cap, target, base, le
         nu_out, alpha_out = theta_step(params, mu, nu, alpha)
         # boundary growth measured against K itself
         bl = right_multiply(b, [reference_inv_terms(t, m) for t in k_basis])
-        step = ProbeStep(
-            step=u, level_dim=level_sub.rank, s=s, mu=mu,
-            nu=nu_out, alpha=alpha_out,
-            mu_at_least_delta=mu >= params.delta,
-            coverage_identity_ok=Fraction(b.rank, n) == nu_out,
-            boundary_bound_ok=Fraction(bl.rank, n) <= alpha_out,
-        )
-        report.steps.append(step)
+        step = {
+            "step": u, "level_dim": level_sub.rank, "s": s, "mu": frac_json(mu),
+            "nu": frac_json(nu_out), "alpha": frac_json(alpha_out),
+            "mu_at_least_delta": mu >= params.delta,
+            "coverage_identity_ok": Fraction(b.rank, n) == nu_out,
+            "boundary_bound_ok": Fraction(bl.rank, n) <= alpha_out,
+        }
+        steps.append(step)
         nu, alpha = nu_out, alpha_out
         if mu >= 1:
             break
 
     # T, B plus a complement of B, is the whole quotient algebra; its defect
     # is measured on the lift, with honest (unwrapped) products against K
-    report.complement_found = True
-    report.complement_dim = n
-    report.defect = reference_lifted_defect(p, m, k_basis)
-    report.defect_below_epsilon = report.defect < epsilon
-    report.all_step_assertions_held = all(
-        st.mu_at_least_delta and st.coverage_identity_ok and st.boundary_bound_ok
-        for st in report.steps
-    )
-    return report if report.defect_below_epsilon else None
+    defect = reference_lifted_defect(p, m, k_basis)
+    report = {
+        "certificate_type": "algebra_tiling_probe", "experimental": True, "prime": p,
+        "epsilon": frac_json(epsilon), "delta": frac_json(params.delta),
+        "zeta": frac_json(params.zeta), "height_cap": t_cap, "quotient_level": level,
+        "omega_dim": n, "k_dim": k_dim, "steps": steps,
+        "complement_found": True, "complement_dim": n, "defect": frac_json(defect),
+        "defect_below_epsilon": defect < epsilon,
+        "all_step_assertions_held": all(
+            st["mu_at_least_delta"] and st["coverage_identity_ok"] and st["boundary_bound_ok"]
+            for st in steps
+        ),
+    }
+    return report if report["defect_below_epsilon"] else None
 
 
 def reference_next_level_subspace(quotient, base, m, k_basis, epsilon, params, prev_dims):
@@ -139,7 +145,7 @@ def probe_outcome(p, exponents, epsilon, base):
 
 def library_outcome(p, k_basis):
     try:
-        return probe_report_jsonable(algebra_tiling_probe(p, k_basis, Fraction(1, 2)))
+        return algebra_tiling_probe(p, k_basis, Fraction(1, 2))
     except (ContractError, SearchFailedError, ResourceBudgetError) as exc:
         return type(exc)
 
@@ -180,6 +186,28 @@ class TestCountingMatchesRanks:
         assert probe_outcome(2, exponents, epsilon, base) is error
 
 
+GRID_EXPONENTS = [[0, 1], [1], [0, 1, 1], [-1, 1], [0, -3], [0, 1, 3], [0, 7], [-2, 0, 2],
+                  [0, 4, 8], [0, 2], [0, 3], [1, 2], [0, 1, 2], [-1, 0, 1], [0, 5], [2],
+                  [0, -1], [0, 2, 5], [0, 1, 2, 3], [3]]
+
+
+def test_recorded_grid():
+    # 900 configurations: each report's JSON, or the class and message of
+    # the error that ended it, hashed together in a fixed order
+    digest = hashlib.sha1()
+    for p in (2, 3, 5):
+        for base in (2, 3, 4):
+            for epsilon in ("1/4", "1/2", "1", "2", "8"):
+                for exponents in GRID_EXPONENTS:
+                    try:
+                        out = json.dumps(monomial_probe_json(p, exponents, Fraction(epsilon),
+                                                             chain_base=base), sort_keys=True)
+                    except GradedGrowthError as exc:
+                        out = f"{type(exc).__name__}: {exc}"
+                    digest.update(out.encode() + b"\n")
+    assert digest.hexdigest() == "eea270793facf6a6715919a04b1236ced7a9d14f"
+
+
 @pytest.mark.parametrize("args,sha1", [
     (["--p", "3"], "ecc2011e67bac7b57a2b79c7c8dc1118222888f5"),
     (["--p", "2", "--chain-base", "3"], "c22d4dbbccb69c304f72a1c39061bb0bad83bc98"),
@@ -196,33 +224,33 @@ ZERO_MOD_2 = [{0: 1}, {1: 2}]
 class TestProbe:
     def test_two_monomial_basis(self):
         rep = algebra_tiling_probe(2, [{0: 1}, {1: 1}], Fraction(1, 2))
-        assert rep.complement_found
-        assert rep.defect is not None and rep.defect < Fraction(1, 2)
-        assert rep.steps  # at least one covering step ran
+        assert rep["complement_found"]
+        assert frac_from_json(rep["defect"]) < Fraction(1, 2)
+        assert rep["steps"]  # at least one covering step ran
 
     def test_unit_span_trivial(self):
         rep = algebra_tiling_probe(2, [{0: 1}], Fraction(1, 2))
-        assert rep.defect == 0
+        assert frac_from_json(rep["defect"]) == 0
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("exponents", [[0, 1], [1], [0, 2], [0, 1, 3], [-1, 1]])
     def test_defect_is_that_of_the_lifted_interval(self, p, exponents):
         # T is always the whole quotient algebra, lifted to t**0 .. t**(m-1)
         rep = algebra_tiling_probe(p, [{e: 1} for e in exponents], Fraction(1, 2))
-        assert rep.complement_found and rep.complement_dim == rep.omega_dim
-        interval = [(j,) for j in range(2**rep.quotient_level)]
+        assert rep["complement_found"] and rep["complement_dim"] == rep["omega_dim"]
+        interval = [(j,) for j in range(2**rep["quotient_level"])]
         k = [(e,) for e in {0, *exponents}]
-        assert rep.defect == set_defect(interval, k, FreeAbelian(1))
+        assert frac_from_json(rep["defect"]) == set_defect(interval, k, FreeAbelian(1))
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("exponents", [[0, 1], [1], [0, 2], [-1, 1]])
     def test_levels_follow_the_chain_base(self, p, exponents):
         rep = algebra_tiling_probe(p, [{e: 1} for e in exponents], Fraction(1, 2),
                                    chain_base=3)
-        assert rep.omega_dim == 3**rep.quotient_level
-        assert rep.steps
-        for st in rep.steps:
-            assert st.level_dim in {3**k for k in range(1, rep.quotient_level + 1)}
+        assert rep["omega_dim"] == 3**rep["quotient_level"]
+        assert rep["steps"]
+        for st in rep["steps"]:
+            assert st["level_dim"] in {3**k for k in range(1, rep["quotient_level"] + 1)}
 
     def test_non_invertible_basis_rejected(self):
         with pytest.raises(ContractError):
@@ -232,26 +260,29 @@ class TestProbe:
         # t**1 with coefficient 2 is the zero vector over GF(2), not a unit
         with pytest.raises(ContractError, match="0 mod 2"):
             algebra_tiling_probe(2, ZERO_MOD_2, Fraction(1, 2))
-        assert algebra_tiling_probe(3, ZERO_MOD_2, Fraction(1, 2)).k_dim == 2
+        assert algebra_tiling_probe(3, ZERO_MOD_2, Fraction(1, 2))["k_dim"] == 2
 
     def test_step_assertions_recorded_not_assumed(self):
         rep = algebra_tiling_probe(2, [{0: 1}, {1: 1}], Fraction(1, 2))
-        for st in rep.steps:
-            assert isinstance(st.mu_at_least_delta, bool)
-            assert isinstance(st.coverage_identity_ok, bool)
-            assert isinstance(st.boundary_bound_ok, bool)
+        for st in rep["steps"]:
+            assert isinstance(st["mu_at_least_delta"], bool)
+            assert isinstance(st["coverage_identity_ok"], bool)
+            assert isinstance(st["boundary_bound_ok"], bool)
 
     def test_report_never_claims_the_theorem(self):
-        rep = algebra_tiling_probe(3, [{0: 1}, {1: 1}], Fraction(1, 2))
-        payload = probe_report_jsonable(rep)
+        payload = algebra_tiling_probe(3, [{0: 1}, {1: 1}], Fraction(1, 2))
         assert payload["experimental"] is True
         assert not [key for key in payload if "theorem" in key.lower()]
         flat = str(payload).lower()
         assert "proved" not in flat and "theorem" not in flat
 
     def test_json_shape(self):
-        rep = algebra_tiling_probe(2, [{0: 1}, {1: 1}], Fraction(1, 2))
-        payload = probe_report_jsonable(rep)
+        payload = algebra_tiling_probe(2, [{0: 1}, {1: 1}], Fraction(1, 2))
+        # the report is plain JSON, the same as the CLI's without its config
+        assert json.loads(json.dumps(payload)) == payload
+        cli_payload = monomial_probe_json(2, [0, 1], Fraction(1, 2))
+        del cli_payload["config"]
+        assert payload == cli_payload
         for key in ("certificate_type", "steps", "complement_found", "defect",
                     "all_step_assertions_held", "delta", "zeta", "epsilon"):
             assert key in payload
