@@ -18,7 +18,7 @@ from .algebra_probe import monomial_probe_json, verify_probe_json
 from .errors import (ContractError, GradedGrowthError, ResourceBudgetError,
                      SearchFailedError)
 from .filtration import (aug_ladder, build_group_algebra, congruence_graded_dims,
-                         growth_report, quotient_agreement_dims,
+                         growth_report, is_augmentation_unit, quotient_agreement_dims,
                          right_ideal_closure, rs_generators, rs_step_bound)
 from .groups import ball, find_dead_ends
 from .gs import GSCertificate, GSPresentation, gs_certificate, relator_degrees
@@ -246,6 +246,10 @@ def _cmd_rs_check(args) -> int:
     while produced < args.ideals and attempts < 200 * args.ideals:
         attempts += 1
         vec = [rng.randrange(args.p) for _ in range(alg.dim)]
+        # a unit of a p-group algebra, known by its augmentation, spans no
+        # proper ideal: it is rejected without its closure, but still counts
+        if is_augmentation_unit(alg, vec):
+            continue
         ideal = right_ideal_closure(alg, [vec])
         if not 0 < ideal.rank < alg.dim:  # a proper right ideal holds no 1
             continue

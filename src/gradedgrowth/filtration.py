@@ -15,7 +15,9 @@ graded dimensions of the free group algebra; Witt necklace ranks; ideal
 generators in the style of Reidemeister-Schreier together with the
 single-step growth bound, both read off one identity-last echelon form of
 the ideal, as the complement F and its translates FS are spanned by group
-elements; and growth reports with Fekete-style estimates.
+elements, and the augmentation test that spots the units of a p-group
+algebra, which generate no proper ideal; and growth reports with
+Fekete-style estimates.
 """
 
 from __future__ import annotations
@@ -575,10 +577,24 @@ def rs_generators(alg: FiniteGroupAlgebra, i_sub: Subspace, s_elements: list) ->
     return [row_at[j] for j in _products(alg, complement, s_elements) if j in row_at]
 
 
+def is_augmentation_unit(alg: FiniteGroupAlgebra, vector) -> bool:
+    """Whether v * kG = kG follows from v's augmentation alone, with no
+    elimination: when |G| is a power of p, kG is local with maximal ideal
+    the augmentation ideal, so v is a unit iff eps(v), the sum of its
+    coefficients, is nonzero mod p (Passman 1977).  Always False for other
+    groups: there, and for the other vectors, right_ideal_closure decides."""
+    p, n = alg.prime, alg.dim
+    while n % p == 0:
+        n //= p
+    return n == 1 and sum(vector) % p != 0
+
+
 def right_ideal_closure(alg: FiniteGroupAlgebra, vectors) -> Subspace:
     """Smallest right ideal containing the given vectors, semi-naively: each
     round translates by the generators only the rows E_k that the last round
-    added, S_(k+1) = S_k + E_k * gens, until a round adds none."""
+    added, S_(k+1) = S_k + E_k * gens, until a round adds none.  A single
+    vector that is_augmentation_unit accepts gives the whole algebra, which
+    rs-check skips without calling this."""
     rows = fresh = span(alg, list(vectors)).rows
     gens = alg.generator_elements()
     while fresh.shape[0]:

@@ -1,3 +1,4 @@
+import json
 import random
 import signal
 from contextlib import contextmanager
@@ -12,9 +13,9 @@ from gradedgrowth.filtration import (aug_ladder, build_group_algebra,
                                      congruence_graded_dims, free_graded_dims,
                                      graded_dims_via_jennings, growth_report,
                                      jennings_hilbert_coeffs, jennings_series,
-                                     magnus_deg, magnus_series, quotient_agreement_dims,
-                                     right_ideal_closure, rs_generators,
-                                     rs_step_bound, witt_ranks)
+                                     is_augmentation_unit, magnus_deg, magnus_series,
+                                     quotient_agreement_dims, right_ideal_closure,
+                                     rs_generators, rs_step_bound, witt_ranks)
 from gradedgrowth.groups import Cyclic, HeisenbergMod, ZdMod
 from gradedgrowth.registry import P_GROUP_NAMES, get_group
 from gradedgrowth.subspace import span
@@ -347,6 +348,82 @@ class TestRSGenerators:
         aug = aug_ladder(alg).powers[1]
         ok, lhs, rhs = rs_step_bound(alg, aug, alg.generator_elements())
         assert ok and lhs == rhs == 1
+
+
+def reference_rs_check(group: str, p: int, ideals: int, seed: int) -> dict:
+    """rs-check's payload as its loop computed it before the augmentation
+    test: one right-ideal closure for every draw."""
+    alg = build_group_algebra(get_group(group), p)
+    rng = random.Random(seed)
+    gens = alg.generator_elements()
+    results = []
+    produced = 0
+    attempts = 0
+    while produced < ideals and attempts < 200 * ideals:
+        attempts += 1
+        vec = [rng.randrange(p) for _ in range(alg.dim)]
+        ideal = right_ideal_closure(alg, [vec])
+        if not 0 < ideal.rank < alg.dim:
+            continue
+        produced += 1
+        ideal_gens = rs_generators(alg, ideal, gens)
+        bound_ok, lhs, rhs = rs_step_bound(alg, ideal, gens)
+        results.append({
+            "rank": ideal.rank,
+            "generators": len(ideal_gens),
+            "regenerates": right_ideal_closure(alg, ideal_gens) == ideal,
+            "step_bound_holds": bool(bound_ok),
+            "dim_I_mod_Iw": lhs,
+            "dim_complement_intersection": rhs,
+        })
+    return {
+        "config": {"command": "rs-check", "group": group, "p": p,
+                   "ideals": ideals, "seed": seed},
+        "ideals_tested": produced,
+        "all_regenerate": all(r["regenerates"] for r in results),
+        "all_bounds_hold": all(r["step_bound_holds"] for r in results),
+        "results": results,
+    }
+
+
+class TestAugmentationUnit:
+    """is_augmentation_unit fires exactly when the closure of one vector is
+    the whole algebra, on p-groups, and never on other groups."""
+
+    @pytest.mark.parametrize("group,p", [
+        (get_group("c2"), 2), (get_group("c4"), 2), (get_group("q8"), 2),
+        (get_group("c2xc2"), 2), (get_group("d4"), 2), (get_group("c3"), 3),
+        (get_group("c9"), 3), (get_group("c3xc3"), 3),
+        (get_group("heisenberg_mod_3"), 3), (Cyclic(5), 5),
+    ], ids=lambda x: getattr(x, "name", str(x)))
+    def test_fires_iff_closure_is_whole(self, group, p):
+        alg = build_group_algebra(group, p)
+        rng = random.Random(p * 1000 + alg.dim)
+        fired = 0
+        for _ in range(50):
+            vec = [rng.randrange(p) for _ in range(alg.dim)]
+            whole = right_ideal_closure(alg, [vec]).rank == alg.dim
+            assert is_augmentation_unit(alg, vec) is whole
+            fired += whole
+        assert 0 < fired < 50
+
+    @pytest.mark.parametrize("name,p", [("c2xc2", 3), ("c3", 2), ("c3", 5)])
+    def test_never_fires_off_p_groups(self, name, p):
+        alg = build_group_algebra(get_group(name), p)
+        rng = random.Random(7)
+        for _ in range(50):
+            vec = [rng.randrange(p) for _ in range(alg.dim)]
+            assert not is_augmentation_unit(alg, vec)
+        assert not is_augmentation_unit(alg, [1] + [0] * (alg.dim - 1))
+
+    @pytest.mark.parametrize("name,p", [("q8", 2), ("heisenberg_mod_3", 3),
+                                        ("c2xc2", 3), ("c3", 2)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rs_check_matches_reference(self, name, p, seed, tmp_path):
+        out = tmp_path / "rs.json"
+        assert main(["rs-check", "--group", name, "--p", str(p), "--ideals", "5",
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == reference_rs_check(name, p, 5, seed)
 
 
 class TestGrowthReport:
