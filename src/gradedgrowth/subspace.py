@@ -28,10 +28,7 @@ is one insertion kernel, ``echelon_insert``: the block is reduced against
 the canonical rows by their pivots in one product, only the remainder goes
 through ``rref``, and the new pivots are cleared from the old rows and
 merged in by pivot, so the result is the canonical form of the sum without
-re-eliminating the rows already there.  Canonical rows are the identity on
-their pivot columns, so a remainder is 0 there: each of these products, and
-``Subspace.reduce_vector``, is taken on the free columns (those with no
-pivot) alone.
+re-eliminating the rows already there.
 
 Every entry point (``rref``, ``BallAmbient``, ``hecke.HeckeElement``) applies
 the one prime bound p < 2**16 of ``scalars.check_prime``.  The odd-p loop
@@ -150,53 +147,30 @@ def pivot_columns(rows: np.ndarray) -> np.ndarray:
     return np.argmax(rows != 0, axis=1)
 
 
-def free_columns(pivots: np.ndarray, n: int) -> np.ndarray:
-    """The columns of an n-column echelon form that hold no pivot."""
-    free = np.ones(n, dtype=bool)
-    free[pivots] = False
-    return np.flatnonzero(free)
-
-
-def _reduce_free(w: np.ndarray, rows: np.ndarray, pivots: np.ndarray,
-                 free: np.ndarray, p: int) -> np.ndarray:
-    """The free columns of w's remainder against canonical rows, whose
-    pivot columns are the identity: w[F] - w[P] @ rows[:, F] mod p.  The
-    remainder is 0 on the pivot columns P."""
-    return (w[..., free] - w[..., pivots] @ rows[:, free]) % p
-
-
 def echelon_insert(rows: np.ndarray, block: np.ndarray,
                    p: int) -> tuple[np.ndarray, np.ndarray]:
     """Canonical echelon rows of span(rows) + span(block), where rows are
     already canonical over GF(p); returns them with the new rows alone.
 
     The block is reduced against the rows by their pivots in one product
-    (as in Subspace.reduce_vector) on the rows' free columns F alone, and
-    only that part of the remainder goes through rref; it is 0 on the
-    pivots.  The new rows are then 0 on the old pivots, so clearing the new
-    pivot columns from the old rows that hold them changes only their F
-    part.  The two sets are interleaved by pivot into one output, which is
-    the canonical form of the sum."""
-    block = np.asarray(block, dtype=np.int64) % p
-    n = block.shape[1]
+    (as in Subspace.reduce_vector) and only the remainder goes through
+    rref.  The new pivot columns are then cleared from the old rows that
+    hold them, and the two sets are interleaved by pivot into one output,
+    which is the canonical form of the sum."""
     pivots = pivot_columns(rows)
-    free = free_columns(pivots, n)
-    new_free = rref(_reduce_free(block, rows, pivots, free, p), p)
-    k = new_free.shape[0]
-    new = np.zeros((k, n), dtype=np.int64)
+    block = np.asarray(block, dtype=np.int64) % p
+    new = rref((block - block[:, pivots] @ rows) % p, p)
+    k = new.shape[0]
     if not k:
         return rows, new
-    new[:, free] = new_free
-    new_pivots = free[pivot_columns(new_free)]
-    out = np.empty((rows.shape[0] + k, n), dtype=np.int64)
+    new_pivots = pivot_columns(new)
+    out = np.empty((rows.shape[0] + k, new.shape[1]), dtype=np.int64)
     at_old = np.arange(rows.shape[0]) + new_pivots.searchsorted(pivots)
     out[pivots.searchsorted(new_pivots) + np.arange(k)] = new
     out[at_old] = rows
     hit = np.flatnonzero(rows[:, new_pivots].any(axis=1))
     if hit.size:
-        old = rows[hit]
-        old[:, free] = (old[:, free] - old[:, new_pivots] @ new_free) % p
-        out[at_old[hit]] = old
+        out[at_old[hit]] = (rows[hit] - rows[hit][:, new_pivots] @ new) % p
     return out, new
 
 
@@ -287,7 +261,7 @@ class BallAmbient:
 class Subspace:
     """Immutable canonical-echelon subspace of an ambient enumeration."""
 
-    __slots__ = ("ambient", "rows", "_pivots", "_free")
+    __slots__ = ("ambient", "rows", "_pivots")
 
     def __init__(self, ambient: BallAmbient, rows: np.ndarray, *, _canonical=False):
         if rows.size and rows.shape[1] != ambient.dim:
@@ -299,7 +273,6 @@ class Subspace:
         self.ambient = ambient
         self.rows = rows
         self._pivots = pivot_columns(rows)
-        self._free = free_columns(self._pivots, ambient.dim)
 
     @property
     def rank(self) -> int:
@@ -314,14 +287,13 @@ class Subspace:
         also be a block with one vector per row.
 
         Each echelon row is 0 at every other row's pivot, so the sequential
-        elimination subtracts exactly v[pivot] times each row, in one product,
-        taken on the free columns only: the remainder is 0 on the pivots.
+        elimination subtracts exactly v[pivot] times each row, in one product.
         """
         p = self.ambient.prime
         w = np.asarray(v, dtype=np.int64) % p
-        out = np.zeros_like(w)
-        out[..., self._free] = _reduce_free(w, self.rows, self._pivots, self._free, p)
-        return out
+        if w.shape[-1:] != (self.ambient.dim,):
+            raise ContractError("vector length does not match the ambient enumeration")
+        return (w - w[..., self._pivots] @ self.rows) % p
 
     def __le__(self, other: "Subspace") -> bool:
         _check_same_ambient(self, other)

@@ -13,7 +13,9 @@ equal the value recorded below (and in CHANGES.md): the odd_ideals ones
 before the row-translation kernel was unified, the deadends ones before dead
 ends were read off the ball BFS, the gf2_ladder ones (the z2 growth table
 and the Q8 rs-check) before rs-check read its generators and its step bound
-off one echelon form.
+off one echelon form.  Two rs-check lines on groups that are not p-groups,
+where the augmentation test for units never fires and every draw goes
+through the right-ideal closure, were recorded before that test was added.
 """
 
 import hashlib
@@ -43,8 +45,15 @@ RECORDED = {
 }
 
 
-@pytest.mark.parametrize("line", sorted(RECORDED))
-def test_stdout_sha1(line):
+# not benchmark commands: rs-check on groups whose draws all get a closure
+OFF_P_GROUPS = {
+    "rs-check --group c2xc2 --p 3 --ideals 5 --seed 1":
+        "c0796445326f542c3b5ed48d9e2123fbc13ad9f3",
+    "rs-check --group c3 --p 2 --ideals 5 --seed 1": "ef19e1dae2fd19ef55cac867afe64538df3a1e1d",
+}
+
+
+def stdout_sha1(line: str) -> str:
     env = dict(os.environ, PYTHONHASHSEED="0",
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     env.pop("GRADEDGROWTH_BUDGET_MB", None)
@@ -52,4 +61,14 @@ def test_stdout_sha1(line):
                            str(REGISTRY)] + line.split(),
                           env=env, capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert hashlib.sha1(proc.stdout).hexdigest() == RECORDED[line]
+    return hashlib.sha1(proc.stdout).hexdigest()
+
+
+@pytest.mark.parametrize("line", sorted(RECORDED))
+def test_stdout_sha1(line):
+    assert stdout_sha1(line) == RECORDED[line]
+
+
+@pytest.mark.parametrize("line", sorted(OFF_P_GROUPS))
+def test_rs_check_off_p_groups_sha1(line):
+    assert stdout_sha1(line) == OFF_P_GROUPS[line]

@@ -92,6 +92,16 @@ class TestSpanSumIntersect:
         with pytest.raises(ContractError):
             sum_subspaces(span(f2c2, []), span(f2c4, []))
 
+    @pytest.mark.parametrize("rank", [0, 2])
+    @pytest.mark.parametrize("length", [0, 1, 3, 5])
+    def test_reduce_vector_length_mismatch(self, f2c4, rank, length):
+        sub = span(f2c4, [{f2c4.labels[i]: 1} for i in range(rank)])
+        for v in (np.ones(length, dtype=np.int64), np.ones((2, length), dtype=np.int64)):
+            with pytest.raises(ContractError):
+                sub.reduce_vector(v)
+            with pytest.raises(ContractError):
+                sub.contains_vector(v)
+
 
 class TestRightMultiply:
     def test_crystal_shift(self, z1):
