@@ -10,12 +10,11 @@ from fractions import Fraction
 from gradedgrowth.algebra_probe import algebra_tiling_probe
 from gradedgrowth.registry import get_group
 from gradedgrowth.serialize import frac_from_json
-from gradedgrowth.tiling import build_transversal, congruence_quotient, verify_certificate
+from gradedgrowth.tiling import build_transversal, verify_certificate
 
 
 def summarize(cert, oracle):
-    omega = congruence_quotient(oracle, cert.modulus)
-    verdict, _ = verify_certificate(cert, oracle, omega)
+    verdict, _ = verify_certificate(cert, oracle)
     print(f"group={cert.group} quotient={cert.quotient_name} "
           f"|T|={len(cert.transversal)} defect={cert.defect} "
           f"delta={cert.delta} zeta={cert.zeta} height_cap={cert.height_cap}")

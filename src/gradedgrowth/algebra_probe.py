@@ -176,9 +176,10 @@ def monomial_probe_json(p: int, exponents: list[int], epsilon,
     return payload
 
 
-def verify_probe_json(payload: dict) -> dict:
-    """Re-run the probe from the report's embedded config and compare the
-    whole report; lists the top-level fields that differ."""
+def verify_json(payload: dict, registry=None) -> dict:
+    """The result `verify` prints for a probe report: the probe re-run from
+    the report's embedded config, compared as a whole, with the top-level
+    fields that differ.  The probe runs on Z, so the registry is not read."""
     with reading("probe report config"):
         config = payload["config"]
         p, exponents, base = config["p"], config["k_exponents"], config["chain_base"]

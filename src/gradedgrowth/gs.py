@@ -27,15 +27,15 @@ class GSPresentation:
     tail_note: str | None = None  # user-asserted bound on omitted relators
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ContractError("generator count must be >= 1")
+        if type(self.d) is not int or self.d < 1:
+            raise ContractError("generator count must be an integer >= 1")
         if any(Deg is None for Deg in self.degrees):
             raise ContractError(
                 "truncated ('greater than D') degrees cannot be certified; "
                 "recompute with a larger truncation or assume a minimum degree"
             )
-        if any(deg < 1 for deg in self.degrees):
-            raise ContractError("relator degrees must be >= 1")
+        if any(type(deg) is not int or deg < 1 for deg in self.degrees):
+            raise ContractError("relator degrees must be integers >= 1")
         object.__setattr__(self, "degrees", tuple(sorted(self.degrees)))
 
 
@@ -71,12 +71,16 @@ class GSCertificate:
                        frac_from_json(payload["value"]), payload.get("grid"),
                        payload.get("assumed_min_degree"))
 
-    def verify(self) -> tuple[bool, Fraction]:
-        """Recompute the series at the witness t; the certificate holds iff
-        the value matches and is_gs says whether it is negative.  Returns
-        the verdict and the recomputed value."""
-        recomputed = gs_value(self.presentation, self.t)
-        return recomputed == self.value and self.is_gs == (self.value < 0), recomputed
+
+def verify_json(payload: dict, registry=None) -> dict:
+    """The result `verify` prints for a Golod-Shafarevich certificate: the
+    series recomputed at the witness t.  The certificate holds iff the value
+    matches and is_GS says whether it is negative.  It names no group, so
+    the registry is not read."""
+    cert = GSCertificate.from_json(payload)
+    recomputed = gs_value(cert.presentation, cert.t)
+    return {"recomputed_value": frac_json(recomputed),
+            "matches": recomputed == cert.value and cert.is_gs == (cert.value < 0)}
 
 
 def gs_value(pres: GSPresentation, t: Fraction) -> Fraction:

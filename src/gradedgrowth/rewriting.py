@@ -12,7 +12,6 @@ processed FIFO so completion is deterministic.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -97,30 +96,6 @@ class RewritingSystem:
                 if matched:
                     break  # pull the replacement symbols back through the stack
         return out
-
-    def _spheres(self) -> Iterator[list[str]]:
-        """Irreducible words by length from the empty word on; the walk
-        ends after the first empty sphere."""
-        sphere = [""]
-        while True:
-            yield sphere
-            if not sphere:
-                return
-            sphere = [w + c for w in sphere for c in self.alphabet
-                      if not any((w + c).endswith(l) for l, _ in self.rules)]
-
-    def normal_forms_by_length(self, max_len: int) -> list[list[str]]:
-        """Irreducible words grouped by word length, up to max_len."""
-        return list(itertools.islice(self._spheres(), max(max_len, 0) + 1))
-
-    def count_normal_forms(self, limit: int = 100000) -> int | None:
-        """Number of irreducible words if finite within limit, else None."""
-        total = 0
-        for sphere in self._spheres():
-            total += len(sphere)
-            if total > limit:
-                return None
-        return total
 
 
 def _slow_reduce(word: str, rules: list[tuple[str, str]]) -> str:

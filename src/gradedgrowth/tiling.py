@@ -48,6 +48,7 @@ import numpy as np
 from . import budgets
 from .errors import ContractError, ResourceBudgetError, SearchFailedError
 from .groups import FreeAbelian, GroupOracle, Heisenberg, HeisenbergMod, ZdMod, ball
+from .registry import get_group
 from .serialize import element_from_json, element_json, frac_from_json, frac_json, reading
 from .subspace import set_defect
 
@@ -648,13 +649,12 @@ def _attempt_quotient(oracle, omega, level, k, epsilon, params,
     )
 
 
-def verify_certificate(cert: TilingCertificate, oracle: GroupOracle,
-                       omega: QuotientSet) -> tuple[dict, Fraction]:
+def verify_certificate(cert: TilingCertificate, oracle: GroupOracle) -> tuple[dict, Fraction]:
     """Re-verify a certificate from its own data: every element it lists is
     a vector of the group's width of integers (else ContractError), the
-    decomposition is disjoint, the projection restricted to the transversal
-    is a bijection, and the defect recounts to the recorded value.  Returns
-    the checks and the recounted defect."""
+    decomposition is disjoint, the projection to the certificate's quotient
+    restricted to the transversal is a bijection, and the defect recounts to
+    the recorded value.  Returns the checks and the recounted defect."""
     width = len(oracle.identity)
     for g in itertools.chain(cert.k, cert.remainder, cert.transversal, *cert.tower,
                              *([x, *piece] for _, x, piece in cert.placements)):
@@ -664,6 +664,7 @@ def verify_certificate(cert: TilingCertificate, oracle: GroupOracle,
     flat = [g for piece in pieces for g in piece] + list(cert.remainder)
     disjoint = len(set(flat)) == len(flat)
     matches = sorted(map(repr, flat)) == sorted(map(repr, cert.transversal))
+    omega = congruence_quotient(oracle, cert.modulus)
     projected = {omega.project(g) for g in cert.transversal}
     bijective = (len(projected) == len(cert.transversal) == omega.size())
     recount = set_defect(cert.transversal, cert.k, oracle)
@@ -674,3 +675,23 @@ def verify_certificate(cert: TilingCertificate, oracle: GroupOracle,
         "defect_recount_matches": recount == cert.defect,
         "defect_below_epsilon": recount < cert.epsilon,
     }, recount
+
+
+def verify_json(payload: dict, registry=None) -> dict:
+    """The result `verify` prints for a tiling certificate: the checks of
+    verify_certificate, with the recounted defect in place of its two defect
+    checks.  matches also needs K to hold the identity and, when the config
+    records k_radius, to be the ball of that radius."""
+    cert = TilingCertificate.from_json(payload)
+    oracle = get_group(cert.group, registry)
+    checks, recount = verify_certificate(cert, oracle)
+    config = payload.get("config", {})
+    radius = config.get("k_radius")
+    if "k_radius" in config and type(radius) is not int:
+        raise ContractError("tiling certificate: config.k_radius must be an integer")
+    k_ok = oracle.identity in cert.k and (
+        radius is None or set(cert.k) == set(ball(oracle, radius).elements))
+    result = {key: ok for key, ok in checks.items()
+              if key not in ("defect_recount_matches", "defect_below_epsilon")}
+    result.update(defect_recount=frac_json(recount), matches=all(checks.values()) and k_ok)
+    return result

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
 PROBE = ["tile-algebra-probe", "--p", "2", "--epsilon", "1/2"]
 TILE_Z2 = ["tile", "--group", "z2", "--epsilon", "1/2"]
+GS = ["gs", "--d", "2", "--degrees", "5,6,7"]
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -216,7 +218,11 @@ class TestVerifyRoundTrip:
         assert main(["verify", "--certificate", str(cert),
                      "--out", str(tmp_path / "v.json")]) == 4
 
-    @pytest.mark.parametrize("text", ["[]", "not json"])
+    @pytest.mark.parametrize("text", [
+        "[]", "not json",
+        pytest.param('{"certificate_type": "other"}', id="type-unknown"),
+        pytest.param('{"certificate_type": []}', id="type-list"),
+    ])
     def test_not_a_certificate_is_4(self, tmp_path, text):
         cert = tmp_path / "cert.json"
         cert.write_text(text)
@@ -234,6 +240,39 @@ class TestVerifyRoundTrip:
         assert main(["verify", "--certificate", str(cert), "--out", str(out)]) == 4
         result = json.loads(out.read_text())["result"]
         assert result["matches"] is False and result["projection_bijective"] is True
+
+    def test_swapped_k_fails(self, tmp_path):
+        # K = {0} with defect 0 recounts, but it is not the radius-1 ball
+        # that config.k_radius records
+        cert = tmp_path / "cert.json"
+        assert main(TILE_Z2 + ["--out", str(cert)]) == 0
+        payload = json.loads(cert.read_text())
+        payload.update(k=[[0, 0]], defect={"num": 0, "den": 1})
+        cert.write_text(json.dumps(payload))
+        out = tmp_path / "v.json"
+        assert main(["verify", "--certificate", str(cert), "--out", str(out)]) == 4
+        result = json.loads(out.read_text())["result"]
+        assert result.pop("matches") is False
+        assert result.pop("defect_recount") == {"num": 0, "den": 1}
+        assert all(ok is True for ok in result.values()), result
+
+    def test_traced_verify_calls_verify_certificate_once(self, tmp_path, monkeypatch):
+        # the layer tracer rebinds tiling's module global; verify must reach
+        # verify_certificate through it
+        cert = tmp_path / "cert.json"
+        assert main(TILE_Z2 + ["--out", str(cert)]) == 0
+        timing, trace = tmp_path / "timing.json", tmp_path / "trace.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                           os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"),
+                               str(timing), "--trace", str(trace), "verify",
+                               "--certificate", str(cert), "--out", str(tmp_path / "v.json")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import run
+        values = run.layer_values(json.loads(trace.read_text()))
+        assert values["tiling.verify_certificate.calls"] == 1
 
     @pytest.mark.parametrize("field,index,value", [
         ("transversal", (0, 1), "x"),  # a coordinate that is not an integer
@@ -262,8 +301,13 @@ class TestVerifyRoundTrip:
         (TILE_Z2, ("config",), []),
         (TILE_Z2, ("config", "chain_base"), 2.0),
         (TILE_Z2, ("quotient_level",), 5.0),
+        (TILE_Z2, ("config", "k_radius"), 1.0),
+        (GS, ("degrees",), [2.5]),
+        (GS, ("d",), 2.5),
+        (GS, ("degrees",), [True, True]),
     ], ids=["p-string", "p-float", "exponents-string", "base-string", "group-list",
-            "group-object", "config-list", "tiling-base-float", "level-float"])
+            "group-object", "config-list", "tiling-base-float", "level-float",
+            "k-radius-float", "gs-degree-float", "gs-d-float", "gs-degrees-bool"])
     def test_ill_typed_field_is_4(self, tmp_path, command, key, value):
         cert = tmp_path / "cert.json"
         assert main(command + ["--out", str(cert)]) == 0
@@ -272,6 +316,13 @@ class TestVerifyRoundTrip:
         for part in key[:-1]:
             target = target[part]
         target[key[-1]] = value
+        if payload["certificate_type"] == "gs":
+            # value and is_GS as the series gives them on the edited fields,
+            # so that a verifier blind to the field types would accept
+            t = Fraction(payload["t"]["num"], payload["t"]["den"])
+            forged = Fraction(1 - payload["d"] * t + sum(t**deg for deg in payload["degrees"]))
+            payload.update(value={"num": forged.numerator, "den": forged.denominator},
+                           is_GS=forged < 0)
         cert.write_text(json.dumps(payload))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
                                                            os.environ.get("PYTHONPATH", "")]))

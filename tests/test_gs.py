@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from gradedgrowth.errors import ContractError
 from gradedgrowth.gs import (GSCertificate, GSPresentation, gs_certificate, gs_value,
-                             relator_degrees)
+                             relator_degrees, verify_json)
+from gradedgrowth.serialize import frac_from_json, frac_json
 
 
 class TestGSValue:
@@ -68,8 +69,14 @@ class TestCertificates:
             gs_certificate(GSPresentation(2, ()), grid=10)
 
     def test_truncated_degree_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="truncated"):
             GSPresentation(2, (3, None))
+
+    @pytest.mark.parametrize("d,degrees", [(2.5, ()), (True, ()), (2, (2.5,)), (2, (True, True))],
+                             ids=["d-float", "d-bool", "degree-float", "degrees-bool"])
+    def test_non_integer_fields_rejected(self, d, degrees):
+        with pytest.raises(ContractError, match="integer"):
+            GSPresentation(d, degrees)
 
     def test_tail_note_carried(self):
         pres = GSPresentation(2, (5,), tail_note="degrees beyond 100 omitted")
@@ -106,10 +113,24 @@ class TestCertificateJson:
         cert = gs_certificate(GSPresentation(2, (5, 6, 7), p=2, tail_note="none"))
         payload = json.loads(json.dumps(cert.to_json()))
         assert GSCertificate.from_json(payload) == cert
-        assert cert.verify() == (True, cert.value)
+        assert verify_json(payload) == {"recomputed_value": frac_json(cert.value),
+                                        "matches": True}
 
     def test_tampered_value_fails(self):
         cert = gs_certificate(GSPresentation(2, ()))
         payload = cert.to_json()
         payload["value"]["num"] += 1
-        assert GSCertificate.from_json(payload).verify() == (False, cert.value)
+        assert verify_json(payload) == {"recomputed_value": frac_json(cert.value),
+                                        "matches": False}
+
+    @pytest.mark.parametrize("fields", [{"degrees": [2.5]}, {"d": 2.5}, {"degrees": [True, True]}],
+                             ids=["degree-float", "d-float", "degrees-bool"])
+    def test_forged_non_integer_fields_raise(self, fields):
+        # value and is_GS are what the series gives on the forged fields, so
+        # a verifier blind to their types would accept the certificate
+        payload = {**gs_certificate(GSPresentation(2, (5, 6, 7))).to_json(), **fields}
+        t = frac_from_json(payload["t"])
+        value = Fraction(1 - payload["d"] * t + sum(t**deg for deg in payload["degrees"]))
+        payload.update(value=frac_json(value), is_GS=value < 0)
+        with pytest.raises(ContractError, match="integer"):
+            verify_json(payload)

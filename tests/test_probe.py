@@ -19,8 +19,7 @@ from fractions import Fraction
 import pytest
 
 from gradedgrowth import algebra_probe
-from gradedgrowth.algebra_probe import (algebra_tiling_probe, monomial_probe_json,
-                                        verify_probe_json)
+from gradedgrowth.algebra_probe import algebra_tiling_probe, monomial_probe_json, verify_json
 from gradedgrowth.cli import main
 from gradedgrowth.errors import (ContractError, GradedGrowthError, ResourceBudgetError,
                                  SearchFailedError)
@@ -301,13 +300,13 @@ class TestProbe:
 
     def test_verify_reruns_the_whole_report(self):
         payload = monomial_probe_json(2, [0, 1], Fraction(1, 2))
-        assert verify_probe_json(payload) == {"mismatched_fields": [], "matches": True}
+        assert verify_json(payload) == {"mismatched_fields": [], "matches": True}
         payload["complement_dim"] += 1
-        assert verify_probe_json(payload) == {"mismatched_fields": ["complement_dim"],
-                                              "matches": False}
+        assert verify_json(payload) == {"mismatched_fields": ["complement_dim"],
+                                        "matches": False}
         del payload["config"]
         with pytest.raises(ContractError):
-            verify_probe_json(payload)
+            verify_json(payload)
 
 
 class TestGuardOrder:

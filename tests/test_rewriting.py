@@ -18,27 +18,26 @@ def dihedral_system():
     return knuth_bendix("ab", ["aa", "bb", "ababab"])
 
 
+def _order(group: RewritingGroup, radius: int = 8) -> int:
+    """The order of a finite group, read off a ball whose last sphere is empty."""
+    spheres = ball(group, radius).by_sphere
+    assert spheres[-1] == []
+    return sum(map(len, spheres))
+
+
 class TestCompletion:
     def test_c3_three_normal_forms(self, c3_system):
         assert c3_system.complete
-        assert c3_system.count_normal_forms() == 3
-        forms = [w for sphere in c3_system.normal_forms_by_length(2) for w in sphere]
-        assert set(forms) == {"", "s", "S"}
-
-    def test_sphere_walk_ends_at_the_first_empty_sphere(self, c3_system):
-        assert c3_system.normal_forms_by_length(5) == [[""], ["s", "S"], []]
-        assert c3_system.normal_forms_by_length(0) == [[""]]
-        assert c3_system.count_normal_forms(limit=2) is None
-        assert c3_system.count_normal_forms(limit=3) == 3
+        assert ball(RewritingGroup("s", ["sss"]), 2).by_sphere == [[""], ["s", "S"], []]
 
     def test_dihedral_order_six(self, dihedral_system):
         assert dihedral_system.complete
-        assert dihedral_system.count_normal_forms() == 6
+        assert _order(RewritingGroup("ab", ["aa", "bb", "ababab"])) == 6
 
     def test_quaternion_order_eight(self):
-        sys = knuth_bendix("ab", ["aaaa", "aaBB", "Baba"])
-        assert sys.complete
-        assert sys.count_normal_forms() == 8
+        q8 = RewritingGroup("ab", ["aaaa", "aaBB", "Baba"])
+        assert q8.system.complete
+        assert _order(q8) == 8
 
     def test_t334_completes_in_default_budget(self, t334):
         assert t334.system.complete
@@ -46,9 +45,9 @@ class TestCompletion:
         assert max(len(l) for l, _ in t334.system.rules) <= 20
 
     def test_t334_infinite_positive_spheres(self, t334):
-        spheres = t334.system.normal_forms_by_length(10)
-        assert all(len(s) > 0 for s in spheres[:11])
-        assert t334.system.count_normal_forms(limit=1000) is None
+        spheres = ball(t334, 10).by_sphere
+        assert len(spheres) == 11
+        assert all(len(s) > 0 for s in spheres)
 
     def test_rules_strictly_decrease_shortlex(self, dihedral_system):
         prec = {c: i for i, c in enumerate(dihedral_system.alphabet)}

@@ -16,7 +16,8 @@ from gradedgrowth.tiling import (GreedyFillResult, HeisenbergQuotient, QuotientS
                                  build_transversal, congruence_quotient, cover,
                                  folner_search, covering_recipe, greedy_fill, inverse_envelope,
                                  pick_delta, pick_zeta, quotient_chain, theta,
-                                 verify_certificate, worst_case_height)
+                                 verify_certificate, verify_json, worst_case_height)
+from gradedgrowth.serialize import frac_json
 
 K2 = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
 
@@ -464,8 +465,7 @@ class TestBuildTransversal:
         cert = build_transversal(z1, [(0,), (1,), (-1,)], Fraction(1, 2))
         assert len(cert.transversal) == 2**cert.quotient_level
         assert cert.defect < Fraction(1, 2)
-        omega = congruence_quotient(z1, 2**cert.quotient_level)
-        checks, recount = verify_certificate(cert, z1, omega)
+        checks, recount = verify_certificate(cert, z1)
         assert all(checks.values())
         assert recount == cert.defect
 
@@ -493,13 +493,32 @@ class TestBuildTransversal:
 
     def test_verification_catches_tampering(self, z1):
         cert = build_transversal(z1, [(0,), (1,), (-1,)], Fraction(1, 2))
-        omega = congruence_quotient(z1, 2**cert.quotient_level)
-        report, _ = verify_certificate(cert, z1, omega)
+        report, _ = verify_certificate(cert, z1)
         assert report["projection_bijective"]
         tampered = cert.__class__(**{**cert.__dict__,
                                      "transversal": cert.transversal[:-1]})
-        bad, _ = verify_certificate(tampered, z1, omega)
+        bad, _ = verify_certificate(tampered, z1)
         assert not bad["projection_bijective"]
+
+    def test_verify_json_checks_k(self, z1):
+        cert = build_transversal(z1, [(0,), (1,), (-1,)], Fraction(1, 2))
+        payload = json.loads(json.dumps({**cert.to_json(), "config": {"k_radius": 1}}))
+        assert verify_json(payload)["matches"]
+        payload["config"]["k_radius"] = 2  # K is not the radius-2 ball
+        assert not verify_json(payload)["matches"]
+        for radius in (1.0, None, "1"):
+            payload["config"]["k_radius"] = radius
+            with pytest.raises(ContractError, match="k_radius"):
+                verify_json(payload)
+        del payload["config"]["k_radius"]  # then K need only hold the identity
+        payload.update(k=[[0]], defect=frac_json(0))
+        assert verify_json(payload)["matches"]
+        shifted = [(1,)]
+        payload.update(k=[[1]], defect=frac_json(set_defect(cert.transversal, shifted, z1)))
+        result = verify_json(payload)
+        assert result.pop("matches") is False
+        assert result.pop("defect_recount") == payload["defect"]
+        assert all(ok is True for ok in result.values()), result
 
     def test_json_round_trip(self, z1):
         cert = build_transversal(z1, [(0,), (1,), (-1,)], Fraction(1, 2))
