@@ -2,15 +2,16 @@
 
 Pieces: finite group algebras over GF(p), each the whole group's ball at
 lambda = 1; the Jennings series of any finite group, its dimension
-subgroups mod p down to O^p(G), each term one normal closure, with the
-product-formula Hilbert coefficients that give the ladder dimensions, also
-on the p-parts of congruence quotients of infinite groups; the descending
-ladder of augmentation-ideal powers and its graded dimensions, built from
-the bottom up on that series: from the ideal of O^p(G), each power inserts
-the lifted Jennings monomials of one weight into the power below it, and
-the ladder keeps the rows that each insertion adds as one flag basis, from
-which any power is built on demand;
-truncated Magnus valuations over GF(p) for free-group words;
+subgroups mod p down to O^p(G), each term one semi-naive normal closure
+of p-th powers and of commutators with the normal generators of the term
+above, with the product-formula Hilbert coefficients that give the
+ladder dimensions, also on the p-parts of congruence quotients of
+infinite groups; the descending ladder of augmentation-ideal powers and
+its graded dimensions, built from the bottom up on that series: from the
+ideal of O^p(G), each power inserts the lifted Jennings monomials of one
+weight into the power below it, and the ladder keeps the rows that each
+insertion adds as one flag basis, from which any power is built on
+demand; truncated Magnus valuations over GF(p) for free-group words;
 graded dimensions of the free group algebra; Witt necklace ranks; ideal
 generators in the style of Reidemeister-Schreier together with the
 single-step growth bound, both read off one identity-last echelon form of
@@ -210,13 +211,18 @@ class JenningsSeries:
     dims: list[int]  # dims[i] is the i+1-st graded dimension; inner zeros kept
 
 
-def _normal_subgroup(group: GroupOracle, seeds) -> frozenset:
-    """The normal closure of the seeds in a finite group.
+def _normal_closure(group: GroupOracle, seeds) -> tuple[frozenset, list]:
+    """The normal closure of the seeds in a finite group, and generators of
+    it as a subgroup, each a seed or a conjugate of one, so they are also
+    its normal generators.
 
     The subgroup is grown one generator at a time, by right multiplication
     (in a finite group the positive words in the generators are the whole
-    subgroup).  Each generator's conjugates by the group generators are
-    queued as seeds, so when the queue empties the subgroup is normal."""
+    subgroup), semi-naively: the old members are closed under the old
+    generators, so a new generator multiplies each of them once, and only
+    the elements that this adds meet every generator.  Each generator's
+    conjugates by the group generators are queued as seeds, so when the
+    queue empties the subgroup is normal."""
     conj = list(group.generators.values())
     members = {group.identity}
     gens = []
@@ -226,8 +232,9 @@ def _normal_subgroup(group: GroupOracle, seeds) -> frozenset:
         if t in members:
             continue
         gens.append(t)
-        frontier = list(members)
+        frontier = [h for h in (group.mul(g, t) for g in members) if h not in members]
         while frontier:
+            members.update(frontier)
             nxt = []
             for g in frontier:
                 for u in gens:
@@ -237,7 +244,12 @@ def _normal_subgroup(group: GroupOracle, seeds) -> frozenset:
                         nxt.append(h)
             frontier = nxt
         pending.extend(group.mul(group.inv(c), group.mul(t, c)) for c in conj)
-    return frozenset(members)
+    return frozenset(members), gens
+
+
+def _normal_subgroup(group: GroupOracle, seeds) -> frozenset:
+    """The normal closure of the seeds in a finite group (_normal_closure)."""
+    return _normal_closure(group, seeds)[0]
 
 
 def p_residual(group: GroupOracle, p: int) -> frozenset:
@@ -259,13 +271,23 @@ def _p_central_series(group: GroupOracle, p: int, bottom: frozenset) -> list[fro
     quotient: H_n is the normal closure of the commutators [a, c], a in
     H_(n-1) and c a generator, the p-th powers of H_(ceil(n/p)) and the
     elements of `bottom`, so the series lifts the Jennings series of
-    G/bottom.  H_n repeats H_(n-1) without a closure when both of its
-    inputs repeat.  Once a term repeats and its p-th-power input is that
-    same subgroup, every later term is that subgroup too; if it is still
-    above `bottom`, the series never reaches it and ContractError is
-    raised."""
+    G/bottom.
+
+    Only the normal generators of H_(n-1) enter the commutators (for G its
+    generators, else those that _normal_closure returned), which gives the
+    same H_n: modulo the normal closure N of their commutators with the
+    generators, each normal generator is central, so the subgroup that they
+    normally generate, H_(n-1), is central mod N, and N holds every [a, c],
+    a in H_(n-1).  The p-th powers are still taken of every element of
+    H_(ceil(n/p)).
+
+    H_n repeats H_(n-1) without a closure when both of its inputs repeat.
+    Once a term repeats and its p-th-power input is that same subgroup,
+    every later term is that subgroup too; if it is still above `bottom`,
+    the series never reaches it and ContractError is raised."""
     conj = list(group.generators.values())
     series = [frozenset(group.elements())]
+    spans = conj  # normal generators of the last term
     while len(series[-1]) > len(bottom):
         n = len(series) + 1  # constructing H_n
         powered = series[(n + p - 1) // p - 1]
@@ -273,9 +295,9 @@ def _p_central_series(group: GroupOracle, p: int, bottom: frozenset) -> list[fro
             series.append(series[-1])
             continue
         comms = [group.mul(group.inv(a), group.mul(group.inv(c), group.mul(a, c)))
-                 for a in series[-1] for c in conj]
+                 for a in spans for c in conj]
         pth = [_pow(group, g, p) for g in powered]
-        nxt = _normal_subgroup(group, comms + pth + list(bottom))
+        nxt, spans = _normal_closure(group, comms + pth + list(bottom))
         if nxt == series[-1]:
             if powered is series[-1]:
                 raise ContractError(
@@ -304,10 +326,11 @@ def jennings_series(group: GroupOracle, p: int) -> JenningsSeries:
     """Fastest descending series with G_n = [G_{n-1}, G] (G_{ceil(n/p)})^p
     O^p(G), the dimension subgroups mod p of a finite group.
 
-    Each G_n is the normal closure of the commutators [a, c], a in G_{n-1}
-    and c a generator, the p-th powers of G_{ceil(n/p)} and O^p(G).  Each
-    quotient is elementary abelian; the series ends at O^p(G), which is G
-    itself (dims []) when p does not divide |G|.
+    Each G_n is the normal closure of the commutators [a, c], a a normal
+    generator of G_{n-1} (which suffices: _p_central_series) and c a
+    generator, the p-th powers of G_{ceil(n/p)} and O^p(G).  Each quotient
+    is elementary abelian; the series ends at O^p(G), which is G itself
+    (dims []) when p does not divide |G|.
     """
     if group.order is None:
         raise ContractError("need a finite group")
