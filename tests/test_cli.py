@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -16,6 +17,68 @@ DATA = Path(__file__).parent / "data"
 PROBE = ["tile-algebra-probe", "--p", "2", "--epsilon", "1/2"]
 TILE_Z2 = ["tile", "--group", "z2", "--epsilon", "1/2"]
 GS = ["gs", "--d", "2", "--degrees", "5,6,7"]
+TILE_Z = ["tile", "--group", "z", "--epsilon", "1/2"]
+# verify's exit code with one top-level field of a certificate deleted, as
+# measured when the certificates still had JSON codecs: a field that the
+# verifier reads is required (4), any other may go missing (0)
+TILING_MISSING_FIELD_CODES = {
+    "certificate_type": 4,
+    "config": 0,
+    "defect": 4,
+    "defect_decimal": 0,
+    "delta": 4,
+    "epsilon": 4,
+    "group": 4,
+    "height_cap": 4,
+    "k": 4,
+    "omega_size": 4,
+    "placements": 4,
+    "quotient_level": 4,
+    "quotient_name": 4,
+    "remainder": 4,
+    "tower": 4,
+    "tower_sizes": 0,
+    "trace": 4,
+    "transversal": 4,
+    "zeta": 4,
+}
+GS_MISSING_FIELD_CODES = {
+    "assumed_min_degree": 0,
+    "certificate_type": 4,
+    "config": 0,
+    "d": 4,
+    "degrees": 4,
+    "grid": 0,
+    "is_GS": 4,
+    "p": 0,
+    "t": 4,
+    "tail_note": 0,
+    "value": 4,
+}
+README_PRESENTATION = {"generators": ["x", "y"], "relators": ["xxx", "yyy", "xyxyxyxy"]}
+# Output sha1s of certificate commands that the README does not run, recorded
+# before the tiling and GS certificates were built as plain dicts.  A group
+# runs in order in one directory, so that verify reads what tile wrote.
+CERTIFICATE_SHA1 = {
+    # the one path that sets assumed_min_degree (here 4)
+    "gs-assumed-degree": {
+        "gs --presentation pres.json --p 2 --max-deg 3 --assume-min-degree":
+            "c67d81288b92eb0e9960603a2c994c398a18842c",
+    },
+    "gs-p-and-tail-note": {
+        "gs --d 3 --degrees 2,2,2 --p 3 --tail-note none":
+            "d77a7cbf05fadbeee7c98b03d2239c508dd37b03",
+    },
+    # verify takes the modulus 3**quotient_level from config.chain_base
+    "tile-chain-base-3": {
+        "tile --group z --epsilon 1/2 --chain-base 3 --out cert.json":
+            "1d723bb59f26441da193ff19aae9fc6fdcbfbdb1",
+        "verify --certificate cert.json": "ce3c4574f4dec7b6527028baf7af5e94a0449746",
+    },
+    "tile-z2-epsilon-1": {
+        "tile --group z2 --epsilon 1": "013a65ac82ca7fa299dc921eafa98c9df2e77ff4",
+    },
+}
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -151,6 +214,18 @@ class TestDeterminism:
         _, second = run_cli(args, tmp_path, "b.out")
         assert first == second
 
+    @pytest.mark.parametrize("lines", CERTIFICATE_SHA1.values(), ids=CERTIFICATE_SHA1.keys())
+    def test_certificate_bytes(self, lines, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pres.json").write_text(json.dumps(README_PRESENTATION))
+        for line, sha1 in lines.items():
+            argv = line.split()
+            if "--out" not in argv:
+                argv += ["--out", "out.json"]
+            assert main(argv) == 0
+            data = (tmp_path / argv[argv.index("--out") + 1]).read_bytes()
+            assert hashlib.sha1(data).hexdigest() == sha1, line
+
     def test_probe_golden_file(self, tmp_path):
         code, text = run_cli(["tile-algebra-probe", "--p", "2",
                               "--epsilon", "1/2"], tmp_path)
@@ -204,19 +279,30 @@ class TestVerifyRoundTrip:
         assert main(["verify", "--certificate", str(cert), "--out", str(out)]) == 4
         assert json.loads(out.read_text())["result"]["mismatched_fields"] == ["steps"]
 
-    @pytest.mark.parametrize("command,field", [
-        (["tile", "--group", "z", "--epsilon", "1/2"], "k"),
-        (["gs", "--d", "2", "--degrees", "5"], "t"),
-        (["tile-algebra-probe", "--p", "2", "--epsilon", "1/2"], "config"),
-    ], ids=["tiling", "gs", "probe"])
-    def test_missing_field_is_4(self, tmp_path, command, field):
+    @pytest.mark.parametrize("command,field,code", [
+        *(pytest.param(TILE_Z, field, code, id=f"tiling-{field}")
+          for field, code in TILING_MISSING_FIELD_CODES.items()),
+        *(pytest.param(GS, field, code, id=f"gs-{field}")
+          for field, code in GS_MISSING_FIELD_CODES.items()),
+        pytest.param(PROBE, "config", 4, id="probe-config"),
+    ])
+    def test_missing_field_is_4(self, tmp_path, command, field, code):
         cert = tmp_path / "cert.json"
         assert main(command + ["--out", str(cert)]) == 0
         payload = json.loads(cert.read_text())
         del payload[field]
         cert.write_text(json.dumps(payload))
         assert main(["verify", "--certificate", str(cert),
-                     "--out", str(tmp_path / "v.json")]) == 4
+                     "--out", str(tmp_path / "v.json")]) == code
+
+    @pytest.mark.parametrize("command,codes", [
+        (TILE_Z, TILING_MISSING_FIELD_CODES),
+        (GS, GS_MISSING_FIELD_CODES),
+    ], ids=["tiling", "gs"])
+    def test_missing_field_tables_name_every_field(self, tmp_path, command, codes):
+        cert = tmp_path / "cert.json"
+        assert main(command + ["--out", str(cert)]) == 0
+        assert sorted(json.loads(cert.read_text())) == sorted(codes)
 
     @pytest.mark.parametrize("text", [
         "[]", "not json",
