@@ -15,12 +15,14 @@ from gradedgrowth.tiling import build_transversal, verify_certificate
 
 def summarize(cert, oracle):
     verdict, _ = verify_certificate(cert, oracle)
-    print(f"group={cert.group} quotient={cert.quotient_name} "
-          f"|T|={len(cert.transversal)} defect={cert.defect} "
-          f"delta={cert.delta} zeta={cert.zeta} height_cap={cert.height_cap}")
-    for row in cert.trace:
+    print(f"group={cert['group']} quotient={cert['quotient_name']} "
+          f"|T|={len(cert['transversal'])} defect={frac_from_json(cert['defect'])} "
+          f"delta={frac_from_json(cert['delta'])} zeta={frac_from_json(cert['zeta'])} "
+          f"height_cap={cert['height_cap']}")
+    for row in cert["trace"]:
         print(f"  step {row['step']}: level_size={row['level_size']} "
-              f"s={row['s']} mu={row['mu']} nu={row['nu']} alpha={row['alpha']} "
+              f"s={row['s']} mu={frac_from_json(row['mu'])} nu={frac_from_json(row['nu'])} "
+              f"alpha={frac_from_json(row['alpha'])} "
               f"checks_ok={row['hypotheses_ok'] and row['mu_at_least_delta']}")
     print(f"  re-verification: {verdict}")
 

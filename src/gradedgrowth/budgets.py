@@ -3,10 +3,10 @@
 The environment variable GRADEDGROWTH_BUDGET_MB, when set to a positive
 integer, replaces the default caps of exactly two operations: the ball BFS
 (`ball_cap`) and the chain of tiling quotients (`quotient_cap`), each at
-20,000 elements per megabyte.  The cap on finite group algebras
-(`algebra_cap`, 2,048 elements, checked by `check_algebra_order`) does not
-read it; only an explicit override such as `growth --max-order` changes
-that cap.  Any other value of the variable raises ContractError.
+20,000 elements per megabyte.  The cap on finite group algebras (2,048
+elements, checked by `check_algebra_order`) does not read it; only an
+explicit override such as `growth --max-order` changes that cap.  Any other
+value of the variable raises ContractError.
 
 The augmentation ladder of a finite group algebra climbs from its bottom
 power to w, one echelon insertion per power, and keeps one flag basis.  Its
@@ -29,47 +29,35 @@ DEFAULT_ALGEBRA_CAP = 2048
 DEFAULT_QUOTIENT_CAP = 2_000_000
 LADDER_BYTES = 1 << 30
 
-# rough elements-per-megabyte figures used to translate the env budget
-_BALL_ELEMS_PER_MB = 20_000
-_QUOTIENT_ELEMS_PER_MB = 20_000
+# rough elements-per-megabyte figure used to translate the env budget
+_ELEMS_PER_MB = 20_000
 
 
-def _env_mb() -> int | None:
+def _elements_cap(default: int) -> int:
+    """The env budget in elements when it is set, else the default."""
     raw = os.environ.get("GRADEDGROWTH_BUDGET_MB")
     if not raw:
-        return None
+        return default
     try:
         mb = int(raw)
     except ValueError:
         mb = 0
     if mb < 1:
         raise ContractError(f"GRADEDGROWTH_BUDGET_MB must be a positive integer, got {raw!r}")
-    return mb
+    return mb * _ELEMS_PER_MB
 
 
 def ball_cap() -> int:
-    mb = _env_mb()
-    if mb is not None:
-        return mb * _BALL_ELEMS_PER_MB
-    return DEFAULT_BALL_CAP
-
-
-def algebra_cap(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    return DEFAULT_ALGEBRA_CAP
+    return _elements_cap(DEFAULT_BALL_CAP)
 
 
 def check_algebra_order(order: int, max_order: int | None = None) -> None:
     """ResourceBudgetError when a finite group algebra of this order would
-    pass the algebra cap."""
-    cap = algebra_cap(max_order)
+    pass the algebra cap: max_order, or DEFAULT_ALGEBRA_CAP when it is None."""
+    cap = DEFAULT_ALGEBRA_CAP if max_order is None else max_order
     if order > cap:
         raise ResourceBudgetError(f"group order {order} exceeds algebra cap {cap}")
 
 
 def quotient_cap() -> int:
-    mb = _env_mb()
-    if mb is not None:
-        return mb * _QUOTIENT_ELEMS_PER_MB
-    return DEFAULT_QUOTIENT_CAP
+    return _elements_cap(DEFAULT_QUOTIENT_CAP)

@@ -24,14 +24,13 @@ from .filtration import (aug_ladder, build_group_algebra, congruence_graded_dims
 from .groups import ball, find_dead_ends
 from .gs import GSPresentation, gs_certificate, relator_degrees
 from .hecke import crystal_monomial_check, delta, hecke_mul, untwist
-from .registry import get_group, load_registry
+from .registry import get_group, load_registry, make_group
 from .scalars import check_prime
 from .serialize import (dumps, element_json, frac_json, parse_fraction, parse_int_list,
                         reading)
 from .subspace import set_defect
 from .tiling import build_transversal, folner_search
 
-import dataclasses
 import json
 import random
 
@@ -184,13 +183,10 @@ def _cmd_tile(args) -> int:
     oracle = get_group(args.group, args.registry)
     epsilon = parse_fraction(args.epsilon)
     k = ball(oracle, args.k_radius).elements
-    cert = build_transversal(oracle, k, epsilon, chain_base=args.chain_base,
-                             max_quotients=args.max_quotients)
-    payload = cert.to_json()
-    payload["config"] = {"command": "tile", "group": args.group,
-                         "epsilon": frac_json(epsilon),
-                         "k_radius": args.k_radius,
-                         "chain_base": args.chain_base}
+    payload = build_transversal(oracle, k, epsilon, chain_base=args.chain_base,
+                                max_quotients=args.max_quotients)
+    payload["config"].update(command="tile", group=args.group,
+                             epsilon=frac_json(epsilon), k_radius=args.k_radius)
     _write(dumps(payload), args.out)
     return 0
 
@@ -302,11 +298,8 @@ def _cmd_gs(args) -> int:
         degrees = parse_int_list(args.degrees)
     presentation = GSPresentation(d, tuple(degrees), p=args.p,
                                   tail_note=args.tail_note)
-    cert = gs_certificate(presentation, grid=args.grid)
-    if assumed is not None:
-        cert = dataclasses.replace(cert, assumed_min_degree=assumed)
-    payload = cert.to_json()
-    payload["config"] = config
+    payload = gs_certificate(presentation, grid=args.grid)
+    payload.update(assumed_min_degree=assumed, config=config)
     _write(dumps(payload), args.out)
     return 0
 
@@ -316,7 +309,7 @@ def _cmd_groups(args) -> int:
     listing = []
     for name in sorted(registry):
         spec = registry[name]
-        oracle = get_group(name, args.registry)
+        oracle = make_group(spec)
         listing.append({
             "name": name,
             "kind": spec.get("kind"),

@@ -247,11 +247,6 @@ def _normal_closure(group: GroupOracle, seeds) -> tuple[frozenset, list]:
     return frozenset(members), gens
 
 
-def _normal_subgroup(group: GroupOracle, seeds) -> frozenset:
-    """The normal closure of the seeds in a finite group (_normal_closure)."""
-    return _normal_closure(group, seeds)[0]
-
-
 def p_residual(group: GroupOracle, p: int) -> frozenset:
     """O^p(G), the smallest normal subgroup of a finite group with a p-group
     quotient: the normal closure of the powers g^(p^a), p^a the p-part of
@@ -263,7 +258,7 @@ def p_residual(group: GroupOracle, p: int) -> frozenset:
         q *= p
     if q == group.order:
         return frozenset([group.identity])
-    return _normal_subgroup(group, dict.fromkeys(_pow(group, g, q) for g in group.elements()))
+    return _normal_closure(group, dict.fromkeys(_pow(group, g, q) for g in group.elements()))[0]
 
 
 def _p_central_series(group: GroupOracle, p: int, bottom: frozenset) -> list[frozenset]:

@@ -6,6 +6,10 @@ series value 1 - d t + sum t**deg is evaluated in exact rational arithmetic
 on a grid in (0, 1), refined twice around the minimum.  A negative value is
 a sound witness; failure to find one is only "no witness found on this
 grid", never a proof of the opposite.
+
+The certificate is the JSON object that `gs` prints: gs_certificate
+returns it, and verify_json reads its presentation back through
+GSPresentation and recomputes the value at its witness.
 """
 
 from __future__ import annotations
@@ -39,48 +43,20 @@ class GSPresentation:
         object.__setattr__(self, "degrees", tuple(sorted(self.degrees)))
 
 
-@dataclass(frozen=True)
-class GSCertificate:
-    presentation: GSPresentation
-    is_gs: bool
-    t: Fraction  # the negative witness, or the best grid point found
-    value: Fraction
-    grid: int
-    assumed_min_degree: int | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "certificate_type": "gs",
-            "is_GS": self.is_gs,
-            "t": frac_json(self.t),
-            "value": frac_json(self.value),
-            "grid": self.grid,
-            "d": self.presentation.d,
-            "degrees": list(self.presentation.degrees),
-            "p": self.presentation.p,
-            "tail_note": self.presentation.tail_note,
-            "assumed_min_degree": self.assumed_min_degree,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "GSCertificate":
-        with reading("Golod-Shafarevich certificate"):
-            pres = GSPresentation(payload["d"], tuple(payload["degrees"]), p=payload.get("p"),
-                                  tail_note=payload.get("tail_note"))
-            return cls(pres, payload["is_GS"], frac_from_json(payload["t"]),
-                       frac_from_json(payload["value"]), payload.get("grid"),
-                       payload.get("assumed_min_degree"))
-
-
 def verify_json(payload: dict, registry=None) -> dict:
     """The result `verify` prints for a Golod-Shafarevich certificate: the
     series recomputed at the witness t.  The certificate holds iff the value
-    matches and is_GS says whether it is negative.  It names no group, so
-    the registry is not read."""
-    cert = GSCertificate.from_json(payload)
-    recomputed = gs_value(cert.presentation, cert.t)
+    matches and is_GS says whether it is negative.  The generator count and
+    the degrees are read through GSPresentation, which checks their types.
+    It names no group, so the registry is not read."""
+    with reading("Golod-Shafarevich certificate"):
+        pres = GSPresentation(payload["d"], tuple(payload["degrees"]), p=payload.get("p"),
+                              tail_note=payload.get("tail_note"))
+        is_gs = payload["is_GS"]
+        t, value = frac_from_json(payload["t"]), frac_from_json(payload["value"])
+    recomputed = gs_value(pres, t)
     return {"recomputed_value": frac_json(recomputed),
-            "matches": recomputed == cert.value and cert.is_gs == (cert.value < 0)}
+            "matches": recomputed == value and is_gs == (value < 0)}
 
 
 def gs_value(pres: GSPresentation, t: Fraction) -> Fraction:
@@ -91,11 +67,14 @@ def gs_value(pres: GSPresentation, t: Fraction) -> Fraction:
     return 1 - pres.d * t + sum(t**deg for deg in pres.degrees)
 
 
-def gs_certificate(pres: GSPresentation, grid: int = 100) -> GSCertificate:
-    """Scan {i/grid}, then twice halve the spacing around the minimum.
+def gs_certificate(pres: GSPresentation, grid: int = 100) -> dict:
+    """Scan {i/grid}, then twice halve the spacing around the minimum, and
+    return the certificate as the JSON object that `gs` prints (which adds
+    its "config" and, for assumed degrees, assumed_min_degree).
 
-    is_gs is true iff some evaluated point came out negative; the witness is
-    re-checkable bit-exactly through gs_value.
+    is_GS is true iff some evaluated point came out negative; the witness t,
+    or the best grid point found, is re-checkable bit-exactly through
+    gs_value.
     """
     if grid < 100:
         raise ContractError("grid must be >= 100")
@@ -111,7 +90,18 @@ def gs_certificate(pres: GSPresentation, grid: int = 100) -> GSCertificate:
         t2, v2 = _grid_min(pres, candidates)
         if v2 < best_v:
             best_t, best_v = t2, v2
-    return GSCertificate(pres, best_v < 0, best_t, best_v, grid)
+    return {
+        "certificate_type": "gs",
+        "is_GS": best_v < 0,
+        "t": frac_json(best_t),
+        "value": frac_json(best_v),
+        "grid": grid,
+        "d": pres.d,
+        "degrees": list(pres.degrees),
+        "p": pres.p,
+        "tail_note": pres.tail_note,
+        "assumed_min_degree": None,
+    }
 
 
 def _grid_min(pres: GSPresentation, points) -> tuple[Fraction, Fraction]:

@@ -32,6 +32,11 @@ each over the tower level that the caller's level rule picks.  The
 transversal pipeline's rule scans its tower candidates; the subspace probe
 (algebra_probe) runs the same loop on the cosets of Z/m with interval
 levels, whose counts are its ranks.
+
+The certificate is the JSON object that `tile` prints: build_transversal
+returns it, with exact fractions as {num, den} and group elements as
+lists, and verify_certificate reads it back, taking the quotient's modulus
+from config.chain_base ** quotient_level.
 """
 
 from __future__ import annotations
@@ -472,9 +477,6 @@ def cover(omega: QuotientSet, k: Sequence, params: ThetaParams, t_cap: int,
 # certificates
 
 
-_TRACE_FRACTIONS = ("mu", "nu", "alpha")
-
-
 def _elements_json(elements) -> list:
     return [element_json(g) for g in elements]
 
@@ -483,90 +485,12 @@ def _elements_from_json(values) -> list:
     return [element_from_json(v) for v in values]
 
 
-@dataclass(frozen=True)
-class TilingCertificate:
-    group: str
-    quotient_name: str
-    quotient_level: int
-    modulus: int  # the quotient is congruence_quotient(group, modulus)
-    omega_size: int
-    epsilon: Fraction
-    delta: Fraction
-    zeta: Fraction
-    height_cap: int
-    k: list
-    tower: list  # levels actually built, in usage order (largest first)
-    trace: list  # per-step dicts with exact rationals
-    placements: list  # (level index, lifted center, lifted tile elements)
-    remainder: list
-    transversal: list
-    defect: Fraction
-
-    def to_json(self) -> dict:
-        """The certificate's JSON form.  The modulus is not a field of it:
-        it is chain_base ** quotient_level, with chain_base taken from the
-        "config" the CLI adds."""
-        return {
-            "certificate_type": "tiling",
-            "group": self.group,
-            "quotient_name": self.quotient_name,
-            "quotient_level": self.quotient_level,
-            "omega_size": self.omega_size,
-            "epsilon": frac_json(self.epsilon),
-            "delta": frac_json(self.delta),
-            "zeta": frac_json(self.zeta),
-            "height_cap": self.height_cap,
-            "k": _elements_json(self.k),
-            "tower_sizes": [len(level) for level in self.tower],
-            "tower": [_elements_json(level) for level in self.tower],
-            "trace": [{**row, **{key: frac_json(row[key]) for key in _TRACE_FRACTIONS}}
-                      for row in self.trace],
-            "placements": [
-                {"level": u, "center": element_json(x), "tile": _elements_json(piece)}
-                for u, x, piece in self.placements
-            ],
-            "remainder": _elements_json(self.remainder),
-            "transversal": _elements_json(self.transversal),
-            "defect": frac_json(self.defect),
-            "defect_decimal": round(float(self.defect), 12),
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "TilingCertificate":
-        with reading("tiling certificate"):
-            level, config = payload["quotient_level"], payload.get("config", {})
-            base = config.get("chain_base", 2) if type(config) is dict else None
-            if not (type(level) is int and type(base) is int):
-                raise ContractError("tiling certificate: config must be an object, and "
-                                    "quotient_level and config.chain_base integers")
-            return cls(
-                group=payload["group"],
-                quotient_name=payload["quotient_name"],
-                quotient_level=level,
-                modulus=base**level,
-                omega_size=payload["omega_size"],
-                epsilon=frac_from_json(payload["epsilon"]),
-                delta=frac_from_json(payload["delta"]),
-                zeta=frac_from_json(payload["zeta"]),
-                height_cap=payload["height_cap"],
-                k=_elements_from_json(payload["k"]),
-                tower=[_elements_from_json(members) for members in payload["tower"]],
-                trace=[{**row, **{key: frac_from_json(row[key]) for key in _TRACE_FRACTIONS}}
-                       for row in payload["trace"]],
-                placements=[(pl["level"], element_from_json(pl["center"]),
-                             _elements_from_json(pl["tile"]))
-                            for pl in payload["placements"]],
-                remainder=_elements_from_json(payload["remainder"]),
-                transversal=_elements_from_json(payload["transversal"]),
-                defect=frac_from_json(payload["defect"]),
-            )
-
-
 def build_transversal(oracle: GroupOracle, k: Sequence, epsilon,
-                      chain_base: int = 2, max_quotients: int | None = None) -> TilingCertificate:
+                      chain_base: int = 2, max_quotients: int | None = None) -> dict:
     """Run the covering pipeline until some chain quotient yields a
-    transversal with defect < epsilon; every certificate is re-verifiable
-    from its own data."""
+    transversal with defect < epsilon, and return its certificate as the
+    JSON object that `tile` prints (which adds its own keys to "config").
+    Every certificate is re-verifiable from its own data."""
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ContractError("epsilon must be positive")
@@ -611,9 +535,9 @@ def _attempt_quotient(oracle, omega, level, k, epsilon, params,
         "step": u,
         "level_size": len(level_set),
         "s": res.s,
-        "mu": res.mu,
-        "nu": res.nu_out,
-        "alpha": res.alpha_out,
+        "mu": frac_json(res.mu),
+        "nu": frac_json(res.nu_out),
+        "alpha": frac_json(res.alpha_out),
         "hypotheses_ok": res.hypotheses_ok,
         "hypothesis_failures": res.hypothesis_failures,
         "mu_at_least_delta": res.mu_at_least_delta,
@@ -621,13 +545,17 @@ def _attempt_quotient(oracle, omega, level, k, epsilon, params,
         "boundary_bound_ok": res.boundary_bound_ok,
         "maximality_ok": res.maximality_ok,
     } for u, (level_set, res) in enumerate(zip(tower, fills), 1)]
-    lifted_placements = []  # (usage index, lifted center, lifted tile elements)
+    placements = []
     transversal = []
     for u, (level_set, res) in enumerate(zip(tower, fills), 1):
         for center, tile_cosets in zip(res.centers, res.tiles):
             x = omega.section(center)
             piece = [oracle.mul(x, g) for g in level_set if omega.act(center, g) in tile_cosets]
-            lifted_placements.append((u, x, piece))
+            placements.append({
+                "level": u,
+                "center": element_json(x),
+                "tile": _elements_json(piece),
+            })
             transversal.extend(piece)
     covered = fills[-1].covered if fills else set()
     remainder = [omega.section(c) for c in omega.elements if c not in covered]
@@ -640,40 +568,79 @@ def _attempt_quotient(oracle, omega, level, k, epsilon, params,
     defect = set_defect(transversal, k, oracle)
     if defect >= epsilon:
         return None
-    return TilingCertificate(
-        group=oracle.name, quotient_name=omega.name, quotient_level=level,
-        modulus=omega.m, omega_size=n, epsilon=epsilon, delta=params.delta, zeta=params.zeta,
-        height_cap=t_cap, k=list(k), tower=tower, trace=trace,
-        placements=lifted_placements, remainder=remainder,
-        transversal=transversal, defect=defect,
-    )
+    # the quotient's modulus is chain_base ** quotient_level
+    return {
+        "certificate_type": "tiling",
+        "config": {"chain_base": base},
+        "group": oracle.name,
+        "quotient_name": omega.name,
+        "quotient_level": level,
+        "omega_size": n,
+        "epsilon": frac_json(epsilon),
+        "delta": frac_json(params.delta),
+        "zeta": frac_json(params.zeta),
+        "height_cap": t_cap,
+        "k": _elements_json(k),
+        "tower_sizes": [len(level_set) for level_set in tower],
+        "tower": [_elements_json(level_set) for level_set in tower],
+        "trace": trace,
+        "placements": placements,
+        "remainder": _elements_json(remainder),
+        "transversal": _elements_json(transversal),
+        "defect": frac_json(defect),
+        "defect_decimal": round(float(defect), 12),
+    }
 
 
-def verify_certificate(cert: TilingCertificate, oracle: GroupOracle) -> tuple[dict, Fraction]:
-    """Re-verify a certificate from its own data: every element it lists is
-    a vector of the group's width of integers (else ContractError), the
-    decomposition is disjoint, the projection to the certificate's quotient
-    restricted to the transversal is a bijection, and the defect recounts to
-    the recorded value.  Returns the checks and the recounted defect."""
+def verify_certificate(payload: dict, oracle: GroupOracle) -> tuple[dict, Fraction]:
+    """Re-verify a tiling certificate, given as the JSON object that `tile`
+    prints, from its own data: every element it lists is a vector of the
+    group's width of integers (else ContractError), the decomposition is
+    disjoint, the projection to the quotient of modulus
+    config.chain_base ** quotient_level (chain_base 2 when config does not
+    give one) restricted to the transversal is a bijection, and the defect
+    recounts to the recorded value.  Every field it reads must be there,
+    also those that the checks do not use (else ContractError).  Returns
+    the checks and the recounted defect."""
+    with reading("tiling certificate"):
+        level, config = payload["quotient_level"], payload.get("config", {})
+        base = config.get("chain_base", 2) if type(config) is dict else None
+        if not (type(level) is int and type(base) is int):
+            raise ContractError("tiling certificate: config must be an object, and "
+                                "quotient_level and config.chain_base integers")
+        # the fields that the checks do not use are read all the same
+        for key in ("group", "quotient_name", "omega_size", "height_cap"):
+            payload[key]
+        for value in (payload["delta"], payload["zeta"],
+                      *(row[key] for row in payload["trace"] for key in ("mu", "nu", "alpha"))):
+            frac_from_json(value)
+        epsilon = frac_from_json(payload["epsilon"])
+        defect = frac_from_json(payload["defect"])
+        k = _elements_from_json(payload["k"])
+        tower = [_elements_from_json(level_set) for level_set in payload["tower"]]
+        placements = [(pl["level"], element_from_json(pl["center"]),
+                       _elements_from_json(pl["tile"]))
+                      for pl in payload["placements"]]
+        remainder = _elements_from_json(payload["remainder"])
+        transversal = _elements_from_json(payload["transversal"])
     width = len(oracle.identity)
-    for g in itertools.chain(cert.k, cert.remainder, cert.transversal, *cert.tower,
-                             *([x, *piece] for _, x, piece in cert.placements)):
+    for g in itertools.chain(k, remainder, transversal, *tower,
+                             *([x, *piece] for _, x, piece in placements)):
         if not (isinstance(g, tuple) and len(g) == width and all(type(a) is int for a in g)):
             raise ContractError(f"certificate element {g!r} is not a list of {width} integers")
-    pieces = [tuple(piece) for _, _, piece in cert.placements]
-    flat = [g for piece in pieces for g in piece] + list(cert.remainder)
+    flat = [g for _, _, piece in placements for g in piece] + remainder
     disjoint = len(set(flat)) == len(flat)
-    matches = sorted(map(repr, flat)) == sorted(map(repr, cert.transversal))
-    omega = congruence_quotient(oracle, cert.modulus)
-    projected = {omega.project(g) for g in cert.transversal}
-    bijective = (len(projected) == len(cert.transversal) == omega.size())
-    recount = set_defect(cert.transversal, cert.k, oracle)
+    matches = sorted(map(repr, flat)) == sorted(map(repr, transversal))
+    omega = congruence_quotient(oracle, base**level)
+    projected = {omega.project(g) for g in transversal}
+    bijective = (len(projected) == len(transversal) == omega.size())
+    recount = set_defect(transversal, k, oracle)
     return {
         "disjoint_decomposition": disjoint,
         "decomposition_matches_transversal": matches,
         "projection_bijective": bijective,
-        "defect_recount_matches": recount == cert.defect,
-        "defect_below_epsilon": recount < cert.epsilon,
+        "defect_recount_matches": recount == defect,
+        "defect_below_epsilon": recount < epsilon,
     }, recount
 
 
@@ -682,15 +649,16 @@ def verify_json(payload: dict, registry=None) -> dict:
     verify_certificate, with the recounted defect in place of its two defect
     checks.  matches also needs K to hold the identity and, when the config
     records k_radius, to be the ball of that radius."""
-    cert = TilingCertificate.from_json(payload)
-    oracle = get_group(cert.group, registry)
-    checks, recount = verify_certificate(cert, oracle)
+    with reading("tiling certificate"):
+        oracle = get_group(payload["group"], registry)
+    checks, recount = verify_certificate(payload, oracle)
+    k = _elements_from_json(payload["k"])
     config = payload.get("config", {})
     radius = config.get("k_radius")
     if "k_radius" in config and type(radius) is not int:
         raise ContractError("tiling certificate: config.k_radius must be an integer")
-    k_ok = oracle.identity in cert.k and (
-        radius is None or set(cert.k) == set(ball(oracle, radius).elements))
+    k_ok = oracle.identity in k and (
+        radius is None or set(k) == set(ball(oracle, radius).elements))
     result = {key: ok for key, ok in checks.items()
               if key not in ("defect_recount_matches", "defect_below_epsilon")}
     result.update(defect_recount=frac_json(recount), matches=all(checks.values()) and k_ok)

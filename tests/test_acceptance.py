@@ -22,6 +22,7 @@ from gradedgrowth.gs import GSPresentation, gs_certificate, gs_value, relator_de
 from gradedgrowth.hecke import HeckeElement, crystal_monomial_check, delta, \
     hecke_mul, untwist
 from gradedgrowth.registry import P_GROUP_NAMES, get_group, load_registry
+from gradedgrowth.serialize import frac_from_json
 from gradedgrowth.subspace import BallAmbient, invariance_defect, set_defect, span
 from gradedgrowth.tiling import build_transversal, verify_certificate
 
@@ -131,8 +132,8 @@ def test_criterion_05_tiling_certificate():
     z2 = get_group("z2")
     k = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
     cert = build_transversal(z2, k, Fraction(1, 2))
-    assert cert.defect < Fraction(1, 2)
-    for row in cert.trace:
+    assert frac_from_json(cert["defect"]) < Fraction(1, 2)
+    for row in cert["trace"]:
         assert row["hypotheses_ok"], row
         assert row["mu_at_least_delta"]
         assert row["coverage_identity_ok"]
@@ -140,7 +141,7 @@ def test_criterion_05_tiling_certificate():
         assert row["maximality_ok"]
     verdict, recount = verify_certificate(cert, z2)
     assert all(verdict.values()), verdict
-    assert recount == cert.defect
+    assert recount == frac_from_json(cert["defect"])
     elapsed = time.monotonic() - start
     assert elapsed < 300.0, f"took {elapsed:.1f}s"
 
@@ -197,19 +198,21 @@ def test_criterion_08_gs_certificates():
     relator-degree computations; runtime < 5 s."""
     start = time.monotonic()
     cert = gs_certificate(GSPresentation(2, ()))
-    assert cert.is_gs and cert.value < 0
-    assert gs_value(cert.presentation, cert.t) == cert.value
+    assert cert["is_GS"] and frac_from_json(cert["value"]) < 0
+    assert gs_value(GSPresentation(cert["d"], tuple(cert["degrees"])),
+                    frac_from_json(cert["t"])) == frac_from_json(cert["value"])
 
     cert = gs_certificate(GSPresentation(1, ()))
-    assert not cert.is_gs
+    assert not cert["is_GS"]
 
     cert = gs_certificate(GSPresentation(3, (2, 2, 2)))
-    assert not cert.is_gs
-    assert cert.t == Fraction(1, 2) and cert.value == Fraction(1, 4)
+    assert not cert["is_GS"]
+    assert (frac_from_json(cert["t"]) == Fraction(1, 2)
+            and frac_from_json(cert["value"]) == Fraction(1, 4))
 
     pres = GSPresentation(2, tuple(range(5, 101)))
     cert = gs_certificate(pres)
-    assert cert.is_gs
+    assert cert["is_GS"]
     assert gs_value(pres, Fraction(3, 5)) < 0
 
     assert relator_degrees(["xxx"], 3, trunc=6) == [3]

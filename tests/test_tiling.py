@@ -12,12 +12,12 @@ from gradedgrowth.errors import ContractError, SearchFailedError
 from gradedgrowth.groups import FreeAbelian, FreeGroup, Heisenberg, HeisenbergMod, ZdMod, ball
 from gradedgrowth.subspace import set_defect
 from gradedgrowth.tiling import (GreedyFillResult, HeisenbergQuotient, QuotientSet,
-                                 ThetaParams, TilingCertificate, ZdQuotient, _level_ok,
+                                 ThetaParams, ZdQuotient, _level_ok,
                                  build_transversal, congruence_quotient, cover,
                                  folner_search, covering_recipe, greedy_fill, inverse_envelope,
                                  pick_delta, pick_zeta, quotient_chain, theta,
                                  verify_certificate, verify_json, worst_case_height)
-from gradedgrowth.serialize import frac_json
+from gradedgrowth.serialize import frac_from_json, frac_json
 
 K2 = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
 
@@ -463,17 +463,17 @@ class TestTowerLevel:
 class TestBuildTransversal:
     def test_z_line(self, z1):
         cert = build_transversal(z1, [(0,), (1,), (-1,)], Fraction(1, 2))
-        assert len(cert.transversal) == 2**cert.quotient_level
-        assert cert.defect < Fraction(1, 2)
+        assert len(cert["transversal"]) == 2**cert["quotient_level"]
+        assert frac_from_json(cert["defect"]) < Fraction(1, 2)
         checks, recount = verify_certificate(cert, z1)
         assert all(checks.values())
-        assert recount == cert.defect
+        assert recount == frac_from_json(cert["defect"])
 
     def test_z2_acceptance_shape(self, z2):
         cert = build_transversal(z2, K2, Fraction(1, 2))
-        assert len(cert.transversal) == 4**cert.quotient_level
-        assert cert.defect < Fraction(1, 2)
-        for row in cert.trace:
+        assert len(cert["transversal"]) == 4**cert["quotient_level"]
+        assert frac_from_json(cert["defect"]) < Fraction(1, 2)
+        for row in cert["trace"]:
             assert row["hypotheses_ok"]
             assert row["mu_at_least_delta"]
             assert row["coverage_identity_ok"]
@@ -481,7 +481,7 @@ class TestBuildTransversal:
 
     def test_k_singleton_trivial(self, z1):
         cert = build_transversal(z1, [(0,)], Fraction(1, 2))
-        assert cert.defect == 0
+        assert frac_from_json(cert["defect"]) == 0
 
     def test_requires_identity(self, z1):
         with pytest.raises(ContractError):
@@ -495,14 +495,13 @@ class TestBuildTransversal:
         cert = build_transversal(z1, [(0,), (1,), (-1,)], Fraction(1, 2))
         report, _ = verify_certificate(cert, z1)
         assert report["projection_bijective"]
-        tampered = cert.__class__(**{**cert.__dict__,
-                                     "transversal": cert.transversal[:-1]})
+        tampered = {**cert, "transversal": cert["transversal"][:-1]}
         bad, _ = verify_certificate(tampered, z1)
         assert not bad["projection_bijective"]
 
     def test_verify_json_checks_k(self, z1):
         cert = build_transversal(z1, [(0,), (1,), (-1,)], Fraction(1, 2))
-        payload = json.loads(json.dumps({**cert.to_json(), "config": {"k_radius": 1}}))
+        payload = json.loads(json.dumps({**cert, "config": {"k_radius": 1}}))
         assert verify_json(payload)["matches"]
         payload["config"]["k_radius"] = 2  # K is not the radius-2 ball
         assert not verify_json(payload)["matches"]
@@ -514,14 +513,21 @@ class TestBuildTransversal:
         payload.update(k=[[0]], defect=frac_json(0))
         assert verify_json(payload)["matches"]
         shifted = [(1,)]
-        payload.update(k=[[1]], defect=frac_json(set_defect(cert.transversal, shifted, z1)))
+        transversal = [tuple(g) for g in cert["transversal"]]
+        payload.update(k=[[1]], defect=frac_json(set_defect(transversal, shifted, z1)))
         result = verify_json(payload)
         assert result.pop("matches") is False
         assert result.pop("defect_recount") == payload["defect"]
         assert all(ok is True for ok in result.values()), result
 
     def test_json_round_trip(self, z1):
-        cert = build_transversal(z1, [(0,), (1,), (-1,)], Fraction(1, 2))
-        assert cert.modulus == 2**cert.quotient_level
-        payload = json.loads(json.dumps(cert.to_json()))
-        assert TilingCertificate.from_json(payload) == cert
+        # the certificate is plain JSON, and names the chain base that fixes
+        # its quotient's modulus, chain_base ** quotient_level
+        cert = build_transversal(z1, [(0,), (1,), (-1,)], Fraction(1, 2), chain_base=3)
+        assert json.loads(json.dumps(cert)) == cert
+        assert cert["config"] == {"chain_base": 3}
+        assert cert["omega_size"] == 3**cert["quotient_level"]
+        assert cert["k"] == [[0], [1], [-1]]
+        assert verify_certificate(cert, z1)[0]["projection_bijective"]
+        del cert["config"]  # chain base 2 is not this certificate's
+        assert not verify_certificate(cert, z1)[0]["projection_bijective"]
