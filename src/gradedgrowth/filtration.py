@@ -7,11 +7,10 @@ of p-th powers and of commutators with the normal generators of the term
 above, with the product-formula Hilbert coefficients that give the
 ladder dimensions, also on the p-parts of congruence quotients of
 infinite groups; the descending ladder of augmentation-ideal powers and
-its graded dimensions, built from the bottom up on that series: from the
-ideal of O^p(G), each power inserts the lifted Jennings monomials of one
-weight into the power below it, and the ladder keeps the rows that each
-insertion adds as one flag basis, from which any power is built on
-demand; truncated Magnus valuations over GF(p) for free-group words;
+its graded dimensions, read off that series as one flag basis: the
+ideal of O^p(G), then the lifted Jennings monomials by descending
+weight, checked independent by one elimination, from which any power is
+built on demand; truncated Magnus valuations over GF(p) for free-group words;
 graded dimensions of the free group algebra; Witt necklace ranks; ideal
 generators in the style of Reidemeister-Schreier together with the
 single-step growth bound, both read off one identity-last echelon form of
@@ -106,23 +105,28 @@ class AugmentationLadder:
 
 
 def aug_ladder(alg: FiniteGroupAlgebra) -> AugmentationLadder:
-    """Powers of the augmentation ideal w until the first repeat, built from
-    the bottom up and kept as one flag basis.
+    """Powers of the augmentation ideal w until the first repeat, kept as
+    one flag basis read off Jennings' basis.
 
     Let N = O^p(G) and I_N = w(kN) kG.  For n >= 1, w^n is I_N plus the span
     of the lifted Jennings monomials prod_j (g_j - 1)^(a_j), 0 <= a_j < p,
     of weight sum_j a_j wt(g_j) >= n, where the g_j lift bases of the layers
     of the p-central series of G down to N (Jennings 1941, Quillen 1968).
-    So the climb starts from I_N, whose canonical rows are read off its
-    cosets, and inserts the monomials of each weight from the top down, one
-    echelon_insert per power, holding only the current power's rows.  The
-    flag basis is I_N's rows followed by the rows that each insertion adds,
-    so w^n is spanned by its first dim w^n rows; a power's canonical rows
-    are built only when `powers` is indexed.  The powers' dimensions are
-    known before the climb, and a ladder whose insertions would write more
-    than budgets.LADDER_BYTES of rows in all raises ResourceBudgetError.
+    So the flag is I_N's canonical rows, read off its cosets, then the
+    monomials of weight >= 1 by descending weight: w^n is spanned by its
+    first dim w^n rows, and a power's canonical rows are built only when
+    `powers` is indexed.  One rank checks that the monomials are independent
+    modulo I_N, the kernel of kG -> k[G/N], on their images in k[G/N] (else
+    ContractError).  A ladder that could allocate more than
+    budgets.LADDER_BYTES, counted from the order alone, raises
+    ResourceBudgetError before the series is computed.
     """
     group, p, n = alg.oracle, alg.prime, alg.dim
+    need = budgets.LADDER_BLOCKS * n * n * 8
+    if need > budgets.LADDER_BYTES:
+        raise ResourceBudgetError(
+            f"augmentation ladder of {group.name} at p = {p} allocates up to {need} "
+            f"bytes, over the ladder cap of {budgets.LADDER_BYTES}")
     series = jennings_series(group, p)
     bottom = series.subgroups[-1]
     coeffs = jennings_hilbert_coeffs(series.dims, p)
@@ -130,17 +134,18 @@ def aug_ladder(alg: FiniteGroupAlgebra) -> AugmentationLadder:
     # dim w^n is dim I_N plus the number of monomials of weight >= n, and
     # the ladder ends at the first repeat, I_N itself
     dims = [stable + t for t in np.cumsum(coeffs[::-1])[::-1].tolist()] + [stable]
-    need = sum(dims) * n * 8
-    if need > budgets.LADDER_BYTES:
-        raise ResourceBudgetError(
-            f"augmentation ladder of {group.name} at p = {p} needs {need} bytes, "
-            f"over the ladder cap of {budgets.LADDER_BYTES}"
-        )
     monomials, weights = _jennings_monomials(alg, _layer_lifts(alg, series.subgroups))
     flag = np.zeros((dims[1], n), dtype=np.int64)
-    rows = _coset_differences(alg, bottom, flag[:stable])
-    for w in range(len(coeffs) - 1, 0, -1):
-        rows, flag[dims[w + 1]:dims[w]] = echelon_insert(rows, monomials[weights == w], p)
+    coset = _coset_differences(alg, bottom, flag[:stable])
+    # the identity, the one monomial of weight 0, sorts last and is left out
+    top_down = np.argsort(-weights, kind="stable")[:-1]
+    flag[stable:] = monomials[top_down]
+    del monomials  # freed before the check allocates its own blocks
+    images = np.zeros((top_down.size, n - stable), dtype=np.int64)
+    np.add.at(images.T, coset, flag[stable:].T)
+    if rank_mod_p(images, p) != top_down.size:
+        raise ContractError(f"lifted Jennings monomials of {group.name} at p = {p} "
+                            "are dependent modulo the ideal of O^p(G)")
     flag.setflags(write=False)
     return AugmentationLadder(alg, dims, LadderPowers(alg, flag, tuple(dims)))
 
@@ -150,7 +155,8 @@ def _coset_differences(alg: FiniteGroupAlgebra, sub: frozenset,
     """Canonical echelon rows of w(kN) kG for a normal subgroup N: for each
     coset with basis indices i_1 < ... < i_m, the rows e_(i_j) - e_(i_m),
     j < m, all in pivot order.  They are written into `rows`, a zero array
-    of dim w(kN) kG rows, which is returned."""
+    of dim w(kN) kG rows.  Returns each basis element's coset, numbered
+    0, 1, ... by the last basis index in it."""
     n = alg.dim
     last = np.full(n, -1)  # the last basis index of each element's coset
     for i, g in enumerate(alg.labels):
@@ -160,7 +166,7 @@ def _coset_differences(alg: FiniteGroupAlgebra, sub: frozenset,
     pivots = np.flatnonzero(last != np.arange(n))
     rows[np.arange(pivots.size), pivots] = 1
     rows[np.arange(pivots.size), last[pivots]] = alg.prime - 1
-    return rows
+    return np.unique(last, return_inverse=True)[1]
 
 
 def _layer_lifts(alg: FiniteGroupAlgebra, series: list[frozenset]) -> list[tuple]:

@@ -7,8 +7,8 @@ one ambient, ``BallAmbient``, is a word-metric ball as a basis, carrying the
 deformed (lambda-twisted) product, plus one right-multiplication table per
 basis element h, built once by one builder; a finite group algebra is the
 whole group's ball at lambda = 1.  One kernel, ``BallAmbient.translate_rows``,
-moves a block of rows by such a table; every
-product (``apply_right``, ``right_multiply``, the ladder and ideal steps of
+moves a block of rows by such a table; every product (``apply_right``,
+``right_multiply``, the Jennings monomials and ideal steps of
 ``filtration``) is built on it.
 
 Echelon forms come from one engine, ``rref``, with two inner loops that
@@ -22,13 +22,13 @@ return the same canonical int64 matrix:
   is reduced at the end (delayed reduction, after FFLAS-FFPACK); columns
   that are 0 mod p in every row are never visited.
 
-Every "span plus a block of rows" step (``sum_subspaces``, each power of
-the augmentation ladder, each round of ``filtration.right_ideal_closure``)
-is one insertion kernel, ``echelon_insert``: the block is reduced against
-the canonical rows by their pivots in one product, only the remainder goes
-through ``rref``, and the new pivots are cleared from the old rows and
-merged in by pivot, so the result is the canonical form of the sum without
-re-eliminating the rows already there.
+Every "span plus a block of rows" step (``sum_subspaces``, each round of
+``filtration.right_ideal_closure``) is one insertion kernel,
+``echelon_insert``: the block is reduced against the canonical rows by
+their pivots in one product, only the remainder goes through ``rref``, and
+the new pivots are cleared from the old rows and merged in by pivot, so
+the result is the canonical form of the sum without re-eliminating the
+rows already there.
 
 Every entry point (``rref``, ``BallAmbient``, ``hecke.HeckeElement``) applies
 the one prime bound p < 2**16 of ``scalars.check_prime``.  The odd-p loop

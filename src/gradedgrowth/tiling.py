@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,12 +56,6 @@ from .groups import FreeAbelian, GroupOracle, Heisenberg, HeisenbergMod, ZdMod, 
 from .registry import get_group
 from .serialize import element_from_json, element_json, frac_from_json, frac_json, reading
 from .subspace import set_defect
-
-
-def inverse_envelope(a: Iterable, k: Iterable, oracle: GroupOracle) -> set:
-    """{x : xK meets A} = A * {k^-1 : k in K}."""
-    k_inv = [oracle.inv(x) for x in k]
-    return {oracle.mul(g, x) for g in a for x in k_inv}
 
 
 @dataclass(frozen=True)
@@ -433,26 +427,24 @@ def _tower_candidates(oracle: GroupOracle, omega: QuotientSet, base: int):
 def boundary_bound_ok(oracle: GroupOracle, level: Sequence, k: Sequence,
                       epsilon: Fraction, params: ThetaParams) -> bool:
     """The tower's boundary bound against the base set K, counted in the
-    group: #(K_i K) <= (1 + eps/2)(1 - delta) #K_i."""
-    grown = {oracle.mul(g, x) for g in level for x in k}
-    return len(grown) <= (1 + epsilon / 2) * (1 - params.delta) * len(level)
+    group: #(K_i K) <= (1 + eps/2)(1 - delta) #K_i.  K holds the identity
+    in both callers, so K_i K covers K_i and #(K_i K) / #K_i is exactly
+    1 + set_defect(K_i, K)."""
+    return 1 + set_defect(level, k, oracle) <= (1 + epsilon / 2) * (1 - params.delta)
 
 
 def _level_ok(oracle: GroupOracle, omega: QuotientSet, candidate: list,
               k: list, epsilon: Fraction, params: ThetaParams,
               previous: list[list]) -> bool:
-    # identity in K, so K_i K covers K_i
     if not boundary_bound_ok(oracle, candidate, k, epsilon, params):
         return False
     # injectivity in the quotient (equivalently: differences avoid N - {1})
     if len({omega.project(g) for g in candidate}) != len(candidate):
         return False
-    # almost-invariance of every earlier (larger) level against this one
-    for prev in previous:
-        envelope = inverse_envelope(prev, candidate, oracle)
-        if Fraction(len(set(prev) | envelope)) >= params.zeta * len(prev):
-            return False
-    return True
+    # almost-invariance of every earlier (larger) level against this one:
+    # #(P u {x : xK_i meets P}) < zeta #P, where {x : xK_i meets P} = P K_i^-1
+    inverses = [oracle.inv(g) for g in candidate]
+    return all(1 + set_defect(prev, inverses, oracle) < params.zeta for prev in previous)
 
 
 def cover(omega: QuotientSet, k: Sequence, params: ThetaParams, t_cap: int,
@@ -623,6 +615,7 @@ def verify_certificate(payload: dict, oracle: GroupOracle) -> tuple[dict, Fracti
                       for pl in payload["placements"]]
         remainder = _elements_from_json(payload["remainder"])
         transversal = _elements_from_json(payload["transversal"])
+    omega = congruence_quotient(oracle, base**level)  # ContractError on other groups
     width = len(oracle.identity)
     for g in itertools.chain(k, remainder, transversal, *tower,
                              *([x, *piece] for _, x, piece in placements)):
@@ -631,7 +624,6 @@ def verify_certificate(payload: dict, oracle: GroupOracle) -> tuple[dict, Fracti
     flat = [g for _, _, piece in placements for g in piece] + remainder
     disjoint = len(set(flat)) == len(flat)
     matches = sorted(map(repr, flat)) == sorted(map(repr, transversal))
-    omega = congruence_quotient(oracle, base**level)
     projected = {omega.project(g) for g in transversal}
     bijective = (len(projected) == len(transversal) == omega.size())
     recount = set_defect(transversal, k, oracle)

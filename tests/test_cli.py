@@ -377,6 +377,25 @@ class TestVerifyRoundTrip:
         assert main(["verify", "--certificate", str(cert),
                      "--out", str(tmp_path / "v.json")]) == 4
 
+    @pytest.mark.parametrize("group", ["c4", "q8"])
+    def test_tiling_certificate_of_a_finite_group_is_4(self, tmp_path, group):
+        # their elements are ints, not vectors: verify must say that the
+        # group has no congruence quotients before it reads an element's width
+        cert = tmp_path / "cert.json"
+        assert main(TILE_Z + ["--out", str(cert)]) == 0
+        payload = json.loads(cert.read_text())
+        payload["group"] = group
+        cert.write_text(json.dumps(payload))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                           os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "gradedgrowth.cli", "verify",
+                               "--certificate", str(cert)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stdout == ""
+        assert f"no congruence quotients built in for {group}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("command,key,value", [
         (PROBE, ("config", "p"), "2"),
         (PROBE, ("config", "p"), 2.0),

@@ -8,9 +8,9 @@ ladder independent of the product formula that the Jennings cross-checks
 compare it with.  Every power must have the same canonical rows, byte for
 byte.  `p_residual` is locked to the subgroup generated by the elements of
 order prime to p, and the ladder's byte cap to the CLI's exit code 3.  The
-ladder keeps one flag basis, not every power, and its memory is bounded
-here: in-process by `tracemalloc`, and for a whole `growth` process by its
-own peak RSS.
+ladder keeps one flag basis, not every power, and makes one elimination;
+its memory is bounded here: in-process by `tracemalloc`, and for a whole
+`growth` process by its own peak RSS.
 """
 
 import hashlib
@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedgrowth import budgets
+from gradedgrowth import budgets, filtration, subspace
 from gradedgrowth.errors import ContractError, ResourceBudgetError
 from gradedgrowth.filtration import (_pow, aug_ladder, build_group_algebra,
                                      graded_dims_via_jennings, jennings_series, p_residual)
@@ -315,38 +315,68 @@ class TestJenningsSeriesMatchesReference:
         assert count[0] <= bound, count[0]
 
 
-def _growth(tmp_path, m: int, p: int) -> subprocess.CompletedProcess:
+def _growth(tmp_path, m: int, p: int, *extra: str) -> subprocess.CompletedProcess:
     registry = tmp_path / "registry.json"
     registry.write_text(json.dumps({"c_big": {"kind": "zd_mod", "params": {"d": 1, "m": m}}}))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
                                                        os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-m", "gradedgrowth.cli", "--registry",
                            str(registry), "growth", "--group", "c_big", "--p", str(p),
-                           "--format", "json"], env=env, capture_output=True, text=True)
+                           "--format", "json", *extra], env=env, capture_output=True, text=True)
+
+
+class SeriesReached(Exception):
+    pass
 
 
 class TestLadderBudget:
     def test_cap_is_one_gib(self):
         assert budgets.LADDER_BYTES == 1 << 30
 
-    def test_large_cyclic_two_group_refused(self):
-        # 2048 powers of ranks 2048 - k: about 32 GiB of rows
+    def test_large_cyclic_two_group_refused(self, monkeypatch):
+        # 6 blocks of 16384^2 int64 entries are 12 GiB
         with pytest.raises(ResourceBudgetError, match="ladder"):
-            aug_ladder(build_group_algebra(ZdMod(1, 2048), 2))
-        with pytest.raises(ResourceBudgetError):  # about 4 GiB
-            aug_ladder(build_group_algebra(ZdMod(1, 1024), 2))
+            self.ladder_up_to_the_series(monkeypatch, 16384)
+
+    @pytest.mark.parametrize("m,stop", [(4729, SeriesReached), (4730, ResourceBudgetError)])
+    def test_order_alone_decides_before_the_series(self, monkeypatch, m, stop):
+        # 6 blocks of m^2 int64 entries fit in 1 GiB up to m = 4729
+        with pytest.raises(stop):
+            self.ladder_up_to_the_series(monkeypatch, m)
+
+    @staticmethod
+    def ladder_up_to_the_series(monkeypatch, m):
+        """aug_ladder on Z/m at p = 2, stopped where it asks for the
+        Jennings series."""
+        def stop(group, p):
+            raise SeriesReached
+
+        monkeypatch.setattr(filtration, "jennings_series", stop)
+        aug_ladder(build_group_algebra(ZdMod(1, m), 2, max_order=m))
 
     def test_under_the_cap_builds(self):
         lad = aug_ladder(build_group_algebra(ZdMod(1, 256), 2))
         assert [s.rank for s in lad.powers] == list(range(256, -1, -1))
 
     def test_cli_exits_three_at_p_two(self, tmp_path):
-        proc = _growth(tmp_path, 2048, 2)
+        proc = _growth(tmp_path, 16384, 2, "--max-order", "16384")
         assert proc.returncode == 3, proc.stderr
         assert "ladder" in proc.stderr and proc.stdout == ""
 
+    @pytest.mark.parametrize("m", [1024, 2048])
+    def test_cli_cyclic_two_groups_at_p_two(self, tmp_path, m):
+        # the graded algebra of a cyclic p-group at p has dimension 1 in
+        # each degree below its order; the climb's byte count refused both
+        code, stdout, peak_kb, wall_s = _growth_usage(tmp_path, m, 2)
+        assert code == 0
+        out = json.loads(stdout)
+        assert out["graded_dims"] == [1] * m
+        assert out["power_dims"] == list(range(m, -1, -1))
+        assert wall_s < 2.0
+        assert peak_kb < 256 * 1024
+
     def test_cli_order_prime_to_p_answers_from_the_trivial_group(self, tmp_path):
-        code, stdout, peak_kb = _growth_usage(tmp_path, 2048, 3)
+        code, stdout, peak_kb, _ = _growth_usage(tmp_path, 2048, 3)
         assert code == 0
         out = json.loads(stdout)
         assert out["graded_dims"] == [1]
@@ -354,6 +384,40 @@ class TestLadderBudget:
         # I_N's rows are written straight into the 33.5 MB flag, not copied
         # into it: holding both peaked at 94 MB
         assert peak_kb < 80 * 1024
+
+
+class TestOneElimination:
+    """The ladder's only elimination is the check that the Jennings
+    monomials are independent modulo I_N; the climb it replaced made one
+    per weight (242 on c243)."""
+
+    @pytest.mark.parametrize("group,p", [(ZdMod(1, 243), 3), (HeisenbergMod(4), 2)],
+                             ids=["c243", "heisenberg_mod_4"])
+    def test_one_rref_call(self, monkeypatch, group, p):
+        alg = build_group_algebra(group, p)
+        calls = []
+        rref = subspace.rref
+
+        def counting(mat, prime):
+            calls.append(np.shape(mat))
+            return rref(mat, prime)
+
+        monkeypatch.setattr(subspace, "rref", counting)
+        monkeypatch.setattr(filtration, "rref", counting)
+        aug_ladder(alg)
+        assert len(calls) == 1, calls
+
+    def test_dependent_monomials_raise(self, monkeypatch):
+        # the first layer lift in place of the second makes them dependent
+        lifts = filtration._layer_lifts
+
+        def repeated(alg, series):
+            out = lifts(alg, series)
+            return out[:1] + out[:1] + out[2:]
+
+        monkeypatch.setattr(filtration, "_layer_lifts", repeated)
+        with pytest.raises(ContractError, match="dependent"):
+            aug_ladder(build_group_algebra(get_group("c2xc2"), 2))
 
 
 class TestPowersSequence:
@@ -378,25 +442,27 @@ class TestPowersSequence:
             lad.powers[0] = powers[0]
 
 
-# Runs a command as a grandchild and prints its exit code and its peak RSS,
-# read with wait4 on its pid.  A process started straight from the test
-# process would report at least the test process's own peak RSS: the exec
-# that starts it records the high-water mark of the address space it
-# replaces, which fork copies from the parent (and vfork shares with it).
-_LAUNCH = """import os, subprocess, sys
+# Runs a command as a grandchild and prints its exit code, its peak RSS,
+# read with wait4 on its pid, and its wall time.  A process started
+# straight from the test process would report at least the test process's
+# own peak RSS: the exec that starts it records the high-water mark of the
+# address space it replaces, which fork copies from the parent (and vfork
+# shares with it).
+_LAUNCH = """import os, subprocess, sys, time
+start = time.perf_counter()
 with open(sys.argv[1], "wb") as sink:
     proc = subprocess.Popen(sys.argv[2:], stdout=sink, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, time.perf_counter() - start)
 """
 
 
 def _growth_usage(tmp_path, m: int, p: int):
-    """Exit code, stdout bytes and peak RSS (kilobytes on Linux) of `growth`
-    on a cyclic group of order m, given by a registry spec named c<m>.  The
-    peak is the growth process's own, read with wait4 on its pid by a small
-    launcher process: RUSAGE_CHILDREN would fold in every earlier child of
-    this process."""
+    """Exit code, stdout bytes, peak RSS (kilobytes on Linux) and wall
+    seconds of `growth` on a cyclic group of order m, given by a registry
+    spec named c<m>.  The peak is the growth process's own, read with wait4
+    on its pid by a small launcher process: RUSAGE_CHILDREN would fold in
+    every earlier child of this process."""
     registry = tmp_path / "registry.json"
     registry.write_text(json.dumps({f"c{m}": {"kind": "zd_mod", "params": {"d": 1, "m": m}}}))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
@@ -407,8 +473,8 @@ def _growth_usage(tmp_path, m: int, p: int):
                                str(registry), "growth", "--group", f"c{m}", "--p", str(p),
                                "--format", "json"],
                               env=env, capture_output=True, text=True, check=True)
-    code, peak_kb = map(int, launched.stdout.split())
-    return code, out.read_bytes(), peak_kb
+    code, peak_kb, wall_s = launched.stdout.split()
+    return int(code), out.read_bytes(), int(peak_kb), float(wall_s)
 
 
 class TestLadderMemory:
@@ -433,7 +499,7 @@ class TestLadderMemory:
     def test_growth_on_order_1728_peaks_under_256_mb(self, tmp_path):
         # 28 powers of rank at least 1,700 over 1,728 columns: the dense
         # ladder peaked at 671 MB
-        code, stdout, peak_kb = _growth_usage(tmp_path, 1728, 3)
+        code, stdout, peak_kb, _ = _growth_usage(tmp_path, 1728, 3)
         assert code == 0
         assert (hashlib.sha1(stdout).hexdigest()
                 == "3e524d1513615fb27e69286529166c6448e9475c")

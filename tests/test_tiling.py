@@ -6,49 +6,20 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gradedgrowth.errors import ContractError, SearchFailedError
 from gradedgrowth.groups import FreeAbelian, FreeGroup, Heisenberg, HeisenbergMod, ZdMod, ball
 from gradedgrowth.subspace import set_defect
 from gradedgrowth.tiling import (GreedyFillResult, HeisenbergQuotient, QuotientSet,
-                                 ThetaParams, ZdQuotient, _level_ok,
+                                 ThetaParams, ZdQuotient, _level_ok, boundary_bound_ok,
                                  build_transversal, congruence_quotient, cover,
-                                 folner_search, covering_recipe, greedy_fill, inverse_envelope,
+                                 folner_search, covering_recipe, greedy_fill,
                                  pick_delta, pick_zeta, quotient_chain, theta,
                                  verify_certificate, verify_json, worst_case_height)
 from gradedgrowth.serialize import frac_from_json, frac_json
 
 K2 = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
-
-
-class TestInverseEnvelope:
-    def test_interval(self, z1):
-        assert inverse_envelope([(0,), (1,)], [(1,)], z1) == {(-1,), (0,)}
-
-    def test_empty(self, z1):
-        assert inverse_envelope([], [(1,)], z1) == set()
-
-    def test_box_shift(self, z2):
-        box = [(i, j) for i in range(3) for j in range(3)]
-        shifted = inverse_envelope(box, [(1, 0)], z2)
-        assert shifted == {(i - 1, j) for i in range(3) for j in range(3)}
-
-    def test_union_distributivity(self, z2):
-        a = [(0, 0), (2, 1)]
-        b = [(1, 1)]
-        k = [(1, 0), (0, 1)]
-        l = [(0, -1)]
-        lhs = inverse_envelope(a, k + l, z2)
-        assert lhs == inverse_envelope(a, k, z2) | inverse_envelope(a, l, z2)
-        lhs2 = inverse_envelope(a + b, k, z2)
-        assert lhs2 == inverse_envelope(a, k, z2) | inverse_envelope(b, k, z2)
-
-    def test_noncommutative_direction(self):
-        h = Heisenberg()
-        a = [(0, 0, 0)]
-        k = [(1, 0, 0)]
-        assert inverse_envelope(a, k, h) == {h.mul((0, 0, 0), h.inv((1, 0, 0)))}
 
 
 class TestTheta:
@@ -458,6 +429,80 @@ class TestTowerLevel:
         tight = ThetaParams(Fraction(1, 32), Fraction(65, 64))
         assert _level_ok(z1, omega, candidate, k, Fraction(1, 2), loose, previous)
         assert not _level_ok(z1, omega, candidate, k, Fraction(1, 2), tight, previous)
+
+
+
+def inverse_envelope(a, k, oracle) -> set:
+    """{x : xK meets A} = A * {k^-1 : k in K}."""
+    k_inv = [oracle.inv(x) for x in k]
+    return {oracle.mul(g, x) for g in a for x in k_inv}
+
+
+def reference_level_ok(oracle, omega, candidate, k, epsilon, params, previous) -> bool:
+    """The tower-level test as it was written before it counted with
+    set_defect: the boundary bound as the size of the product set K_i K,
+    and almost-invariance through the inverse envelope of each earlier
+    level."""
+    grown = {oracle.mul(g, x) for g in candidate for x in k}
+    if len(grown) > (1 + epsilon / 2) * (1 - params.delta) * len(candidate):
+        return False
+    if len({omega.project(g) for g in candidate}) != len(candidate):
+        return False
+    for prev in previous:
+        envelope = inverse_envelope(prev, candidate, oracle)
+        if Fraction(len(set(prev) | envelope)) >= params.zeta * len(prev):
+            return False
+    return True
+
+
+def _draw_level_case(data, group):
+    """A random tower-level test in Z^2 mod 8 or the Heisenberg group mod
+    4: a candidate, K with the identity, up to two earlier levels and
+    constants that make each branch of the test reachable."""
+    d = 2 if isinstance(group, FreeAbelian) else 3
+    point = st.tuples(*[st.integers(-4, 4)] * d)
+    candidate = sorted(data.draw(st.sets(point, min_size=1, max_size=12)))
+    k = sorted({group.identity} | data.draw(st.sets(point, max_size=3)))
+    previous = [sorted(level) for level in
+                data.draw(st.lists(st.sets(point, min_size=1, max_size=20), max_size=2))]
+    epsilon = Fraction(data.draw(st.integers(1, 16)), 2)
+    params = ThetaParams(Fraction(1, data.draw(st.integers(2, 32))),
+                         Fraction(data.draw(st.integers(4, 24)), 4))
+    return candidate, k, epsilon, params, previous
+
+
+class TestLevelOkMatchesReference:
+    """_level_ok and boundary_bound_ok count with set_defect; the old
+    product-set and inverse-envelope counts stay here as the reference.
+    The Heisenberg group is not commutative, so there K_i^-1 on the right
+    and on the left differ."""
+
+    @pytest.mark.parametrize("group,m", [(FreeAbelian(2), 8), (Heisenberg(), 4)],
+                             ids=["z2", "heisenberg"])
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_random_sets(self, group, m, data):
+        omega = congruence_quotient(group, m)
+        candidate, k, epsilon, params, previous = _draw_level_case(data, group)
+        want = reference_level_ok(group, omega, candidate, k, epsilon, params, previous)
+        assert _level_ok(group, omega, candidate, k, epsilon, params, previous) == want
+        grown = {group.mul(g, x) for g in candidate for x in k}
+        assert (boundary_bound_ok(group, candidate, k, epsilon, params)
+                == (len(grown) <= (1 + epsilon / 2) * (1 - params.delta) * len(candidate)))
+
+    def test_fixed_cases_on_either_side(self):
+        # one level on each side of the almost-invariance branch, in the
+        # non-commutative group, so neither side of the lock is left undrawn
+        h = Heisenberg()
+        omega = congruence_quotient(h, 4)
+        k = [h.identity, (1, 0, 0)]
+        candidate = [(0, 0, 0), (1, 0, 0)]
+        previous = [[(i, 0, 0) for i in range(4)]]
+        loose = ThetaParams(Fraction(1, 32), Fraction(2))
+        tight = ThetaParams(Fraction(1, 32), Fraction(5, 4))
+        for params, ok in ((loose, True), (tight, False)):
+            for level_ok in (_level_ok, reference_level_ok):
+                assert level_ok(h, omega, candidate, k, Fraction(8), params, previous) is ok
 
 
 class TestBuildTransversal:
