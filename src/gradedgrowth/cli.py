@@ -21,7 +21,7 @@ from .errors import (ContractError, GradedGrowthError, ResourceBudgetError,
 from .filtration import (aug_ladder, build_group_algebra, congruence_graded_dims,
                          growth_report, is_augmentation_unit, quotient_agreement_dims,
                          right_ideal_closure, rs_generators, rs_step_bound)
-from .groups import ball, find_dead_ends
+from .groups import Cyclic, FreeAbelian, ball, find_dead_ends
 from .gs import GSPresentation, gs_certificate, relator_degrees
 from .hecke import crystal_monomial_check, delta, hecke_mul, untwist
 from .registry import get_group, load_registry, make_group
@@ -44,16 +44,20 @@ def _write(text: str, out_path: str | None):
 
 
 def _parse_element(oracle, text: str):
+    """A tuple literal, as wide as the group's tuples (1 for a cyclic
+    group), a bare integer or a word in the generator symbols."""
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
-        parts = [t for t in text[1:-1].split(",") if t.strip()]
-        tup = tuple(int(t) for t in parts)
-        if oracle.kind in ("finite_cyclic",):
-            return oracle.mul(oracle.identity, tup[0] % oracle.order)
-        return tup
+        tup = tuple(int(t) for t in text[1:-1].split(",") if t.strip())
+        e = oracle.identity
+        width = 1 if isinstance(oracle, Cyclic) else len(e) if isinstance(e, tuple) else len(tup)
+        if len(tup) != width:
+            raise ContractError(f"element literal {text} has width {len(tup)}; "
+                                f"{oracle.name} elements have width {width}")
+        return tup[0] % oracle.order if isinstance(oracle, Cyclic) else tup
     if text.lstrip("-").isdigit():
         n = int(text)
-        if oracle.kind == "free_abelian" and oracle.d == 1:
+        if isinstance(oracle, FreeAbelian) and oracle.d == 1:
             return (n,)
         if oracle.order is not None:
             return n % oracle.order
@@ -235,7 +239,7 @@ def _cmd_rs_check(args) -> int:
     oracle = get_group(args.group, args.registry)
     alg = build_group_algebra(oracle, args.p)
     rng = random.Random(args.seed)
-    gens = alg.generator_elements()
+    gens = oracle.generators.values()
     results = []
     produced = 0
     attempts = 0

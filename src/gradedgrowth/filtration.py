@@ -58,9 +58,6 @@ class FiniteGroupAlgebra(BallAmbient):
             )
         super().__init__(group, whole, prime, lam=1)
 
-    def generator_elements(self) -> list:
-        return list(self.oracle.generators.values())
-
 
 def build_group_algebra(group: GroupOracle, p: int,
                         max_order: int | None = None) -> FiniteGroupAlgebra:
@@ -563,7 +560,7 @@ def _identity_last_echelon(i_sub: Subspace):
 
 def is_right_ideal(alg: FiniteGroupAlgebra, i_sub: Subspace) -> bool:
     return all(i_sub.contains_vector(alg.translate_rows(i_sub.rows, s))
-               for s in alg.generator_elements())
+               for s in alg.oracle.generators.values())
 
 
 @functools.lru_cache(maxsize=1)
@@ -620,7 +617,7 @@ def right_ideal_closure(alg: FiniteGroupAlgebra, vectors) -> Subspace:
     vector that is_augmentation_unit accepts gives the whole algebra, which
     rs-check skips without calling this."""
     rows = fresh = span(alg, list(vectors)).rows
-    gens = alg.generator_elements()
+    gens = alg.oracle.generators.values()
     while fresh.shape[0]:
         moved = np.vstack([fresh[:0]] + [alg.translate_rows(fresh, s) for s in gens])
         rows, fresh = echelon_insert(rows, moved, alg.prime)
@@ -639,7 +636,7 @@ def rs_step_bound(alg: FiniteGroupAlgebra, i_sub: Subspace,
     # I*w is spanned by I*(s-1) over the generators
     i_w = Subspace(alg, np.vstack([i_sub.rows[:0]] + [
         (alg.translate_rows(i_sub.rows, s) - i_sub.rows) % p
-        for s in alg.generator_elements()]))
+        for s in alg.oracle.generators.values()]))
     lhs = i_sub.rank - i_w.rank
     covered = set(complement).union(_products(alg, complement, s_elements))
     outside = [j for j in range(alg.dim) if j not in covered]

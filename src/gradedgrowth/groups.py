@@ -4,17 +4,17 @@ Every group is presented through the same small interface: an identity
 normal form, a generator table from symbols to elements (single characters;
 uppercase is the formal inverse of the lowercase letter, involutions are
 self-paired), the product `mul` and the inverse `inv`.  `mul` is the only
-statement of each group law: right multiplication by a generator symbol is
-`mul` by the table's element.  Three families keep their own step because it
-is a different, cheaper algorithm than a full product: the free group
-appends or cancels one letter, the lamplighter toggles one lamp, and a
-rewriting-backed group shifts one normal form through the reduction stack.
-Word lengths always come from BFS over the generator symbols in declaration
-order, so every group flows through one deterministic code path; closed
-formulas appear only in tests.  A ball is one table of word lengths, filled
-in BFS discovery order, which is its enumeration.  Dead ends are read off
-the same BFS: each product g*s out of the ball's interior is computed once,
-and `is_dead_end` stays as the reference check for a single element.
+statement of each group law, and a step by a generator is `mul` by its
+element: the free group cancels or appends the generator's letter, the
+lamplighter toggles each of its lamps under the cursor, and a
+rewriting-backed group shifts its normal form onto g's, which is already an
+irreducible reduction stack.  Word lengths always come from BFS over the
+generator elements in declaration order, so every group flows through one
+deterministic code path; closed formulas appear only in tests.  A ball is
+one table of word lengths, filled in BFS discovery order, which is its
+enumeration.  Dead ends are read off the same BFS: each product g*s out of
+the ball's interior is computed once, and `is_dead_end` stays as the
+reference check for a single element.
 
 Element representations are typed per family: integer vectors for free
 abelian groups, integer triples for the discrete Heisenberg group,
@@ -40,7 +40,6 @@ Element = Any  # per-oracle concrete type; always hashable and immutable
 class GroupOracle(ABC):
     """Uniform interface: identity, generator table, products and inverses."""
 
-    kind: str = "abstract"
     name: str = "group"
     generators: dict[str, Element]  # symbol -> element, in declaration order
     order: int | None = None  # None for infinite groups
@@ -59,16 +58,14 @@ class GroupOracle(ABC):
     def generator_symbols(self) -> tuple[str, ...]:
         return tuple(self.generators)
 
-    def generator(self, s: str) -> Element:
-        """The element that generator symbol s stands for."""
+    def multiply(self, g: Element, s: str) -> Element:
+        """Right-multiply a normal form by one generator symbol: `mul` by
+        its element."""
         try:
-            return self.generators[s]
+            h = self.generators[s]
         except KeyError:
             raise ContractError(f"unknown generator symbol {s!r} for {self.name}") from None
-
-    def multiply(self, g: Element, s: str) -> Element:
-        """Right-multiply a normal form by one generator symbol."""
-        return self.mul(g, self.generator(s))
+        return self.mul(g, h)
 
     def normalize(self, word: Iterable[str]) -> Element:
         g = self.identity
@@ -99,8 +96,6 @@ def _unit(d: int, i: int, value: int) -> tuple:
 class FreeGroup(GroupOracle):
     """Free group of rank k; normal forms are freely reduced words."""
 
-    kind = "free"
-
     def __init__(self, k: int):
         if not 1 <= k <= 26:
             raise ContractError("free rank must be between 1 and 26")
@@ -111,12 +106,6 @@ class FreeGroup(GroupOracle):
     @property
     def identity(self) -> str:
         return ""
-
-    def multiply(self, g: str, s: str) -> str:
-        """Cancel s against the last letter of g, or append it."""
-        if g and g[-1] == s.swapcase():
-            return g[:-1]
-        return g + self.generator(s)
 
     def mul(self, g: str, h: str) -> str:
         i = len(g)
@@ -132,8 +121,6 @@ class FreeGroup(GroupOracle):
 
 class FreeAbelian(GroupOracle):
     """Z^d with generators +-e_i; normal forms are integer vectors."""
-
-    kind = "free_abelian"
 
     def __init__(self, d: int):
         if not 1 <= d <= 26:
@@ -159,7 +146,6 @@ class FreeAbelian(GroupOracle):
 class Heisenberg(GroupOracle):
     """Discrete Heisenberg group; (a, b, c) * (a', b', c') = (a+a', b+b', c+c'+a*b')."""
 
-    kind = "heisenberg"
     name = "heisenberg"
     generators = {"x": (1, 0, 0), "X": (-1, 0, 0), "y": (0, 1, 0), "Y": (0, -1, 0)}
 
@@ -183,7 +169,6 @@ class Lamplighter(GroupOracle):
     Normal form: (sorted tuple of lit lamp positions, cursor position).
     """
 
-    kind = "lamplighter"
     name = "lamplighter"
     generators = {"t": ((), 1), "T": ((), -1), "a": ((0,), 0)}
 
@@ -191,22 +176,18 @@ class Lamplighter(GroupOracle):
     def identity(self):
         return ((), 0)
 
-    def multiply(self, g, s):
-        """Move the cursor or toggle the one lamp under it."""
-        lamps, pos = g
-        if s == "t":
-            return (lamps, pos + 1)
-        if s == "T":
-            return (lamps, pos - 1)
-        if s == "a":
-            return (_toggle(lamps, pos), pos)
-        return super().multiply(g, s)  # rejects the unknown symbol
-
     def mul(self, g, h):
-        lamps1, p = g
-        lamps2, q = h
-        shifted = tuple(x + p for x in lamps2)
-        return (_symm_diff(lamps1, shifted), p + q)
+        """Toggle each lamp of h, shifted by g's cursor; add the cursors.
+
+        A zero shift or move keeps g's own cursor object: CPython caches no
+        int below -5, and a new one in each such product is 1.3 MB more
+        peak memory in the radius-19 ball."""
+        lit, p = g
+        lamps, q = h
+        if lamps:  # skips the loop's set-up on a cursor move
+            for x in lamps:
+                lit = _toggle(lit, x + p if x else p)
+        return (lit, p + q if q else p)
 
     def inv(self, g):
         lamps, p = g
@@ -220,14 +201,8 @@ def _toggle(lamps: tuple, pos: int) -> tuple:
     return lamps[:i] + (pos,) + lamps[i:]
 
 
-def _symm_diff(a: tuple, b: tuple) -> tuple:
-    return tuple(sorted(set(a) ^ set(b)))
-
-
 class Cyclic(GroupOracle):
     """Z/n; elements are residues 0..n-1, generator symbol s (S for inverse)."""
-
-    kind = "finite_cyclic"
 
     def __init__(self, n: int):
         if n < 2:
@@ -253,8 +228,6 @@ class Cyclic(GroupOracle):
 
 class AbelianProduct(GroupOracle):
     """Direct product of cyclic groups; one generator per factor."""
-
-    kind = "finite_abelian"
 
     def __init__(self, orders: tuple[int, ...], name: str | None = None):
         if not 1 <= len(orders) <= 26 or any(n < 2 for n in orders):
@@ -288,8 +261,6 @@ class AbelianProduct(GroupOracle):
 class Dihedral(GroupOracle):
     """Dihedral group of order 2n; elements (i, f) meaning r^i s^f."""
 
-    kind = "finite_dihedral"
-
     def __init__(self, n: int):
         if n < 2:
             raise ContractError("dihedral parameter must be >= 2")
@@ -318,8 +289,6 @@ class Dihedral(GroupOracle):
 
 class HeisenbergMod(GroupOracle):
     """Heisenberg group over Z/m (order m^3)."""
-
-    kind = "heisenberg_mod"
 
     def __init__(self, m: int):
         if m < 2:
@@ -353,8 +322,6 @@ class HeisenbergMod(GroupOracle):
 class ZdMod(AbelianProduct):
     """(Z/m)^d, the finite quotient of Z^d by (mZ)^d."""
 
-    kind = "zd_mod"
-
     def __init__(self, d: int, m: int):
         if d < 1 or m < 2:
             raise ContractError("need d >= 1 and m >= 2")
@@ -365,8 +332,6 @@ class ZdMod(AbelianProduct):
 
 class CayleyTable(GroupOracle):
     """Finite group given by an explicit multiplication table on 0..n-1."""
-
-    kind = "finite_cayley_table"
 
     def __init__(self, table: list[list[int]], generators: dict[str, int],
                  name: str = "cayley", identity: int = 0):
@@ -483,7 +448,8 @@ def ball(oracle: GroupOracle, radius: int) -> WordMetricBall:
     """BFS ball of the word metric; generator order fixes the enumeration.
 
     Round r expands each element g of length r - 1 once; g is a dead end
-    when none of its products g*s is new or already has length r.
+    when none of its products g*s, s a generator element, is new or already
+    has length r.
     """
     if radius < 0:
         raise ContractError("radius must be >= 0")
@@ -492,19 +458,19 @@ def ball(oracle: GroupOracle, radius: int) -> WordMetricBall:
     lengths = {e: 0}
     dead_ends = []
     frontier = [e]
-    symbols = oracle.generator_symbols
-    multiply = oracle.multiply
+    gens = tuple(oracle.generators.values())
+    mul = oracle.mul
     length_of = lengths.get
     for r in range(1, radius + 1):
         nxt = []
         for g in frontier:
             dead = True
-            for s in symbols:
-                h = multiply(g, s)
-                n = length_of(h)
+            for s in gens:
+                gs = mul(g, s)
+                n = length_of(gs)
                 if n is None:
-                    lengths[h] = r
-                    nxt.append(h)
+                    lengths[gs] = r
+                    nxt.append(gs)
                     dead = False
                     if len(lengths) > cap:
                         raise ResourceBudgetError(
@@ -525,8 +491,8 @@ def is_dead_end(oracle: GroupOracle, b: WordMetricBall, g) -> bool:
     n = b.word_length(g)
     if b.radius < n + 1:
         raise OutOfRangeError("ball radius must exceed the element's length")
-    for s in oracle.generator_symbols:
-        if b.word_length(oracle.multiply(g, s)) > n:
+    for s in oracle.generators.values():
+        if b.word_length(oracle.mul(g, s)) > n:
             return False
     return True
 

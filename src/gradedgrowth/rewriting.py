@@ -267,8 +267,6 @@ class RewritingGroup(GroupOracle):
     alphabet) an uppercase symbol acts as the positive word letter**(order-1).
     """
 
-    kind = "rewriting_backed"
-
     def __init__(self, generators: Iterable[str], relators: Iterable[str],
                  name: str | None = None,
                  max_rules: int = DEFAULT_MAX_RULES,
@@ -294,14 +292,11 @@ class RewritingGroup(GroupOracle):
     def identity(self) -> str:
         return ""
 
-    def multiply(self, g: str, s: str) -> str:
-        """The normal form of g s.  g must be a normal form (irreducible):
-        it is taken as the reduction stack as it stands, and only the
-        letters of s's normal form are shifted through it."""
-        return self.system.reduce(self.generator(s), g)
-
     def mul(self, g: str, h: str) -> str:
-        return self.system.reduce(g + h)
+        """The normal form of g h.  g is a normal form (irreducible), so it
+        is taken as the reduction stack as it stands, and only the letters
+        of h are shifted through it."""
+        return self.system.reduce(h, g)
 
     def inv(self, g: str) -> str:
         return self.system.reduce("".join(self.generators[c.swapcase()] for c in reversed(g)))

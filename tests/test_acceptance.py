@@ -158,7 +158,7 @@ def test_criterion_06_ideal_generators():
         for p in (2, 3):
             group = get_group(name)
             alg = build_group_algebra(group, p)
-            gens = alg.generator_elements()
+            gens = alg.oracle.generators.values()
             rng = random.Random(f"{name}:{p}")  # str seeding is process-stable
             produced = 0
             attempts = 0

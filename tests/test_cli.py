@@ -439,6 +439,32 @@ class TestVerifyRoundTrip:
         assert "Traceback" not in proc.stderr
 
 
+class TestElementLiteralWidth:
+    """A tuple literal has the width of the group's elements: 1 for a
+    cyclic group, which once read (1,2) as 1."""
+
+    @pytest.mark.parametrize("group,literal,width", [
+        ("c4", "(1,2)", 2), ("c4", "()", 0), ("z2", "(1)", 1), ("z2", "(1,0,0)", 3),
+        ("heisenberg", "(1,0)", 2),
+    ])
+    def test_wrong_width_is_4(self, tmp_path, capsys, group, literal, width):
+        code, text = run_cli(["crystal", "--group", group, "--p", "5",
+                              "--mul", literal, "1"], tmp_path)
+        assert (code, text) == (4, None)
+        assert f"has width {width};" in capsys.readouterr().err
+
+    # sha1s of the output recorded before the width check
+    @pytest.mark.parametrize("group,literals,sha1", [
+        ("c4", ["(1)", "(2)"], "4788b7533cb67813ff24602bb3342c06db4d93f6"),
+        ("z2", ["(1,0)", "(0,-1)"], "c78ab8c00cfcae7248401c09050f267d2bd06e9d"),
+    ])
+    def test_right_width_keeps_its_bytes(self, tmp_path, group, literals, sha1):
+        code, text = run_cli(["crystal", "--group", group, "--p", "5", "--lam", "1",
+                              "--mul"] + literals, tmp_path)
+        assert code == 0
+        assert hashlib.sha1(text.encode()).hexdigest() == sha1
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -321,7 +321,7 @@ class TestBlockKernels:
     def test_translate_rows_matches_apply_right(self, algebra, seed, count):
         rng = np.random.default_rng(seed)
         rows = random_subspace(algebra, rng, count).rows
-        for h in list(algebra.labels[:: max(1, algebra.dim // 6)]) + algebra.generator_elements():
+        for h in list(algebra.labels[:: max(1, algebra.dim // 6)]) + list(algebra.oracle.generators.values()):
             moved = algebra.translate_rows(rows, h)
             assert moved.shape == rows.shape
             for row, got in zip(rows, moved):
@@ -360,7 +360,7 @@ def reference_rs_step_bound(alg: FiniteGroupAlgebra, ideal: Subspace,
     units = reference_unital_complement(alg, ideal)[-1]
     i_w = Subspace(alg, np.vstack([ideal.rows[:0]] + [
         (alg.translate_rows(ideal.rows, s) - ideal.rows) % p
-        for s in alg.generator_elements()]))
+        for s in alg.oracle.generators.values()]))
     lhs = ideal.rank - i_w.rank
     grown = span(alg, list(units) + [v for s in s_elements for v in alg.translate_rows(units, s)])
     rhs = intersect(grown, ideal).rank
@@ -386,7 +386,7 @@ class TestIdealGeneratorsMatchReference:
         power = powers[rng.integers(len(powers))]
         vecs = rng.integers(0, alg.prime, (count, power.rank)) @ power.rows % alg.prime
         ideal = right_ideal_closure(alg, list(vecs))
-        s_elements = list(alg.labels) if every_element else alg.generator_elements()
+        s_elements = list(alg.labels) if every_element else alg.oracle.generators.values()
         got = rs_generators(alg, ideal, s_elements)
         want = reference_rs_generators(alg, ideal, s_elements)
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]

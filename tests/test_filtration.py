@@ -286,7 +286,7 @@ class TestRSGenerators:
     def test_random_right_ideals_regenerate(self):
         rng = random.Random(0)
         alg = build_group_algebra(get_group("c2xc2"), 2)
-        gens = alg.generator_elements()
+        gens = alg.oracle.generators.values()
         done = 0
         while done < 10:
             vec = np.array([rng.randrange(2) for _ in range(alg.dim)], dtype=np.int64)
@@ -303,19 +303,19 @@ class TestRSGenerators:
         alg = build_group_algebra(get_group("c4"), 2)
         not_ideal = span(alg, [{alg.labels[1]: 1}])
         with pytest.raises(ContractError):
-            rs_generators(alg, not_ideal, alg.generator_elements())
+            rs_generators(alg, not_ideal, alg.oracle.generators.values())
 
     def test_rejects_unit_in_ideal(self):
         alg = build_group_algebra(get_group("c4"), 2)
         whole = right_ideal_closure(alg, [np.eye(alg.dim, dtype=np.int64)[0]])
         with pytest.raises(ContractError):
-            rs_generators(alg, whole, alg.generator_elements())
+            rs_generators(alg, whole, alg.oracle.generators.values())
 
     @pytest.mark.parametrize("name", ["c2", "c4", "q8"])
     def test_step_bound_on_augmentation(self, name):
         alg = build_group_algebra(get_group(name), 2)
         aug = aug_ladder(alg).powers[1]
-        ok, lhs, rhs = rs_step_bound(alg, aug, alg.generator_elements())
+        ok, lhs, rhs = rs_step_bound(alg, aug, alg.oracle.generators.values())
         assert ok and lhs <= rhs
 
     @pytest.fixture
@@ -332,7 +332,7 @@ class TestRSGenerators:
     def test_generators_and_bound_share_one_echelon(self, calls):
         alg = build_group_algebra(get_group("q8"), 2)
         ideal = aug_ladder(alg).powers[2]
-        gens = alg.generator_elements()
+        gens = alg.oracle.generators.values()
         rs_generators(alg, ideal, gens)
         rs_step_bound(alg, ideal, gens)
         assert calls == {"is_right_ideal": 1, "_identity_last_echelon": 1}
@@ -346,7 +346,7 @@ class TestRSGenerators:
     def test_step_bound_equality_at_c2(self):
         alg = build_group_algebra(get_group("c2"), 2)
         aug = aug_ladder(alg).powers[1]
-        ok, lhs, rhs = rs_step_bound(alg, aug, alg.generator_elements())
+        ok, lhs, rhs = rs_step_bound(alg, aug, alg.oracle.generators.values())
         assert ok and lhs == rhs == 1
 
 
@@ -355,7 +355,7 @@ def reference_rs_check(group: str, p: int, ideals: int, seed: int) -> dict:
     test: one right-ideal closure for every draw."""
     alg = build_group_algebra(get_group(group), p)
     rng = random.Random(seed)
-    gens = alg.generator_elements()
+    gens = alg.oracle.generators.values()
     results = []
     produced = 0
     attempts = 0

@@ -198,7 +198,7 @@ class TestFiniteOracles:
     @pytest.mark.parametrize("d,m", [(1, 2), (1, 5), (2, 2), (2, 3), (3, 4)])
     def test_zd_mod_is_the_abelian_product(self, d, m):
         z, a = ZdMod(d, m), AbelianProduct((m,) * d)
-        assert (z.kind, z.name, z.d, z.m, z.order) == ("zd_mod", f"z{d}_mod_{m}", d, m, m**d)
+        assert (z.name, z.d, z.m, z.order) == (f"z{d}_mod_{m}", d, m, m**d)
         assert z.generator_symbols == a.generator_symbols
         assert [inverse_symbol(z, s) for s in z.generator_symbols] == \
             [inverse_symbol(a, s) for s in a.generator_symbols]
@@ -238,8 +238,7 @@ LAW_ORACLES.update({
 
 
 class TestGroupLaw:
-    """Right multiplication by a symbol is `mul` by the table's element, in
-    the families that derive it and in the three that keep their own step."""
+    """Right multiplication by a symbol is `mul` by the table's element."""
 
     @pytest.mark.parametrize("name", LAW_ORACLES)
     def test_multiply_is_mul_by_the_generator(self, name):
@@ -259,6 +258,25 @@ class TestGroupLaw:
         for s in unknown - set(oracle.generators):
             with pytest.raises(ContractError):
                 oracle.multiply(oracle.identity, s)
+
+
+def reference_lamplighter_mul(g, h):
+    """The lamplighter law as the sorted symmetric difference of g's lamps
+    and h's lamps shifted by g's cursor."""
+    (lamps1, p), (lamps2, q) = g, h
+    return (tuple(sorted(set(lamps1) ^ {x + p for x in lamps2})), p + q)
+
+
+class TestLamplighterMul:
+    """`mul` toggles h's lamps one at a time; the reference takes the
+    symmetric difference of the lamp sets."""
+
+    elements = st.tuples(st.frozensets(st.integers(-9, 9), max_size=8).map(sorted).map(tuple),
+                         st.integers(-9, 9))
+
+    @given(elements, elements)
+    def test_random_pairs(self, lamplighter, g, h):
+        assert lamplighter.mul(g, h) == reference_lamplighter_mul(g, h)
 
 
 class TestDeadEnds:
@@ -337,16 +355,16 @@ class TestDeadEndsFromBFS:
         oracle = get_group(name)
         interior = sum(1 for n in ball(oracle, radius).lengths.values() if n < radius)
         calls = []
-        multiply = oracle.multiply
+        mul = oracle.mul
 
-        def counted(g, s):
-            calls.append(s)
-            return multiply(g, s)
+        def counted(g, h):
+            calls.append(h)
+            return mul(g, h)
 
-        oracle.multiply = counted
+        oracle.mul = counted
         found = find_dead_ends(oracle, radius)
         assert found
-        assert len(calls) == len(oracle.generator_symbols) * interior
+        assert len(calls) == len(oracle.generators) * interior
 
 
 class TestTriangleFamily:
@@ -390,7 +408,7 @@ class TestRegistry:
         path = tmp_path / "reg.json"
         path.write_text('{"myz": {"kind": "free_abelian", "params": {"d": 1}}}')
         g = get_group("myz", str(path))
-        assert g.kind == "free_abelian"
+        assert isinstance(g, FreeAbelian) and g.d == 1
 
     def test_cayley_table_kind(self):
         # C2 as an explicit table

@@ -52,7 +52,7 @@ def reference_aug_ladder(alg):
         aug_rows[i - 1, 0] = p - 1
     power = Subspace(alg, aug_rows)
     powers = [full, power]
-    gens = alg.generator_elements()
+    gens = alg.oracle.generators.values()
     while True:
         prev = powers[-1]
         nxt = Subspace(alg, _times_generators_minus_one(alg, prev.rows, gens))

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from gradedgrowth.errors import ContractError
 from gradedgrowth.groups import ball
+from gradedgrowth.registry import make_group
 from gradedgrowth.rewriting import (RewritingGroup, RewritingSystem,
                                     confluence_check, knuth_bendix,
                                     reduce_word, triangle_group)
@@ -192,3 +193,24 @@ class TestIncrementalMultiply:
                         nxt.append(h)
             spheres.append(nxt)
         assert ball(t334, 12).by_sphere == spheres
+
+
+@pytest.fixture(scope="module")
+def presented_groups(t334, t335):
+    """The two triangle groups over the monoid alphabet and Z^2 as a
+    `rewriting_backed` spec over the formal-inverse alphabet."""
+    z2 = make_group({"kind": "rewriting_backed", "name": "z2_presented",
+                     "params": {"generators": ["a", "b"], "relators": ["abAB"]}})
+    return [t334, t335, z2]
+
+
+class TestMulMatchesReduceOfTheConcatenation:
+    """`mul` shifts h through g's normal form as the reduction stack; the
+    reference reduces the concatenation g + h from an empty stack."""
+
+    @given(st.data())
+    def test_random_normal_form_pairs(self, presented_groups, data):
+        group = data.draw(st.sampled_from(presented_groups))
+        words = st.text(alphabet=group.system.alphabet, max_size=14)
+        g, h = (group.system.reduce(data.draw(words)) for _ in range(2))
+        assert group.mul(g, h) == group.system.reduce(g + h)
