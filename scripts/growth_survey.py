@@ -3,18 +3,19 @@
 
 For each finite p-group: the ladder dims, the p-central-series product
 formula, and whether they agree.  For the infinite built-ins: graded dims
-through the agreement prefix of consecutive congruence quotients, with the
-Fekete-style root estimates.  Writes TSV to stdout or --out.
+below degree m_p of one congruence quotient of level m, the prefix on which
+it agrees with the next level, with the Fekete-style root estimates.
+Writes TSV to stdout or --out.
 """
 
 import argparse
 import sys
 
 from gradedgrowth.filtration import (aug_ladder, build_group_algebra,
-                                     graded_dims_via_jennings, growth_report,
-                                     jennings_hilbert_coeffs, jennings_series,
-                                     quotient_agreement_dims)
-from gradedgrowth.groups import HeisenbergMod, ZdMod
+                                     graded_dims_via_jennings, group_graded_dims,
+                                     growth_report, jennings_hilbert_coeffs,
+                                     jennings_series)
+from gradedgrowth.groups import FreeAbelian, HeisenbergMod
 from gradedgrowth.registry import P_GROUP_NAMES, get_group
 
 
@@ -37,11 +38,10 @@ def main(argv=None) -> int:
     lines.append("")
     lines.append("== Z^d via quotient agreement (base 2, levels 2 and 3) ==")
     for d in (1, 2):
-        ladders = [aug_ladder(build_group_algebra(ZdMod(d, 2**m), 2)).graded_dims
-                   for m in (2, 3)]
-        prefix = quotient_agreement_dims(ladders)
+        # the level-2 dims below degree 4, where levels 2 and 3 agree
+        prefix = group_graded_dims(FreeAbelian(d), 2**2, 2)
         rep = growth_report(prefix)
-        lines.append(f"Z^{d}\tprefix={prefix}\tfekete={rep.fekete_estimate:.4f}")
+        lines.append(f"Z^{d}\tprefix={prefix}\tfekete={rep['fekete_estimate']:.4f}")
 
     lines.append("")
     lines.append("== Heisenberg quotients: graded dims and root estimates ==")
@@ -51,7 +51,7 @@ def main(argv=None) -> int:
         dims = graded_dims_via_jennings(group, 2)
         rep = growth_report(dims)
         lines.append(f"2^{m}\t{group.order}\t{len(dims) - 1}"
-                     f"\t{rep.fekete_estimate:.6f}\t{rep.fekete_argmin}")
+                     f"\t{rep['fekete_estimate']:.6f}\t{rep['fekete_argmin']}")
 
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -18,9 +18,9 @@ from . import algebra_probe, gs, tiling
 from .algebra_probe import monomial_probe_json
 from .errors import (ContractError, GradedGrowthError, ResourceBudgetError,
                      SearchFailedError)
-from .filtration import (aug_ladder, build_group_algebra, congruence_graded_dims,
-                         growth_report, is_augmentation_unit, quotient_agreement_dims,
-                         right_ideal_closure, rs_generators, rs_step_bound)
+from .filtration import (aug_ladder, build_group_algebra, group_graded_dims,
+                         growth_report, is_augmentation_unit, right_ideal_closure,
+                         rs_generators, rs_step_bound)
 from .groups import Cyclic, FreeAbelian, ball, find_dead_ends
 from .gs import GSPresentation, gs_certificate, relator_degrees
 from .hecke import crystal_monomial_check, delta, hecke_mul, untwist
@@ -44,13 +44,18 @@ def _write(text: str, out_path: str | None):
 
 
 def _parse_element(oracle, text: str):
-    """A tuple literal, as wide as the group's tuples (1 for a cyclic
-    group), a bare integer or a word in the generator symbols."""
+    """A tuple literal, on a cyclic group or a group of integer tuples and
+    as wide as its elements (1 for a cyclic group), a bare integer or a word
+    in the generator symbols."""
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         tup = tuple(int(t) for t in text[1:-1].split(",") if t.strip())
         e = oracle.identity
-        width = 1 if isinstance(oracle, Cyclic) else len(e) if isinstance(e, tuple) else len(tup)
+        if not (isinstance(oracle, Cyclic)
+                or isinstance(e, tuple) and all(type(x) is int for x in e)):
+            raise ContractError(f"element literal {text} names no element: "
+                                f"{oracle.name} elements are not integer tuples")
+        width = 1 if isinstance(oracle, Cyclic) else len(e)
         if len(tup) != width:
             raise ContractError(f"element literal {text} has width {len(tup)}; "
                                 f"{oracle.name} elements have width {width}")
@@ -120,24 +125,18 @@ def _cmd_growth(args) -> int:
     else:
         base = args.quotient_base
         level = args.quotient_level
-        dims = quotient_agreement_dims(
-            [congruence_graded_dims(oracle, base**lvl, args.p, args.max_order)
-             for lvl in (level, level + 1)])
+        if base < 2:  # base**level must be a modulus at every level
+            raise ContractError(f"--quotient-base must be at least 2, got {base}")
+        # the degrees below m_p, where the level-L quotient's dims are the
+        # group's, are the prefix on which levels L and L+1 agree
+        dims = group_graded_dims(oracle, base**level, args.p, args.max_order)
         power_dims = None
         note = (f"agreement prefix of quotient levels {level} and {level + 1} "
                 f"(base {base})")
     report = growth_report(dims)
     if args.format == "json":
-        payload = {
-            "config": config, "note": note, "graded_dims": dims,
-            "power_dims": power_dims,
-            "nth_roots": [round(r, 12) for r in report.nth_roots],
-            "fekete_estimate": round(report.fekete_estimate, 12),
-            "fekete_argmin": report.fekete_argmin,
-            "poly_degree_fit": None if report.poly_degree_fit is None
-                               else round(report.poly_degree_fit, 12),
-            "submultiplicativity_violations": report.submultiplicativity_violations,
-        }
+        payload = {"config": config, "note": note, "graded_dims": dims,
+                   "power_dims": power_dims, **report}
         _write(dumps(payload), args.out)
     else:
         lines = ["# config: " + json.dumps(config, sort_keys=True),
@@ -145,7 +144,7 @@ def _cmd_growth(args) -> int:
                  "n\tdim_power\tr_n\troot"]
         for n, r in enumerate(dims):
             power = "" if power_dims is None else str(power_dims[n])
-            root = "" if n == 0 else f"{report.nth_roots[n - 1]:.6f}"
+            root = "" if n == 0 else f"{report['nth_roots'][n - 1]:.6f}"
             lines.append(f"{n}\t{power}\t{r}\t{root}")
         _write("\n".join(lines) + "\n", args.out)
     return 0
@@ -288,7 +287,12 @@ def _cmd_gs(args) -> int:
         with reading("presentation"), open(args.presentation, "r", encoding="utf-8") as fh:
             pres = json.load(fh)
             relators = pres["relators"]
-            d = len(pres["generators"])
+            declared = pres["generators"]
+            d = len(declared)
+            stray = [c for r in relators for c in r if c.lower() not in declared]
+        if stray:
+            raise ContractError(f"relator letter {stray[0]!r} is not a declared "
+                                f"generator {declared}")
         if args.p is None:
             raise ContractError("--p is required with --presentation")
         degrees = relator_degrees(relators, args.p, args.max_deg,
@@ -361,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quotient-level", type=int, default=2)
     p.add_argument("--max-order", type=int, default=None,
                    help="order cap on the group algebra of a finite group, or on "
-                        "each congruence quotient of an infinite group (default 2048)")
+                        "the congruence quotient of an infinite group (default 2048)")
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_growth)

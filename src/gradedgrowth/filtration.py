@@ -6,7 +6,8 @@ subgroups mod p down to O^p(G), each term one semi-naive normal closure
 of p-th powers and of commutators with the normal generators of the term
 above, with the product-formula Hilbert coefficients that give the
 ladder dimensions, also on the p-parts of congruence quotients of
-infinite groups; the descending ladder of augmentation-ideal powers and
+infinite groups, whose dims below degree m_p (p's part of the level) are
+the group's; the descending ladder of augmentation-ideal powers and
 its graded dimensions, read off that series as one flag basis: the
 ideal of O^p(G), then the lifted Jennings monomials by descending
 weight, checked independent by one elimination, from which any power is
@@ -17,7 +18,7 @@ single-step growth bound, both read off one identity-last echelon form of
 the ideal, as the complement F and its translates FS are spanned by group
 elements, and the augmentation test that spots the units of a p-group
 algebra, which generate no proper ideal; and growth reports with
-Fekete-style estimates.
+Fekete-style estimates, as the JSON fields that `growth` prints.
 """
 
 from __future__ import annotations
@@ -401,9 +402,23 @@ def congruence_graded_dims(oracle: GroupOracle, m: int, p: int,
     augmentation ideal of GF(p)R is idempotent, so only P counts."""
     budgets.check_algebra_order(congruence_quotient(oracle, m).size(), max_order)
     check_prime(p)
-    m_p = math.gcd(m, p ** m.bit_length())  # the largest power of p dividing m
+    m_p = _p_part(m, p)
     return ([1] if m_p == 1 else
             graded_dims_via_jennings(congruence_quotient(oracle, m_p).finite, p))
+
+
+def group_graded_dims(oracle: GroupOracle, m: int, p: int,
+                      max_order: int | None = None) -> list[int]:
+    """Graded dims of GF(p)G, G = Z^d or Heisenberg, below degree m_p, the
+    largest power of p dividing m, off the level-m congruence quotient.  The
+    kernel onto its p-part is normally generated by m_p-th powers, which lie
+    in D_(m_p) (Jennings 1941, Lazard 1954), so there its dims are G's."""
+    return congruence_graded_dims(oracle, m, p, max_order)[:_p_part(m, p)]
+
+
+def _p_part(m: int, p: int) -> int:
+    """The largest power of p dividing m."""
+    return math.gcd(m, p ** m.bit_length())
 
 
 # ---------------------------------------------------------------------------
@@ -648,70 +663,35 @@ def rs_step_bound(alg: FiniteGroupAlgebra, i_sub: Subspace,
 # growth reporting
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    dims: list[int]
-    nth_roots: list[float]  # r_n^(1/n) for n >= 1
-    fekete_estimate: float  # min of the roots over the computed range
-    fekete_argmin: int  # largest n attaining the minimum
-    poly_degree_fit: float | None
-    submultiplicativity_violations: list[tuple[int, int]]
-
-
-def growth_report(dims: list[int]) -> GrowthReport:
-    """Summarize a graded-dimension sequence: n-th roots, the Fekete-style
-    upper estimate min_n r_n^(1/n), a crude polynomial-degree fit, and all
-    submultiplicativity violations r_m r_n < r_{m+n} (none are expected for
-    graded dimensions of a group-algebra filtration)."""
+def growth_report(dims: list[int]) -> dict:
+    """Summarize a graded-dimension sequence as the fields `growth --format
+    json` prints, floats rounded to 12 places: n-th roots, the Fekete-style
+    upper estimate min_n r_n^(1/n) and the largest n attaining it, a crude
+    polynomial-degree fit, and all submultiplicativity violations
+    r_m r_n < r_{m+n} (none are expected for graded dimensions of a
+    group-algebra filtration)."""
     if not dims or dims[0] <= 0:
         raise ContractError("dims must start with a positive value")
     roots = []
-    best = None
-    argmin = 0
     for n in range(1, len(dims)):
         if dims[n] <= 0:
             break
-        root = dims[n] ** (1.0 / n)
-        roots.append(root)
-        if best is None or root <= best:
-            best = root
-            argmin = n
-    violations = []
+        roots.append(dims[n] ** (1.0 / n))
+    best = min(roots, default=1.0)
+    argmin = max((n for n, r in enumerate(roots, 1) if r == best), default=0)
     top = len(dims) - 1
-    for m in range(1, top + 1):
-        for n in range(m, top + 1 - m):
-            if dims[m] * dims[n] < dims[m + n]:
-                violations.append((m, n))
+    violations = [(m, n) for m in range(1, top + 1) for n in range(m, top + 1 - m)
+                  if dims[m] * dims[n] < dims[m + n]]
     fit = None
     pts = [(math.log(n), math.log(dims[n]))
            for n in range(2, len(dims)) if dims[n] > 0]
     if len(pts) >= 2:
-        xs = [x for x, _ in pts]
-        ys = [y for _, y in pts]
-        xbar = sum(xs) / len(xs)
-        ybar = sum(ys) / len(ys)
-        den = sum((x - xbar) ** 2 for x in xs)
+        xbar = sum(x for x, _ in pts) / len(pts)
+        ybar = sum(y for _, y in pts) / len(pts)
+        den = sum((x - xbar) ** 2 for x, _ in pts)
         fit = sum((x - xbar) * (y - ybar) for x, y in pts) / den if den else None
-    return GrowthReport(list(dims), roots, best if best is not None else 1.0,
-                        argmin, fit, violations)
-
-
-def quotient_agreement_dims(ladders: list[list[int]]) -> list[int]:
-    """Common prefix of graded dims across consecutive quotient levels.
-
-    For the congruence quotients of Z^d or the Heisenberg group at levels m
-    and m * base, the prefix is exactly the level-m dims cut at degree m_p,
-    the largest power of p dividing m (tested).  The level-m dims are those
-    of the level-m_p quotient, the kernel onto which is normally generated
-    by m_p-th powers; these lie in the dimension subgroup D_(m_p) (Jennings
-    1941, Lazard 1954), so both levels give the group's graded dims in every
-    degree below m_p."""
-    if not ladders:
-        return []
-    prefix = []
-    for vals in zip(*ladders):
-        if all(v == vals[0] for v in vals):
-            prefix.append(vals[0])
-        else:
-            break
-    return prefix
+    return {"nth_roots": [round(r, 12) for r in roots],
+            "fekete_estimate": round(best, 12),
+            "fekete_argmin": argmin,
+            "poly_degree_fit": None if fit is None else round(fit, 12),
+            "submultiplicativity_violations": violations}

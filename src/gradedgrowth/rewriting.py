@@ -82,19 +82,14 @@ class RewritingSystem:
         rest = list(reversed(word))
         while rest:
             out += rest.pop()
-            matched = True
-            while matched:
-                matched = False
-                for L in lens:
-                    if len(out) >= L:
-                        rhs = rule_map.get(out[-L:])
-                        if rhs is not None:
-                            out = out[:-L]
-                            rest.extend(reversed(rhs))
-                            matched = True
-                            break
-                if matched:
-                    break  # pull the replacement symbols back through the stack
+            for L in lens:
+                if len(out) >= L:
+                    rhs = rule_map.get(out[-L:])
+                    if rhs is not None:
+                        # pull the replacement symbols back through the stack
+                        out = out[:-L]
+                        rest.extend(reversed(rhs))
+                        break
         return out
 
 

@@ -113,7 +113,7 @@ class TestBasicCommands:
         assert "agreement" in payload["note"]
 
     def test_growth_heisenberg_beyond_the_algebra_cap(self):
-        # quotients of order 4,096 and 32,768; gr F_2 H has Hilbert series
+        # one quotient, of order 4,096; gr F_2 H has Hilbert series
         # (1-t)^-2 (1-t^2)^-1, whose coefficients are floor((n+2)^2/4)
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "gradedgrowth.cli", "growth",
@@ -124,6 +124,15 @@ class TestBasicCommands:
         assert time.perf_counter() - start < 5
         dims = json.loads(proc.stdout)["graded_dims"]
         assert dims == [(n + 2) ** 2 // 4 for n in range(16)]
+
+    def test_growth_heisenberg_reads_one_quotient_under_the_cap(self, tmp_path):
+        # Heisenberg over Z/8 has order 512; the level-4 quotient, of order
+        # 4,096, is not built, so the default cap does not stop the run
+        code, text = run_cli(["growth", "--group", "heisenberg", "--p", "2",
+                              "--quotient-level", "3", "--format", "json"], tmp_path)
+        assert code == 0
+        dims = json.loads(text)["graded_dims"]
+        assert dims == [(n + 2) ** 2 // 4 for n in range(8)]
 
     @pytest.mark.parametrize("group,d,p,args,length", [
         ("z", 1, 2, ["--quotient-level", "5"], 32),
@@ -170,6 +179,19 @@ class TestBasicCommands:
         assert code == 0
         payload = json.loads(text)
         assert payload["degrees"] == [2]
+
+    @pytest.mark.parametrize("relators,letter", [
+        (["xxx", "yy"], "'y'"), (["xxx", "xZ"], "'Z'")])
+    def test_gs_presentation_letters_are_declared(self, tmp_path, capsys,
+                                                   relators, letter):
+        # an undeclared letter once counted as a relator of a 1-generator group
+        pres = tmp_path / "pres.json"
+        pres.write_text(json.dumps({"generators": ["x"], "relators": relators}))
+        code, text = run_cli(["gs", "--presentation", str(pres), "--p", "2"],
+                             tmp_path)
+        assert (code, text) == (4, None)
+        assert f"relator letter {letter} is not a declared generator" in \
+            capsys.readouterr().err
 
     def test_crystal_mul_and_untwist(self, tmp_path):
         code, text = run_cli(["crystal", "--group", "z", "--p", "5", "--lam", "2",
@@ -453,6 +475,17 @@ class TestElementLiteralWidth:
         assert (code, text) == (4, None)
         assert f"has width {width};" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("group,literal", [
+        ("q8", "(2)"), ("lamplighter", "(1,2)"), ("free2", "(1)"), ("t334", "(1)"),
+    ])
+    def test_literal_on_non_tuple_group_is_4(self, tmp_path, capsys, group, literal):
+        # once read as a tuple and reported only as outside the ball
+        code, text = run_cli(["crystal", "--group", group, "--p", "5", "--lam", "1",
+                              "--mul", literal, "1"], tmp_path)
+        assert (code, text) == (4, None)
+        assert (f"element literal {literal} names no element: {group} elements "
+                "are not integer tuples") in capsys.readouterr().err
+
     # sha1s of the output recorded before the width check
     @pytest.mark.parametrize("group,literals,sha1", [
         ("c4", ["(1)", "(2)"], "4788b7533cb67813ff24602bb3342c06db4d93f6"),
@@ -515,6 +548,7 @@ class TestExitCodes:
         (["--p", "4", "--quotient-level", "4"], 3),  # over the cap: before the prime
         (["--p", "4"], 4),
         (["--p", "2", "--quotient-base", "1"], 4),
+        (["--p", "2", "--quotient-base", "-2"], 4),  # (-2)**2 is no chain's level
     ])
     def test_growth_infinite_group_exit_codes(self, tmp_path, args, code):
         assert main(["growth", "--group", "heisenberg"] + args

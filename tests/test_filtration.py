@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import signal
 from contextlib import contextmanager
@@ -11,10 +12,10 @@ from gradedgrowth.cli import main
 from gradedgrowth.errors import ContractError, ResourceBudgetError
 from gradedgrowth.filtration import (aug_ladder, build_group_algebra,
                                      congruence_graded_dims, free_graded_dims,
-                                     graded_dims_via_jennings, growth_report,
-                                     jennings_hilbert_coeffs, jennings_series,
-                                     is_augmentation_unit, magnus_deg, magnus_series,
-                                     quotient_agreement_dims, right_ideal_closure,
+                                     graded_dims_via_jennings, group_graded_dims,
+                                     growth_report, jennings_hilbert_coeffs,
+                                     jennings_series, is_augmentation_unit, magnus_deg,
+                                     magnus_series, right_ideal_closure,
                                      rs_generators, rs_step_bound, witt_ranks)
 from gradedgrowth.groups import Cyclic, HeisenbergMod, ZdMod
 from gradedgrowth.registry import P_GROUP_NAMES, get_group
@@ -429,31 +430,79 @@ class TestAugmentationUnit:
 class TestGrowthReport:
     def test_geometric(self):
         rep = growth_report([1, 2, 4, 8, 16])
-        assert rep.fekete_estimate == 2.0
-        assert rep.submultiplicativity_violations == []
+        assert rep["fekete_estimate"] == 2.0
+        assert rep["submultiplicativity_violations"] == []
 
     def test_flat(self):
         rep = growth_report([1, 1, 1, 1])
-        assert rep.fekete_estimate == 1.0
+        assert rep["fekete_estimate"] == 1.0
 
     def test_argmin_is_last_among_ties(self):
         rep = growth_report([1, 2, 4])
-        assert rep.fekete_argmin == 2
+        assert rep["fekete_argmin"] == 2
 
     def test_violations_detected(self):
         rep = growth_report([1, 1, 5])
-        assert (1, 1) in rep.submultiplicativity_violations
+        assert (1, 1) in rep["submultiplicativity_violations"]
 
     def test_heisenberg_quotient_profile(self):
         dims = graded_dims_via_jennings(HeisenbergMod(8), 2)
         rep = growth_report(dims)
-        assert rep.submultiplicativity_violations == []
-        assert rep.fekete_estimate <= 1.35
-        assert rep.fekete_argmin == len(dims) - 1
+        assert rep["submultiplicativity_violations"] == []
+        assert rep["fekete_estimate"] <= 1.35
+        assert rep["fekete_argmin"] == len(dims) - 1
 
     def test_rejects_empty(self):
         with pytest.raises(ContractError):
             growth_report([])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_record_it_replaced(self, seed):
+        # dims with ties, zeros and violations, against the loop that filled
+        # the GrowthReport record, rounded as growth printed that record
+        rng = random.Random(seed)
+        for _ in range(100):
+            dims = [1] + [rng.choice([0, 1, 2, 3, 4, 8, 9]) for _ in range(rng.randrange(9))]
+            assert growth_report(dims) == reference_growth_report(dims)
+
+
+def reference_growth_report(dims):
+    roots, best, argmin = [], None, 0
+    for n in range(1, len(dims)):
+        if dims[n] <= 0:
+            break
+        root = dims[n] ** (1.0 / n)
+        roots.append(root)
+        if best is None or root <= best:
+            best, argmin = root, n
+    violations = [(m, n) for m in range(1, len(dims)) for n in range(m, len(dims) - m)
+                  if dims[m] * dims[n] < dims[m + n]]
+    fit = None
+    pts = [(math.log(n), math.log(dims[n])) for n in range(2, len(dims)) if dims[n] > 0]
+    if len(pts) >= 2:
+        xs, ys = [x for x, _ in pts], [y for _, y in pts]
+        xbar, ybar = sum(xs) / len(xs), sum(ys) / len(ys)
+        den = sum((x - xbar) ** 2 for x in xs)
+        fit = sum((x - xbar) * (y - ybar) for x, y in pts) / den if den else None
+    return {"nth_roots": [round(r, 12) for r in roots],
+            "fekete_estimate": round(best if best is not None else 1.0, 12),
+            "fekete_argmin": argmin,
+            "poly_degree_fit": None if fit is None else round(fit, 12),
+            "submultiplicativity_violations": violations}
+
+
+def quotient_agreement_dims(ladders: list[list[int]]) -> list[int]:
+    """Reference: the common prefix of graded dims across quotient levels,
+    which growth printed before it read one quotient below degree m_p."""
+    if not ladders:
+        return []
+    prefix = []
+    for vals in zip(*ladders):
+        if all(v == vals[0] for v in vals):
+            prefix.append(vals[0])
+        else:
+            break
+    return prefix
 
 
 class TestQuotientAgreement:
@@ -498,9 +547,10 @@ def agreement_cases(max_order: int):
 
 
 class TestAgreementPrefixIsExact:
-    """growth's agreement prefix of levels m and m * base is the level-m
-    dims cut at degree m_p, the largest power of p dividing m: the degree
-    bound below which a congruence quotient's dims are the group's."""
+    """The agreement prefix of levels m and m * base, which growth once
+    printed, is the level-m dims cut at degree m_p, the largest power of p
+    dividing m: the degree bound below which a congruence quotient's dims
+    are the group's, and what group_graded_dims returns."""
 
     @pytest.mark.parametrize("name,base,level,p", agreement_cases(5000))
     def test_prefix_is_the_lower_level_below_m_p(self, name, base, level, p):
@@ -508,7 +558,20 @@ class TestAgreementPrefixIsExact:
         m = base**level
         lo = congruence_graded_dims(oracle, m, p, max_order=5000)
         hi = congruence_graded_dims(oracle, m * base, p, max_order=5000)
-        assert quotient_agreement_dims([lo, hi]) == lo[:p_part(m, p)]
+        prefix = quotient_agreement_dims([lo, hi])
+        assert prefix == lo[:p_part(m, p)]
+        assert group_graded_dims(oracle, m, p, max_order=5000) == prefix
+
+
+class TestGrowthReadsOneQuotient:
+    def test_growth_computes_one_jennings_series(self, monkeypatch, tmp_path):
+        calls = []
+        real = filtration.graded_dims_via_jennings
+        monkeypatch.setattr(filtration, "graded_dims_via_jennings",
+                            lambda group, p: calls.append(group.order) or real(group, p))
+        assert main(["growth", "--group", "heisenberg", "--p", "2",
+                     "--out", str(tmp_path / "g.tsv")]) == 0
+        assert calls == [4**3]  # the level-2 quotient, Heisenberg over Z/4
 
 
 class TestJenningsAtScale:
