@@ -12,6 +12,7 @@ report embeds its fully resolved configuration.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import algebra_probe, gs, tiling
@@ -45,9 +46,8 @@ def _write(text: str, out_path: str | None):
 
 def _parse_element(oracle, text: str):
     """A tuple literal, on a cyclic group or a group of integer tuples and
-    as wide as its elements (1 for a cyclic group), a bare integer or a word
-    in the generator symbols."""
-    text = text.strip()
+    as wide as its elements (1 for a cyclic group), a bare integer, on z or
+    a group of integers, or a word in the generator symbols."""
     if text.startswith("(") and text.endswith(")"):
         tup = tuple(int(t) for t in text[1:-1].split(",") if t.strip())
         e = oracle.identity
@@ -61,47 +61,32 @@ def _parse_element(oracle, text: str):
                                 f"{oracle.name} elements have width {width}")
         return tup[0] % oracle.order if isinstance(oracle, Cyclic) else tup
     if text.lstrip("-").isdigit():
-        n = int(text)
         if isinstance(oracle, FreeAbelian) and oracle.d == 1:
-            return (n,)
-        if oracle.order is not None:
-            return n % oracle.order
-        raise ContractError(f"bare integer literal unsupported for {oracle.name}")
+            return (int(text),)
+        if type(oracle.identity) is not int:
+            raise ContractError(f"element literal {text} names no element: "
+                                f"{oracle.name} elements are not integers")
+        return int(text) % oracle.order
     return oracle.normalize(text)
 
 
+# a literal's term: [sign +, - or + -] [coefficient n*] then a tuple, integer or word
+_TERM = re.compile(r"\s*(\+\s*-|[+-]?)\s*(?:(\d+)\s*\*\s*)?(\([^()]*\)|-?\d+|[^\s()*+-]+)\s*")
+
+
 def _parse_hecke_literal(oracle, b, p, lam, text: str):
-    """Element literal: 'coeff*g + coeff*h - ...' with g a tuple or word."""
-    out = None
-    term = ""
-    depth = 0
-    terms = []
-    for c in text:
-        if c in "([":
-            depth += 1
-        elif c in ")]":
-            depth -= 1
-        if c in "+-" and depth == 0 and term.strip():
-            terms.append(term)
-            term = c if c == "-" else ""
-            continue
-        term += c
-    if term.strip():
-        terms.append(term)
+    """The sum of the literal's terms, read from its start by _TERM; every
+    term after the first needs its sign.  '1*-1' is 1 times the element -1."""
     result = delta(oracle, b, p, lam, oracle.identity, 0)
-    for t in terms:
-        t = t.strip()
-        sign = 1
-        if t.startswith("-"):
-            sign = -1
-            t = t[1:].strip()
-        if "*" in t:
-            coeff_text, elem_text = t.split("*", 1)
-            coeff = int(coeff_text.strip())
-        else:
-            coeff, elem_text = 1, t
-        g = _parse_element(oracle, elem_text.strip())
-        result = result + delta(oracle, b, p, lam, g, sign * coeff)
+    pos = 0
+    while text[pos:].strip():
+        m = _TERM.match(text, pos)
+        if m is None or pos and not m[1]:
+            raise ContractError(f"element literal {text!r}: cannot read {text[pos:].strip()!r}")
+        sign, coeff, elem = m.groups()
+        coeff = int(coeff or 1) * (-1 if "-" in sign else 1)
+        result = result + delta(oracle, b, p, lam, _parse_element(oracle, elem), coeff)
+        pos = m.end()
     return result
 
 
@@ -290,6 +275,13 @@ def _cmd_gs(args) -> int:
             declared = pres["generators"]
             d = len(declared)
             stray = [c for r in relators for c in r if c.lower() not in declared]
+        if not (isinstance(declared, list) and all(isinstance(x, str) for x in declared)):
+            raise ContractError(f"generators must be a list of names, got {declared!r}")
+        lowered = [x.lower() for x in declared]
+        repeated = [x for i, x in enumerate(declared) if lowered[i] in lowered[:i]]
+        if repeated:  # a relator's uppercase letter is the inverse
+            raise ContractError(f"generator {repeated[0]!r} is declared twice, once "
+                                f"lowercased: {declared}")
         if stray:
             raise ContractError(f"relator letter {stray[0]!r} is not a declared "
                                 f"generator {declared}")

@@ -344,7 +344,7 @@ class CayleyTable(GroupOracle):
         self._identity = identity
         self.generators = dict(generators)
         indices = [x for row in self.table for x in row] + list(self.generators.values())
-        if not all(isinstance(x, int) and 0 <= x < n for x in indices + [identity]):
+        if not all(type(x) is int and 0 <= x < n for x in indices + [identity]):
             raise ContractError("table entries, generators and identity must be row indices")
         self._inverse = [None] * n
         for g in range(n):

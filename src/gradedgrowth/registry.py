@@ -46,6 +46,28 @@ P_GROUP_NAMES = {
 }
 
 
+# kind -> its constructor and the names of its integer parameters, in order
+KINDS = {
+    "free": (FreeGroup, ("k",)),
+    "free_abelian": (FreeAbelian, ("d",)),
+    "heisenberg": (Heisenberg, ()),
+    "lamplighter": (Lamplighter, ()),
+    "cyclic": (Cyclic, ("n",)),
+    "dihedral": (Dihedral, ("n",)),
+    "quaternion8": (quaternion8, ()),
+    "heisenberg_mod": (HeisenbergMod, ("m",)),
+    "zd_mod": (ZdMod, ("d", "m")),
+    "triangle": (triangle_group, ("k",)),
+}
+
+
+def _typed(value, kind: type, name: str):
+    """value, if its type is exactly kind: JSON 4.9, "9" and true are not ints."""
+    if type(value) is not kind:
+        raise ContractError(f"group parameter {name} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def make_group(spec: dict) -> GroupOracle:
     if not isinstance(spec, dict):
         raise ContractError(f"group spec must be an object, got {spec!r}")
@@ -54,38 +76,20 @@ def make_group(spec: dict) -> GroupOracle:
         params = dict(spec.get("params", {}))
         if "generators" in spec and "generators" not in params:
             params["generators"] = spec["generators"]
-        if kind == "free":
-            return FreeGroup(int(params["k"]))
-        if kind == "free_abelian":
-            return FreeAbelian(int(params["d"]))
-        if kind == "heisenberg":
-            return Heisenberg()
-        if kind == "lamplighter":
-            return Lamplighter()
-        if kind == "cyclic":
-            return Cyclic(int(params["n"]))
+        if kind in KINDS:
+            make, names = KINDS[kind]
+            return make(*(_typed(params[name], int, name) for name in names))
         if kind == "abelian":
-            return AbelianProduct(tuple(int(n) for n in params["orders"]))
-        if kind == "dihedral":
-            return Dihedral(int(params["n"]))
-        if kind == "quaternion8":
-            return quaternion8()
-        if kind == "heisenberg_mod":
-            return HeisenbergMod(int(params["m"]))
-        if kind == "zd_mod":
-            return ZdMod(int(params["d"]), int(params["m"]))
-        if kind == "triangle":
-            return triangle_group(int(params["k"]))
+            return AbelianProduct(tuple(_typed(n, int, "orders") for n in params["orders"]))
         if kind == "rewriting_backed":
-            return RewritingGroup(
-                params["generators"], params["relators"],
-                name=spec.get("name"),
-                inverse_letters=bool(params.get("inverse_letters", True)),
-            )
+            inverse_letters = _typed(params.get("inverse_letters", True), bool,
+                                     "inverse_letters")
+            return RewritingGroup(params["generators"], params["relators"],
+                                  name=spec.get("name"), inverse_letters=inverse_letters)
         if kind == "finite_cayley_table":
             return CayleyTable(params["table"], params["generators"],
                                name=spec.get("name", "cayley"),
-                               identity=int(params.get("identity", 0)))
+                               identity=_typed(params.get("identity", 0), int, "identity"))
     raise ContractError(f"unknown group kind {kind!r}")
 
 

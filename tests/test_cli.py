@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -192,6 +193,18 @@ class TestBasicCommands:
         assert (code, text) == (4, None)
         assert f"relator letter {letter} is not a declared generator" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("generators,name", [
+        (["x", "x"], "'x' is declared twice"), (["x", "X"], "'X' is declared twice"),
+        ("xx", "a list of names, got 'xx'")])
+    def test_gs_presentation_generators_are_distinct(self, tmp_path, capsys,
+                                                     generators, name):
+        # each once counted d = 2 and certified Z/3 as Golod-Shafarevich
+        pres = tmp_path / "pres.json"
+        pres.write_text(json.dumps({"generators": generators, "relators": ["xxx"]}))
+        code, text = run_cli(["gs", "--presentation", str(pres), "--p", "3"], tmp_path)
+        assert (code, text) == (4, None)
+        assert name in capsys.readouterr().err
 
     def test_crystal_mul_and_untwist(self, tmp_path):
         code, text = run_cli(["crystal", "--group", "z", "--p", "5", "--lam", "2",
@@ -498,6 +511,91 @@ class TestElementLiteralWidth:
         assert hashlib.sha1(text.encode()).hexdigest() == sha1
 
 
+# element spellings for the crystal literal corpus: group -> (a literal of
+# the identity, [(element text, the element as crystal prints it)]), with
+# tuples, bare integers and words where the group has them
+LITERAL_ELEMENTS = {
+    "z": ("0", [("(1)", [1]), ("( -2 )", [-2]), ("3", [3]), ("0", [0]),
+                ("a", [1]), ("AA", [-2]), ("aA", [0])]),
+    "z2": ("(0,0)", [("(1,0)", [1, 0]), ("( 0 , -1 )", [0, -1]), ("ab", [1, 1]),
+                     ("B", [0, -1])]),
+    "c4": ("0", [("(1)", 1), ("(6)", 2), ("3", 3), ("7", 3), ("s", 1), ("SS", 2)]),
+    "q8": ("0", [("1", 1), ("2", 2), ("9", 1), ("i", 2), ("ij", 6), ("J", 5)]),
+    "free2": ("aA", [("a", "a"), ("ab", "ab"), ("Ba", "Ba"), ("aA", "")]),
+    "lamplighter": ("tT", [("t", [[], 1]), ("a", [[0], 0]), ("ta", [[1], 1]),
+                           ("TaT", [[-1], -2])]),
+}
+
+
+def random_literal(rng, elements):
+    """A literal of one to three (sign, coefficient, element) terms, with
+    and without spaces, and the map element -> coefficient it denotes.  A
+    coefficient is left out or written "n*"; a negative term after the first
+    is written "- t" or "+ -t"."""
+    text, terms = "", {}
+    for i in range(rng.randint(1, 3)):
+        sign, coeff = rng.choice([1, -1]), rng.choice([None, 0, 1, 2, 7])
+        elem, value = rng.choice(elements)
+        space = rng.choice(["", " "])
+        if i == 0:
+            text += "-" * (sign < 0)
+        else:
+            text += space + (rng.choice(["-", "+ -"]) if sign < 0 else "+") + space
+        text += ("" if coeff is None else f"{coeff}{space}*{space}") + elem
+        key = json.dumps(value)
+        terms[key] = terms.get(key, 0) + sign * (1 if coeff is None else coeff)
+    return text, {k: c for k, c in terms.items() if c}
+
+
+class TestCrystalLiteralGrammar:
+    """A literal is a sum of terms: a sign (required after the first term),
+    an optional coefficient "n*", then a tuple, an integer or a word."""
+
+    @staticmethod
+    def read(tmp_path, group, literal, *args):
+        """crystal's reading of a literal over Z, as its product with the
+        identity (d_g * d_e = d_g at every lambda).  A leading space keeps
+        argparse from reading "-a" as an option."""
+        code, text = run_cli(["crystal", "--group", group, *args, "--mul",
+                              " " + literal, LITERAL_ELEMENTS[group][0]], tmp_path)
+        if code:
+            return code, None
+        return code, {json.dumps(g): c for g, c in json.loads(text)["product"]}
+
+    @pytest.mark.parametrize("group", LITERAL_ELEMENTS)
+    def test_corpus_reads_its_terms(self, tmp_path, group):
+        rng = random.Random(group)
+        corpus = [random_literal(rng, LITERAL_ELEMENTS[group][1]) for _ in range(25)]
+        if group == "z":
+            corpus.append(("3*(1) + -2*(0)", {"[1]": 3, "[0]": -2}))
+        for literal, terms in corpus:
+            assert self.read(tmp_path, group, literal) == (0, terms), literal
+
+    def test_coefficient_times_negative_integer(self, tmp_path):
+        # once read as d_0 + 4 d_1: "1*" as 1 times the empty word, then "-1"
+        assert self.read(tmp_path, "z", "1*-1", "--p", "5", "--lam", "1") == \
+            (0, {"[-1]": 1})
+
+    def test_leading_plus(self, tmp_path):
+        assert self.read(tmp_path, "z", "+1") == (0, {"[1]": 1})
+
+    @pytest.mark.parametrize("literal,rest", [
+        ("2*", "*"), ("2 * -(1)", "* -(1)"), ("1 2", "2"), ("(1)(2)", "(2)")])
+    def test_unread_text_is_4(self, tmp_path, capsys, literal, rest):
+        # "2*" was once 2 d_e, and "2 * -(1)" 2 d_0 + 4 d_1
+        assert self.read(tmp_path, "z", literal, "--p", "5") == (4, None)
+        assert f"cannot read {rest!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("group", ["c2xc2", "d4", "heisenberg_mod_3", "z2"])
+    def test_bare_integer_on_a_group_of_tuples_is_4(self, tmp_path, capsys, group):
+        # on the finite groups, once reported only as outside the ball
+        code, text = run_cli(["crystal", "--group", group, "--p", "5", "--lam", "1",
+                              "--mul", "1", "1"], tmp_path)
+        assert (code, text) == (4, None)
+        assert (f"element literal 1 names no element: {group} elements are not "
+                "integers") in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -600,8 +698,23 @@ class TestExitCodes:
         # one generator letter a-z per factor: a 27th factor would get none
         '{"g": {"kind": "zd_mod", "params": {"d": 27, "m": 2}}}',
         '{"g": {"kind": "abelian", "params": {"orders": ' + json.dumps([2] * 27) + '}}}',
+        # JSON integers only: int() once read n 4.9 as 4 (c4), m "9" as 9 and
+        # m 3.5 as 3, and a Cayley table took 0.0 and true as row indices
+        '{"g": {"kind": "cyclic", "params": {"n": 4.9}}}',
+        '{"g": {"kind": "zd_mod", "params": {"d": 2, "m": "9"}}}',
+        '{"g": {"kind": "heisenberg_mod", "params": {"m": 3.5}}}',
+        '{"g": {"kind": "cyclic", "params": {"n": true}}}',
+        '{"g": {"kind": "abelian", "params": {"orders": [2, true]}}}',
+        '{"g": {"kind": "finite_cayley_table", '
+        '"params": {"table": [[0, 1], [1, 0]], "generators": {"s": 1}, "identity": 0.0}}}',
+        '{"g": {"kind": "finite_cayley_table", '
+        '"params": {"table": [[0, 1], [1, 0]], "generators": {"s": true}}}}',
+        '{"g": {"kind": "rewriting_backed", '
+        '"params": {"generators": ["a"], "relators": ["aa"], "inverse_letters": "false"}}}',
     ], ids=["missing", "json", "string-spec", "no-n", "n-not-int", "orders-not-list",
-            "cayley-generator", "zd-mod-27-factors", "abelian-27-factors"])
+            "cayley-generator", "zd-mod-27-factors", "abelian-27-factors", "n-float",
+            "m-string", "heisenberg-m-float", "n-bool", "orders-bool", "identity-float",
+            "cayley-generator-bool", "inverse-letters-string"])
     @pytest.mark.parametrize("command", [["growth", "--group", "g", "--p", "2"], ["groups"]],
                              ids=["growth", "groups"])
     def test_malformed_registry_is_4(self, tmp_path, text, command):
