@@ -2,9 +2,10 @@
 """Survey augmentation-filtration growth across the built-in groups.
 
 For each finite p-group: the ladder dims, the p-central-series product
-formula, and whether they agree.  For the infinite built-ins: graded dims
-below degree m_p of one congruence quotient of level m, the prefix on which
-it agrees with the next level, with the Fekete-style root estimates.
+formula, and whether they agree.  For Z^d: the graded dims below degree
+m_p at level m, the Euler product of the lower central ranks, which is the
+prefix on which level m and the next agree, with the Fekete-style root
+estimates.
 Writes TSV to stdout or --out.
 """
 
@@ -38,7 +39,7 @@ def main(argv=None) -> int:
     lines.append("")
     lines.append("== Z^d via quotient agreement (base 2, levels 2 and 3) ==")
     for d in (1, 2):
-        # the level-2 dims below degree 4, where levels 2 and 3 agree
+        # the dims below degree 4, where levels 2 and 3 agree
         prefix = group_graded_dims(FreeAbelian(d), 2**2, 2)
         rep = growth_report(prefix)
         lines.append(f"Z^{d}\tprefix={prefix}\tfekete={rep['fekete_estimate']:.4f}")

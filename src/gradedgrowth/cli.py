@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=None, help="prime field (default: Z)")
     p.add_argument("--lam", type=int, default=0)
     p.add_argument("--radius", type=int, default=6)
-    p.add_argument("--mul", nargs=2, metavar=("A", "B"),
+    p.add_argument("--mul", nargs=2, metavar=("A", "B"), type=str.strip,
                    help="element literals like '1*(1) + 2*(-1)'")
     p.add_argument("--untwist", action="store_true")
     p.add_argument("--check-monomial", action="store_true")
@@ -445,7 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse reads a --mul value such as '-(1)' as an option but ' -(1)' as
+    # a value, which --mul's type strips; -h and --x stay options
+    args = parser.parse_args([" " + t if "--mul" in argv[max(i - 2, 0):i]
+                              and re.match(r"-(?![-h])", t) else t for i, t in enumerate(argv)])
     try:
         return args.func(args)
     except ResourceBudgetError as exc:

@@ -5,9 +5,9 @@ lambda = 1; the Jennings series of any finite group, its dimension
 subgroups mod p down to O^p(G), each term one semi-naive normal closure
 of p-th powers and of commutators with the normal generators of the term
 above, with the product-formula Hilbert coefficients that give the
-ladder dimensions, also on the p-parts of congruence quotients of
-infinite groups, whose dims below degree m_p (p's part of the level) are
-the group's; the descending ladder of augmentation-ideal powers and
+ladder dimensions; the graded dims of groups with free abelian lower
+central layers, such as Z^d and Heisenberg, as the Euler product of their
+ranks; the descending ladder of augmentation-ideal powers and
 its graded dimensions, read off that series as one flag basis: the
 ideal of O^p(G), then the lifted Jennings monomials by descending
 weight, checked independent by one elimination, from which any power is
@@ -36,7 +36,6 @@ from .groups import GroupOracle, ball
 from .scalars import check_prime
 from .subspace import (BallAmbient, Subspace, echelon_insert, full_subspace,
                        pivot_columns, rank_mod_p, rref, span)
-from .tiling import congruence_quotient
 
 MAGNUS_DEFAULT_TRUNCATION = 12
 MAGNUS_MAX_GENERATORS = 3
@@ -387,38 +386,32 @@ def graded_dims_via_jennings(group: GroupOracle, p: int) -> list[int]:
     """Ladder dimensions of GF(p)G for a finite group G, by the Jennings
     series: those of GF(p)[G/O^p(G)].
 
-    The product formula reproduces aug_ladder exactly (tested); with no
-    dense algebra, it is how growth on infinite groups gets its dims
-    (congruence_graded_dims)."""
+    The product formula reproduces aug_ladder exactly (tested) with no
+    dense algebra, so it reaches orders past the ladder's byte cap."""
     series = jennings_series(group, p)
     return jennings_hilbert_coeffs(series.dims, p)
 
 
-def congruence_graded_dims(oracle: GroupOracle, m: int, p: int,
-                           max_order: int | None = None) -> list[int]:
-    """Graded dims of GF(p)Q for the level-m congruence quotient Q, (Z/m)^d or
-    Heisenberg over Z/m, checked like build_group_algebra: modulus, cap, prime.
-    Q = P x R with P the same group over Z/m_p and #R prime to p; the
-    augmentation ideal of GF(p)R is idempotent, so only P counts."""
-    budgets.check_algebra_order(congruence_quotient(oracle, m).size(), max_order)
-    check_prime(p)
-    m_p = _p_part(m, p)
-    return ([1] if m_p == 1 else
-            graded_dims_via_jennings(congruence_quotient(oracle, m_p).finite, p))
-
-
 def group_graded_dims(oracle: GroupOracle, m: int, p: int,
                       max_order: int | None = None) -> list[int]:
-    """Graded dims of GF(p)G, G = Z^d or Heisenberg, below degree m_p, the
-    largest power of p dividing m, off the level-m congruence quotient.  The
-    kernel onto its p-part is normally generated by m_p-th powers, which lie
-    in D_(m_p) (Jennings 1941, Lazard 1954), so there its dims are G's."""
-    return congruence_graded_dims(oracle, m, p, max_order)[:_p_part(m, p)]
-
-
-def _p_part(m: int, p: int) -> int:
-    """The largest power of p dividing m."""
-    return math.gcd(m, p ** m.bit_length())
+    """Graded dims of GF(p)G below degree m_p, the largest power of p dividing
+    m, for G with free abelian lower central layers of ranks r_i: prod_i
+    (1 - t^i)^(-r_i), to which the Jennings-Quillen product over Lazard's D_n
+    telescopes (Lazard 1954, Quillen 1968).  Checked in the order modulus,
+    ranks, cap on m^(sum r_i) (the level-m quotient's order), prime."""
+    if m < 2:
+        raise ContractError(f"modulus must be >= 2, got {m}")
+    ranks = oracle.lower_central_ranks
+    if ranks is None:
+        raise ContractError(f"no lower central ranks built in for {oracle.name}")
+    budgets.check_algebra_order(m ** sum(ranks), max_order)
+    check_prime(p)
+    dims = [1] + [0] * (math.gcd(m, p ** m.bit_length()) - 1)  # below degree m_p
+    for i, r in enumerate(ranks, 1):
+        for _ in range(r):  # times 1 / (1 - t^i)
+            for n in range(i, len(dims)):
+                dims[n] += dims[n - i]
+    return dims
 
 
 # ---------------------------------------------------------------------------

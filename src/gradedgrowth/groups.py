@@ -43,6 +43,7 @@ class GroupOracle(ABC):
     name: str = "group"
     generators: dict[str, Element]  # symbol -> element, in declaration order
     order: int | None = None  # None for infinite groups
+    lower_central_ranks: tuple[int, ...] | None = None  # if each layer is free abelian
 
     @property
     @abstractmethod
@@ -126,6 +127,7 @@ class FreeAbelian(GroupOracle):
         if not 1 <= d <= 26:
             raise ContractError("rank must be between 1 and 26")
         self.d = d
+        self.lower_central_ranks = (d,)
         self.name = "z" if d == 1 else f"z{d}"
         self.generators = {}
         for i, c in enumerate("abcdefghijklmnopqrstuvwxyz"[:d]):
@@ -147,6 +149,7 @@ class Heisenberg(GroupOracle):
     """Discrete Heisenberg group; (a, b, c) * (a', b', c') = (a+a', b+b', c+c'+a*b')."""
 
     name = "heisenberg"
+    lower_central_ranks = (2, 1)
     generators = {"x": (1, 0, 0), "X": (-1, 0, 0), "y": (0, 1, 0), "Y": (0, -1, 0)}
 
     @property

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -148,6 +149,30 @@ class TestBasicCommands:
         assert code == 0
         dims = json.loads(text)["graded_dims"]
         assert dims == [math.comb(n + d - 1, d - 1) for n in range(length)]
+
+    @pytest.mark.parametrize("group", ["z", "z2", "z3", "heisenberg"])
+    def test_growth_corpus_exit_codes_and_closed_forms(self, tmp_path, group):
+        # level m = base**level: exit 4 below level 1, 3 when the level-m
+        # quotient, of order m^d or m^3, is over the cap, else the closed
+        # form of gr F_p G below degree m_p, the largest power of p dividing m
+        if group == "heisenberg":
+            h, closed = 3, lambda n: (n + 2) ** 2 // 4
+        else:
+            h = 1 if group == "z" else int(group[1:])
+            closed = lambda n: math.comb(n + h - 1, h - 1)
+        for base, level, p, cap in itertools.product((2, 3, 4, 6, 10), range(-1, 5),
+                                                     (2, 3, 5), (None, 5000)):
+            argv = ["growth", "--group", group, "--p", str(p), "--format", "json",
+                    "--quotient-base", str(base), "--quotient-level", str(level)]
+            argv += [] if cap is None else ["--max-order", str(cap)]
+            code, text = run_cli(argv, tmp_path, f"{base}-{level}-{p}-{cap}.json")
+            m = base**level
+            assert code == (4 if level < 1 else 3 if m**h > (cap or 2048) else 0), argv
+            if code == 0:
+                m_p = 1
+                while m % (m_p * p) == 0:
+                    m_p *= p
+                assert json.loads(text)["graded_dims"] == [closed(n) for n in range(m_p)]
 
     def test_deadends_empty_z2(self, tmp_path):
         code, text = run_cli(["deadends", "--group", "z2", "--radius", "6"], tmp_path)
@@ -554,10 +579,9 @@ class TestCrystalLiteralGrammar:
     @staticmethod
     def read(tmp_path, group, literal, *args):
         """crystal's reading of a literal over Z, as its product with the
-        identity (d_g * d_e = d_g at every lambda).  A leading space keeps
-        argparse from reading "-a" as an option."""
+        identity (d_g * d_e = d_g at every lambda)."""
         code, text = run_cli(["crystal", "--group", group, *args, "--mul",
-                              " " + literal, LITERAL_ELEMENTS[group][0]], tmp_path)
+                              literal, LITERAL_ELEMENTS[group][0]], tmp_path)
         if code:
             return code, None
         return code, {json.dumps(g): c for g, c in json.loads(text)["product"]}
@@ -578,6 +602,20 @@ class TestCrystalLiteralGrammar:
 
     def test_leading_plus(self, tmp_path):
         assert self.read(tmp_path, "z", "+1") == (0, {"[1]": 1})
+
+    @pytest.mark.parametrize("group,literal,terms", [
+        ("z", "-(1)", {"[1]": 4}), ("z", "-2*a", {"[1]": 3}), ("free2", "-a", {'"a"': 4})])
+    def test_leading_minus_is_a_value(self, tmp_path, group, literal, terms):
+        # argparse once read "-(1)" after --mul as an option (exit 2)
+        assert self.read(tmp_path, group, literal, "--p", "5") == (0, terms)
+
+    @pytest.mark.parametrize("mul", [["-(1)"], ["--1", "0"], ["-h", "0"], ["0", "--p", "5"]])
+    def test_options_after_mul_stay_usage_errors(self, capsys, mul):
+        with pytest.raises(SystemExit) as exc:
+            main(["crystal", "--group", "z", "--mul", *mul])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --mul: expected 2 arguments\n")
 
     @pytest.mark.parametrize("literal,rest", [
         ("2*", "*"), ("2 * -(1)", "* -(1)"), ("1 2", "2"), ("(1)(2)", "(2)")])

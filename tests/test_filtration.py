@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -7,17 +8,16 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from gradedgrowth import filtration
+from gradedgrowth import filtration, tiling
 from gradedgrowth.cli import main
 from gradedgrowth.errors import ContractError, ResourceBudgetError
-from gradedgrowth.filtration import (aug_ladder, build_group_algebra,
-                                     congruence_graded_dims, free_graded_dims,
+from gradedgrowth.filtration import (aug_ladder, build_group_algebra, free_graded_dims,
                                      graded_dims_via_jennings, group_graded_dims,
                                      growth_report, jennings_hilbert_coeffs,
                                      jennings_series, is_augmentation_unit, magnus_deg,
                                      magnus_series, right_ideal_closure,
                                      rs_generators, rs_step_bound, witt_ranks)
-from gradedgrowth.groups import Cyclic, HeisenbergMod, ZdMod
+from gradedgrowth.groups import Cyclic, GroupOracle, HeisenbergMod, ZdMod
 from gradedgrowth.registry import P_GROUP_NAMES, get_group
 from gradedgrowth.subspace import span
 from gradedgrowth.tiling import congruence_quotient
@@ -532,6 +532,18 @@ def p_part(m: int, p: int) -> int:
     return q
 
 
+def congruence_graded_dims(oracle, m: int, p: int) -> list[int]:
+    """Reference: graded dims of GF(p)Q for the level-m congruence quotient
+    Q, (Z/m)^d or Heisenberg over Z/m, by Jennings' formula on its p-part,
+    the same group over Z/m_p: Q = P x R with #R prime to p, and the
+    augmentation ideal of GF(p)R is idempotent, so only P counts.  growth
+    read these below degree m_p before it read the Euler product of the
+    lower central ranks."""
+    m_p = p_part(m, p)
+    return ([1] if m_p == 1 else
+            graded_dims_via_jennings(congruence_quotient(oracle, m_p).finite, p))
+
+
 def agreement_cases(max_order: int):
     """(family, base, level, p) for levels 1-3 of Z, Z^2, Z^3 and the
     Heisenberg group in the bases 2, 3, 4, 6 and 10, at p = 2, 3, 5, where
@@ -556,22 +568,85 @@ class TestAgreementPrefixIsExact:
     def test_prefix_is_the_lower_level_below_m_p(self, name, base, level, p):
         oracle = get_group(name)
         m = base**level
-        lo = congruence_graded_dims(oracle, m, p, max_order=5000)
-        hi = congruence_graded_dims(oracle, m * base, p, max_order=5000)
+        lo = congruence_graded_dims(oracle, m, p)
+        hi = congruence_graded_dims(oracle, m * base, p)
         prefix = quotient_agreement_dims([lo, hi])
         assert prefix == lo[:p_part(m, p)]
         assert group_graded_dims(oracle, m, p, max_order=5000) == prefix
 
 
-class TestGrowthReadsOneQuotient:
-    def test_growth_computes_one_jennings_series(self, monkeypatch, tmp_path):
-        calls = []
-        real = filtration.graded_dims_via_jennings
-        monkeypatch.setattr(filtration, "graded_dims_via_jennings",
-                            lambda group, p: calls.append(group.order) or real(group, p))
-        assert main(["growth", "--group", "heisenberg", "--p", "2",
-                     "--out", str(tmp_path / "g.tsv")]) == 0
-        assert calls == [4**3]  # the level-2 quotient, Heisenberg over Z/4
+class TestGrowthReadsNoQuotient:
+    def test_growth_computes_no_jennings_series(self, monkeypatch, tmp_path):
+        """growth on Z^d and Heisenberg builds no congruence quotient and no
+        Jennings series: with both routes raising, it prints the dims."""
+        def unreachable(*args):
+            raise AssertionError("growth on Z^d or Heisenberg left the product")
+        monkeypatch.setattr(filtration, "graded_dims_via_jennings", unreachable)
+        monkeypatch.setattr(tiling, "congruence_quotient", unreachable)
+        for group, args, dims in [
+                ("heisenberg", [], [(n + 2) ** 2 // 4 for n in range(4)]),
+                ("heisenberg", ["--quotient-level", "4", "--max-order", "4096"],
+                 [(n + 2) ** 2 // 4 for n in range(16)]),
+                ("z2", ["--quotient-level", "3"], [n + 1 for n in range(8)])]:
+            out = tmp_path / "g.json"
+            assert main(["growth", "--group", group, "--p", "2", "--format", "json",
+                         "--out", str(out)] + args) == 0
+            assert json.loads(out.read_text())["graded_dims"] == dims
+
+
+class Unitriangular4(GroupOracle):
+    """UT_4 over Z/m, or over Z when m is None, as the entries (a12, a23,
+    a34, a13, a24, a14) above the diagonal; generated by the elementary
+    matrices of a12, a23 and a34.  Over Z its lower central layers are free
+    abelian of ranks 3, 2 and 1."""
+
+    lower_central_ranks = (3, 2, 1)
+
+    def __init__(self, m=None):
+        self.m = m
+        self.order = None if m is None else m**6
+        self.name = "ut4" if m is None else f"ut4_mod_{m}"
+        self.generators = {}
+        for i, s in enumerate("abc"):
+            e = tuple(int(j == i) for j in range(6))
+            self.generators.update({s: e, s.upper(): self.inv(e)})
+
+    @property
+    def identity(self):
+        return (0,) * 6
+
+    def _reduce(self, g):
+        return g if self.m is None else tuple(x % self.m for x in g)
+
+    def mul(self, g, h):
+        a12, a23, a34, a13, a24, a14 = g
+        b12, b23, b34, b13, b24, b14 = h
+        return self._reduce((a12 + b12, a23 + b23, a34 + b34, a13 + b13 + a12 * b23,
+                             a24 + b24 + a23 * b34, a14 + b14 + a12 * b24 + a13 * b34))
+
+    def inv(self, g):
+        a12, a23, a34, a13, a24, a14 = g
+        c24 = a23 * a34 - a24
+        return self._reduce((-a12, -a23, -a34, a12 * a23 - a13, c24,
+                             a13 * a34 - a12 * c24 - a14))
+
+    def elements(self):
+        return itertools.product(range(self.m), repeat=6)
+
+
+class TestEulerProduct:
+    """group_graded_dims, the Euler product of the lower central ranks,
+    against Jennings' series of a congruence quotient below degree m."""
+
+    def test_unitriangular_group_below_degree_8(self):
+        # UT_4(Z/8), of order 8^6 = 262,144: its Jennings series takes about
+        # a second; the congruence kernel is generated by 8th powers
+        finite = Unitriangular4(8)
+        g = finite.normalize("abcBa")
+        assert finite.mul(g, finite.inv(g)) == finite.mul(finite.inv(g), g) == finite.identity
+        dims = group_graded_dims(Unitriangular4(), 8, 2, max_order=finite.order)
+        assert dims == graded_dims_via_jennings(finite, 2)[:8]
+        assert dims == [1, 3, 8, 17, 33, 58, 97, 153]
 
 
 class TestJenningsAtScale:
@@ -614,12 +689,15 @@ class TestCongruenceGradedDims:
         finite = congruence_quotient(oracle, m).finite
         ladder = aug_ladder(build_group_algebra(finite, p)).graded_dims
         assert congruence_graded_dims(oracle, m, p) == ladder
+        assert group_graded_dims(oracle, m, p) == ladder[:p_part(m, p)]
 
     def test_checks_run_modulus_cap_prime(self):
         z = get_group("z")
-        with pytest.raises(ContractError):  # modulus before cap
-            congruence_graded_dims(z, 1, 2, max_order=0)
-        with pytest.raises(ResourceBudgetError):  # cap before prime
-            congruence_graded_dims(z, 4, 4, max_order=3)
+        with pytest.raises(ContractError, match="modulus"):  # modulus before ranks
+            group_graded_dims(get_group("free2"), 1, 2, max_order=0)
+        with pytest.raises(ContractError, match="ranks"):  # ranks before cap
+            group_graded_dims(get_group("free2"), 4, 4, max_order=0)
+        with pytest.raises(ResourceBudgetError):  # cap, on m^h, before prime
+            group_graded_dims(get_group("heisenberg"), 4, 4, max_order=63)
         with pytest.raises(ContractError):
-            congruence_graded_dims(z, 4, 4)
+            group_graded_dims(z, 4, 4)
