@@ -447,8 +447,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     # argparse reads a --mul value such as '-(1)' as an option but ' -(1)' as
-    # a value, which --mul's type strips; -h and --x stay options
-    args = parser.parse_args([" " + t if "--mul" in argv[max(i - 2, 0):i]
+    # a value, which --mul's type strips; -h and --x stay options.  In
+    # crystal, whose only option starting --m it is, --m and --mu are --mul
+    mul = {"--m", "--mu", "--mul"} if "crystal" in argv else {"--mul"}
+    args = parser.parse_args([" " + t if mul.intersection(argv[max(i - 2, 0):i])
                               and re.match(r"-(?![-h])", t) else t for i, t in enumerate(argv)])
     try:
         return args.func(args)

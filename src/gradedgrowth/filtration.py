@@ -38,7 +38,6 @@ from .subspace import (BallAmbient, Subspace, echelon_insert, full_subspace,
                        pivot_columns, rank_mod_p, rref, span)
 
 MAGNUS_DEFAULT_TRUNCATION = 12
-MAGNUS_MAX_GENERATORS = 3
 
 
 class FiniteGroupAlgebra(BallAmbient):
@@ -349,37 +348,34 @@ def _pow(group: GroupOracle, g, e: int):
     return out
 
 
-def jennings_hilbert_coeffs(dims: list[int], p: int,
-                            max_deg: int | None = None) -> list[int]:
+def _euler_product(exponents: dict[int, int], length: int) -> list[int]:
+    """Coefficients of t^0, ..., t^(length - 1) in prod_i (1 - t^i)^(e_i),
+    for exponents {i: e_i} with i >= 1: a prefix sum with stride i divides
+    by 1 - t^i, and a backward difference multiplies by it."""
+    out = [1] + [0] * (length - 1)
+    for i, e in exponents.items():
+        for _ in range(abs(e)):
+            if e < 0:
+                for n in range(i, length):
+                    out[n] += out[n - i]
+            else:
+                for n in range(length - 1, i - 1, -1):
+                    out[n] -= out[n - i]
+    return out
+
+
+def jennings_hilbert_coeffs(dims: list[int], p: int) -> list[int]:
     """Coefficients of prod_n ((1 - t^{pn}) / (1 - t^n))^{d_n}.
 
     Each factor is the finite geometric sum 1 + t^n + ... + t^{(p-1)n}, so
-    the product is an honest polynomial with integer coefficients.
+    the product is a polynomial of degree sum_n (p - 1) n d_n with integer
+    coefficients.
     """
-    top = sum((p - 1) * (i + 1) * d for i, d in enumerate(dims))
-    if max_deg is None:
-        max_deg = top
-    poly = [1]
-    for i, d in enumerate(dims):
-        n = i + 1
-        factor = [0] * ((p - 1) * n + 1)
-        for j in range(p):
-            factor[j * n] = 1
-        for _ in range(d):
-            poly = _poly_mul(poly, factor, max_deg)
-    return poly
-
-
-def _poly_mul(a: list[int], b: list[int], max_deg: int) -> list[int]:
-    out = [0] * (min(len(a) + len(b) - 1, max_deg + 1))
-    b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
-    for i, ai in enumerate(a):
-        if ai == 0 or i > max_deg:
-            continue
-        for j, bj in b_terms:
-            if i + j <= max_deg:
-                out[i + j] += ai * bj
-    return out
+    exponents: dict[int, int] = {}
+    for n, d in enumerate(dims, 1):
+        exponents[n] = exponents.get(n, 0) - d
+        exponents[p * n] = exponents.get(p * n, 0) + d
+    return _euler_product(exponents, 1 + sum((p - 1) * n * d for n, d in enumerate(dims, 1)))
 
 
 def graded_dims_via_jennings(group: GroupOracle, p: int) -> list[int]:
@@ -406,12 +402,8 @@ def group_graded_dims(oracle: GroupOracle, m: int, p: int,
         raise ContractError(f"no lower central ranks built in for {oracle.name}")
     budgets.check_algebra_order(m ** sum(ranks), max_order)
     check_prime(p)
-    dims = [1] + [0] * (math.gcd(m, p ** m.bit_length()) - 1)  # below degree m_p
-    for i, r in enumerate(ranks, 1):
-        for _ in range(r):  # times 1 / (1 - t^i)
-            for n in range(i, len(dims)):
-                dims[n] += dims[n - i]
-    return dims
+    m_p = math.gcd(m, p ** m.bit_length())
+    return _euler_product({i: -r for i, r in enumerate(ranks, 1)}, m_p)
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +455,7 @@ def parse_free_word(word: str) -> list[tuple[int, int]]:
 def magnus_series(word: str, p: int, trunc: int = MAGNUS_DEFAULT_TRUNCATION) -> dict:
     check_prime(p)
     pairs = parse_free_word(word)
-    ks = {i for i, _ in pairs}
-    if any(i > MAGNUS_MAX_GENERATORS for i in ks):
-        raise ContractError("at most 3 free generators supported")
-    est = (max(ks, default=1)) ** (trunc + 1)
+    est = max((i for i, _ in pairs), default=1) ** (trunc + 1)
     if est > 80_000_000:
         raise ResourceBudgetError("Magnus truncation too large for this rank")
     out = {(): 1}

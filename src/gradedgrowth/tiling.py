@@ -6,12 +6,13 @@ carves the overlaps away, lifts the pieces and the uncovered remainder back
 to the group, and returns a certificate: an exact transversal T whose
 boundary defect #(T u TK) - #T over #T is measured by direct count.
 
-Greedy covering step.  Scanning the quotient in enumeration order, a center
-x is adjoined whenever its tile xK meets the region built so far in at most
-delta * #K points; maximality of the scan forces every point of the quotient
-to be delta-densely covered, which yields the coverage gain mu >= delta and
-the two bookkeeping bounds (coverage identity and boundary growth) that the
-certificate records per step as exact rationals.
+Greedy covering step.  The region is one bool mask over the quotient's
+coset listing.  Scanning in that order, a center x is adjoined whenever its
+tile xK meets the region in at most delta * #K cosets; maximality of the
+scan forces every coset to be delta-densely covered, which yields the
+coverage gain mu >= delta and the boundary growth bound that the
+certificate records per step as exact rationals (the coverage identity
+holds by construction of mu).  Every count is taken on coset indices.
 
 Tower and height.  The textbook recipe fixes the allowed overlap delta, the
 relative boundary constant zeta, and a worst-case tower height t from the
@@ -132,11 +133,11 @@ class QuotientSet:
     """A congruence quotient G/N of an infinite group, held as the finite
     oracle `finite` on the reduced coordinates: full coset listing (in the
     finite oracle's order), projection, a section lifting cosets back to
-    the group, and the right action of the group, on one coset (`act`) and
-    on arrays of cosets, as coset indices (`act_indices`).  Both actions are
-    `finite.mul`: the finite laws are integer polynomials reduced mod m in
-    every coordinate, so they take unreduced group elements and numpy
-    arrays alike.
+    the group, and the right action of the group on coset indices
+    (`act_indices`), which is `finite.mul` on numpy arrays: the finite laws
+    are integer polynomials reduced mod m in every coordinate.  `act`, the
+    same action on one coset tuple, is the tests' reference for it and the
+    binding that the benchmark's tracer counts; no covering step calls it.
 
     Cosets are numbered 0..n-1 in `elements` order, which for both
     families is mixed radix in m over the coordinates, the first one most
@@ -177,9 +178,10 @@ class QuotientSet:
         """Right action: coset of x goes to the coset of x g."""
         return self.finite.mul(coset, g)
 
-    def act_indices(self, cosets: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Indices of x k for the rows x of `cosets` and the rows k of an
+    def act_indices(self, indices: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Indices of x k for the cosets x at `indices` and the rows k of an
         array of projected elements, as one row per x."""
+        cosets = np.asarray(indices, dtype=np.int64)[:, None] // self._radix % self.m
         columns = self.finite.mul(tuple(cosets.T[..., None]), tuple(k.T))
         return sum(column * r for column, r in zip(columns, self._radix))
 
@@ -226,21 +228,22 @@ def quotient_chain(oracle: GroupOracle, base: int = 2):
 # the greedy covering step
 
 
-# tile indices computed at once by greedy_fill (a few MB of int64 at most)
-_TILE_BLOCK_ENTRIES = 1 << 16
+# cosets times elements acted on at once: 128 KB of int64 per array, which the
+# allocator reuses (4 times that took a third longer per pass on H mod 32)
+_TILE_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
 class GreedyFillResult:
-    centers: list
-    covered: set  # B_s
+    centers: list  # cosets, as omega.elements lists them
+    covered: np.ndarray  # B_s, as a mask over omega.elements
     mu: Fraction
     s: int
     nu_in: Fraction
     alpha_in: Fraction
     nu_out: Fraction
     alpha_out: Fraction
-    tiles: list  # carved coset sets, parallel to centers
+    tiles: list  # per centre, the mask of the level's elements its carved tile keeps
     hypotheses_ok: bool
     hypothesis_failures: list[str]
     mu_at_least_delta: bool
@@ -249,103 +252,97 @@ class GreedyFillResult:
     maximality_ok: bool
 
 
-def greedy_fill(omega: QuotientSet, b: set, k: Sequence, l: Sequence,
-                params: ThetaParams, nu: Fraction | None = None,
-                alpha: Fraction | None = None) -> GreedyFillResult:
-    """One covering pass with tiles xK over the quotient.
+def _acted_blocks(omega: QuotientSet, indices: np.ndarray, rows: np.ndarray):
+    """omega.act_indices of the cosets at `indices` by `rows`, a block at a time."""
+    block = max(1, _TILE_BLOCK_ENTRIES // max(1, len(rows)))
+    for start in range(0, len(indices), block):
+        yield omega.act_indices(indices[start:start + block], rows)
 
-    Preconditions: the projection must be injective on K (checked; by
-    cancellation this is equivalent to injectivity of k -> xk for every x),
-    B must consist of cosets as `omega.elements` lists them (checked), and
-    the bookkeeping inputs nu = #B/#Omega, alpha must lie in [0, 1).
-    The conclusions (mu >= delta, the coverage identity and the boundary
-    bound through one theta step) are checked exactly; when the covering
-    step's hypotheses fail the violations are recorded instead of asserted.
+
+def _product_size(omega: QuotientSet, indices: np.ndarray, rows: np.ndarray) -> int:
+    """#{x g : x a coset at `indices`, g a row of `rows`}, counted on a mask."""
+    hit = np.zeros(omega.size(), dtype=bool)
+    for acted in _acted_blocks(omega, indices, rows):
+        hit[acted] = True
+    return int(np.count_nonzero(hit))
+
+
+def greedy_fill(omega: QuotientSet, region: np.ndarray, k: Sequence, l: Sequence,
+                params: ThetaParams, alpha: Fraction) -> GreedyFillResult:
+    """One covering pass with tiles xK over the quotient, from the region
+    B, a bool mask over `omega.elements` that is not all True (checked), so
+    nu = #B/#Omega < 1; alpha must lie in [0, 1), and the projection must
+    be injective on K (checked; by cancellation this is equivalent to
+    injectivity of k -> xk for every x).  mu >= delta and the boundary
+    bound through one theta step are checked exactly; the coverage identity
+    holds by construction of mu = (#B_s/#Omega - nu)/(1 - alpha).  When the
+    covering step's hypotheses fail the violations are recorded instead of
+    asserted.  Every set is counted on coset indices by omega.act_indices.
     """
     k = list(k)
-    l = list(l)
     if not k:
         raise ContractError("K must be nonempty")
     n = omega.size()
     pk = [omega.project(x) for x in k]
     if len(set(pk)) != len(k):
         raise ContractError("projection is not injective on K")
-    if not set(b).issubset(omega.elements):
-        raise ContractError("B must be a set of cosets of the quotient")
-    nu = Fraction(len(b), n) if nu is None else Fraction(nu)
-    if not 0 <= nu < 1:
+    if not (isinstance(region, np.ndarray) and region.dtype == bool and region.shape == (n,)):
+        raise ContractError("B must be a bool mask over the cosets of the quotient")
+    if region.all():
         raise ContractError("need nu in [0, 1): B may not exhaust the quotient")
-
-    inv_k = [omega.oracle.inv(x) for x in k]
-    inv_l = [omega.oracle.inv(x) for x in l]
-    bk_star = {omega.act(c, x) for c in b for x in inv_k}
-    bl_star = {omega.act(c, x) for c in b for x in inv_l}
-    if alpha is None:
-        alpha = Fraction(max(len(bk_star), len(bl_star)), n)
-    else:
-        alpha = Fraction(alpha)
+    nu = Fraction(int(np.count_nonzero(region)), n)
+    alpha = Fraction(alpha)
     if not 0 <= alpha < 1:
         raise ContractError("need alpha in [0, 1)")
 
+    width = len(omega.finite.identity)
+    inv_k, inv_l = (np.array([omega.project(omega.oracle.inv(x)) for x in xs],
+                             dtype=np.int64).reshape(-1, width) for xs in (k, l))
+    b = np.flatnonzero(region)
+    bk_star = _product_size(omega, b, inv_k)
+    bl_star = _product_size(omega, b, inv_l)
     failures = []
-    if Fraction(len(b), n) != nu:
-        failures.append(f"#B = {len(b)} is not nu * #Omega = {nu * n}")
-    k_cosets = set(pk)
-    kl_star = {omega.act(c, x) for c in k_cosets for x in inv_l}
-    if len(kl_star) > params.zeta * len(k):
-        failures.append(f"#(KL*) = {len(kl_star)} exceeds zeta * #K = {params.zeta * len(k)}")
-    if len(bk_star) > alpha * n:
-        failures.append(f"#(BK*) = {len(bk_star)} exceeds alpha * #Omega = {alpha * n}")
-    if len(bl_star) > alpha * n:
-        failures.append(f"#(BL*) = {len(bl_star)} exceeds alpha * #Omega = {alpha * n}")
+    kl_star = _product_size(omega, omega.index(pk), inv_l)
+    if kl_star > params.zeta * len(k):
+        failures.append(f"#(KL*) = {kl_star} exceeds zeta * #K = {params.zeta * len(k)}")
+    if bk_star > alpha * n:
+        failures.append(f"#(BK*) = {bk_star} exceeds alpha * #Omega = {alpha * n}")
+    if bl_star > alpha * n:
+        failures.append(f"#(BL*) = {bl_star} exceeds alpha * #Omega = {alpha * n}")
 
-    # The scan runs on coset indices: the region built so far is a mask over
-    # the quotient, and the tile xK is a row of indices (distinct, since the
-    # projection is injective on K).  Tiles are computed a block of centres
-    # at a time; overlaps are integers, so floor(delta #K) is the threshold.
+    # The scan runs on coset indices: the tile xK is a row of indices
+    # (distinct, since the projection is injective on K), and a centre is
+    # taken when the tile meets the region in at most floor(delta #K) cosets.
     threshold = math.floor(params.delta * len(k))
-    elements = omega.elements
     k_rows = np.array(pk, dtype=np.int64)
-    block = max(1, _TILE_BLOCK_ENTRIES // len(k))
-
-    def tile_blocks():
-        for start in range(0, n, block):
-            centres = np.array(elements[start:start + block], dtype=np.int64)
-            yield omega.act_indices(centres, k_rows)
-
-    in_region = np.zeros(n, dtype=bool)
-    if b:
-        in_region[omega.index(list(b))] = True
+    covered = region.copy()
     centers = []
     tiles = []
-    for x, tile in zip(elements, itertools.chain.from_iterable(tile_blocks())):
-        fresh = tile[~in_region[tile]]
-        if len(tile) - len(fresh) <= threshold:
+    scan = itertools.chain.from_iterable(_acted_blocks(omega, np.arange(n), k_rows))
+    for x, tile in zip(omega.elements, scan):
+        overlap = covered[tile]
+        if np.count_nonzero(overlap) <= threshold:
             centers.append(x)
-            tiles.append({elements[i] for i in fresh})
-            in_region[fresh] = True
-    covered = {elements[i] for i in np.flatnonzero(in_region)}
-    s = len(centers)
+            tiles.append(~overlap)
+            covered[tile] = True
+    covered_count = int(np.count_nonzero(covered))
 
-    mu = (Fraction(len(covered), n) - nu) / (1 - alpha)
+    mu = (Fraction(covered_count, n) - nu) / (1 - alpha)
     nu_out, alpha_out = theta_step(params, mu, nu, alpha)
-
-    coverage_ok = Fraction(len(covered), n) == nu_out
-    bsl_star = {omega.act(c, x) for c in covered for x in inv_l}
-    boundary_ok = Fraction(len(bsl_star), n) <= alpha_out
+    bsl_star = _product_size(omega, np.flatnonzero(covered), inv_l)
     # recounted against the final cover, not inferred from the scan
     maximality_ok = all(
-        np.all(np.count_nonzero(in_region[rows], axis=1) > threshold)
-        for rows in tile_blocks()
+        np.all(np.count_nonzero(covered[rows], axis=1) > threshold)
+        for rows in _acted_blocks(omega, np.arange(n), k_rows)
     )
     return GreedyFillResult(
-        centers=centers, covered=covered, mu=mu, s=s,
+        centers=centers, covered=covered, mu=mu, s=len(centers),
         nu_in=nu, alpha_in=alpha, nu_out=nu_out, alpha_out=alpha_out,
         tiles=tiles,
         hypotheses_ok=not failures, hypothesis_failures=failures,
         mu_at_least_delta=mu >= params.delta,
-        coverage_identity_ok=coverage_ok,
-        boundary_bound_ok=boundary_ok,
+        coverage_identity_ok=Fraction(covered_count, n) == nu_out,
+        boundary_bound_ok=Fraction(bsl_star, n) <= alpha_out,
         maximality_ok=maximality_ok,
     )
 
@@ -455,13 +452,13 @@ def cover(omega: QuotientSet, k: Sequence, params: ThetaParams, t_cap: int,
     pass before.  It stops once nu clears the target, alpha reaches 1 or a
     pass has mu >= 1.  Returns the tower and the passes, one per level."""
     tower, fills = [], []
-    b, nu, alpha = set(), Fraction(0), Fraction(0)
+    region, nu, alpha = np.zeros(omega.size(), dtype=bool), Fraction(0), Fraction(0)
     while len(fills) < t_cap and alpha < 1 and nu <= target:
         tower.append(next_level(tower))
-        fills.append(greedy_fill(omega, b, tower[-1], k, params, nu, alpha))
+        fills.append(greedy_fill(omega, region, tower[-1], k, params, alpha))
         if fills[-1].mu >= 1:
             break
-        b, nu, alpha = fills[-1].covered, fills[-1].nu_out, fills[-1].alpha_out
+        region, nu, alpha = fills[-1].covered, fills[-1].nu_out, fills[-1].alpha_out
     return tower, fills
 
 
@@ -540,17 +537,17 @@ def _attempt_quotient(oracle, omega, level, k, epsilon, params,
     placements = []
     transversal = []
     for u, (level_set, res) in enumerate(zip(tower, fills), 1):
-        for center, tile_cosets in zip(res.centers, res.tiles):
+        for center, kept in zip(res.centers, res.tiles):
             x = omega.section(center)
-            piece = [oracle.mul(x, g) for g in level_set if omega.act(center, g) in tile_cosets]
+            piece = [oracle.mul(x, g) for g in itertools.compress(level_set, kept)]
             placements.append({
                 "level": u,
                 "center": element_json(x),
                 "tile": _elements_json(piece),
             })
             transversal.extend(piece)
-    covered = fills[-1].covered if fills else set()
-    remainder = [omega.section(c) for c in omega.elements if c not in covered]
+    covered = fills[-1].covered if fills else np.zeros(n, dtype=bool)
+    remainder = [omega.section(c) for c in itertools.compress(omega.elements, ~covered)]
     transversal.extend(remainder)
 
     # independent sanity of the construction before measuring the defect

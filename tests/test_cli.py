@@ -219,6 +219,15 @@ class TestBasicCommands:
         assert f"relator letter {letter} is not a declared generator" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("relators,letter", [(["aw"], "'a'"), (["ww", "xw"], "'w'")])
+    def test_gs_presentation_letters_are_x_y_z(self, tmp_path, capsys, relators, letter):
+        # the Magnus expansion reads the letters x, y and z only
+        pres = tmp_path / "pres.json"
+        pres.write_text(json.dumps({"generators": ["a", "w", "x"], "relators": relators}))
+        code, text = run_cli(["gs", "--presentation", str(pres), "--p", "2"], tmp_path)
+        assert (code, text) == (4, None)
+        assert f"free words use letters x, y, z only; got {letter}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("generators,name", [
         (["x", "x"], "'x' is declared twice"), (["x", "X"], "'X' is declared twice"),
         ("xx", "a list of names, got 'xx'")])
@@ -611,11 +620,24 @@ class TestCrystalLiteralGrammar:
 
     @pytest.mark.parametrize("mul", [["-(1)"], ["--1", "0"], ["-h", "0"], ["0", "--p", "5"]])
     def test_options_after_mul_stay_usage_errors(self, capsys, mul):
-        with pytest.raises(SystemExit) as exc:
-            main(["crystal", "--group", "z", "--mul", *mul])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith(
-            "error: argument --mul: expected 2 arguments\n")
+        for option in ("--mul", "--mu", "--m"):
+            with pytest.raises(SystemExit) as exc:
+                main(["crystal", "--group", "z", option, *mul])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                "error: argument --mul: expected 2 arguments\n")
+
+    @pytest.mark.parametrize("option", ["--m", "--mu"])
+    def test_abbreviated_mul_takes_a_leading_minus(self, capsys, option):
+        # argparse reads --m and --mu as --mul in crystal; a leading minus
+        # after them once exited 2, as only an exact --mul was marked
+        argv = ["crystal", "--group", "z", "--p", "5", "--mul", "-(1)", "0"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        argv[argv.index("--mul")] = option
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+        assert json.loads(want)["product"] == [[[1], 4]]
 
     @pytest.mark.parametrize("literal,rest", [
         ("2*", "*"), ("2 * -(1)", "* -(1)"), ("1 2", "2"), ("(1)(2)", "(2)")])

@@ -186,6 +186,42 @@ class TestJennings:
         assert filtration._normal_closure(g, [])[0] == {g.identity}
 
 
+def reference_jennings_hilbert_coeffs(dims: list[int], p: int,
+                                      max_deg: int | None = None) -> list[int]:
+    """The product by polynomial multiplication that the Euler product
+    replaced, kept verbatim (with its helper) as the reference.
+
+    Coefficients of prod_n ((1 - t^{pn}) / (1 - t^n))^{d_n}.
+
+    Each factor is the finite geometric sum 1 + t^n + ... + t^{(p-1)n}, so
+    the product is an honest polynomial with integer coefficients.
+    """
+    top = sum((p - 1) * (i + 1) * d for i, d in enumerate(dims))
+    if max_deg is None:
+        max_deg = top
+    poly = [1]
+    for i, d in enumerate(dims):
+        n = i + 1
+        factor = [0] * ((p - 1) * n + 1)
+        for j in range(p):
+            factor[j * n] = 1
+        for _ in range(d):
+            poly = _poly_mul(poly, factor, max_deg)
+    return poly
+
+
+def _poly_mul(a: list[int], b: list[int], max_deg: int) -> list[int]:
+    out = [0] * (min(len(a) + len(b) - 1, max_deg + 1))
+    b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
+    for i, ai in enumerate(a):
+        if ai == 0 or i > max_deg:
+            continue
+        for j, bj in b_terms:
+            if i + j <= max_deg:
+                out[i + j] += ai * bj
+    return out
+
+
 class TestHilbertCoeffs:
     def test_single_factor(self):
         assert jennings_hilbert_coeffs([1], 2) == [1, 1]
@@ -201,7 +237,26 @@ class TestHilbertCoeffs:
         assert jennings_hilbert_coeffs([2], 3) == [1, 2, 3, 2, 1]
 
     def test_truncation(self):
-        assert jennings_hilbert_coeffs([2, 1], 2, max_deg=2) == [1, 2, 2]
+        assert jennings_hilbert_coeffs([2, 1], 2)[:3] == [1, 2, 2]
+
+    def test_matches_the_reference_product(self):
+        rng = random.Random(33)
+        for _ in range(3000):
+            p = rng.choice([2, 3, 5, 7])
+            dims = [rng.randrange(4) for _ in range(rng.randrange(6))]
+            assert jennings_hilbert_coeffs(dims, p) == reference_jennings_hilbert_coeffs(dims, p)
+
+    @pytest.mark.parametrize("p", sorted(P_GROUP_NAMES))
+    def test_builtin_groups_match_the_reference_product(self, p):
+        for name in P_GROUP_NAMES[p]:
+            dims = jennings_series(get_group(name), p).dims
+            assert (jennings_hilbert_coeffs(dims, p)
+                    == reference_jennings_hilbert_coeffs(dims, p)), name
+
+    def test_euler_product_multiplies_and_divides(self):
+        # (1 - t)^2 / (1 - t^2) = (1 - t) / (1 + t) = 1 - 2t + 2t^2 - 2t^3 ...
+        assert filtration._euler_product({1: 2, 2: -1}, 5) == [1, -2, 2, -2, 2]
+        assert filtration._euler_product({}, 3) == [1, 0, 0]
 
 
 class TestMagnus:
@@ -235,6 +290,9 @@ class TestMagnus:
     def test_rejects_unknown_letters(self):
         with pytest.raises(ContractError):
             magnus_deg("ab", 2)
+        # the letter w would be a fourth free generator
+        with pytest.raises(ContractError, match="letters x, y, z only; got 'w'"):
+            magnus_series("xyzw", 2)
 
     @pytest.mark.parametrize("p", [0, 4, -3, 65537])
     def test_non_prime_rejected(self, p):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradedgrowth.cli import main
 from gradedgrowth.errors import ContractError, SearchFailedError
 from gradedgrowth.groups import FreeAbelian, FreeGroup, Heisenberg, HeisenbergMod, ZdMod, ball
 from gradedgrowth.subspace import set_defect
@@ -84,59 +86,92 @@ class TestFolnerSearch:
             folner_search(z1, [(1,)], Fraction(0))
 
 
+def mask_of(omega: QuotientSet, cosets) -> np.ndarray:
+    """The region of a set of cosets, as the bool mask greedy_fill takes."""
+    position = {c: i for i, c in enumerate(omega.elements)}
+    region = np.zeros(omega.size(), dtype=bool)
+    region[[position[c] for c in cosets]] = True
+    return region
+
+
+def cosets_of(omega: QuotientSet, region: np.ndarray) -> set:
+    return {omega.elements[i] for i in np.flatnonzero(region)}
+
+
+def assert_same_fill(omega: QuotientSet, level: Sequence, fast: GreedyFillResult,
+                     ref: GreedyFillResult):
+    """Every field of the mask-based pass against the set-based reference,
+    the region and the carved tiles read as sets of cosets."""
+    assert cosets_of(omega, fast.covered) == ref.covered
+    carved = [{omega.act(x, g) for g in itertools.compress(level, kept)}
+              for x, kept in zip(fast.centers, fast.tiles)]
+    assert carved == ref.tiles
+    for field in dataclasses.fields(GreedyFillResult):
+        if field.name not in ("covered", "tiles"):
+            assert getattr(fast, field.name) == getattr(ref, field.name), field.name
+
+
 class TestGreedyFill:
     def test_z8_hand_run(self, z1):
         # threshold delta * #K = 1.2 admits the 1-point overlap at center 3
         omega = congruence_quotient(z1, 8)
         k = [(0,), (1,), (2,), (3,)]
-        res = greedy_fill(omega, set(), k, k, ThetaParams(Fraction(3, 10), Fraction(2)))
+        res = greedy_fill(omega, np.zeros(8, dtype=bool), k, k,
+                          ThetaParams(Fraction(3, 10), Fraction(2)), Fraction(0))
         assert res.centers == [(0,), (3,)]
         assert res.s == 2
-        assert len(res.covered) == 7
+        assert np.count_nonzero(res.covered) == 7
         assert res.mu == Fraction(7, 8)
         assert res.maximality_ok
+        # centre 3's tile {3, 4, 5, 6} keeps all but the coset 3
+        assert [list(kept) for kept in res.tiles] == [[True] * 4, [False, True, True, True]]
 
     def test_full_b_rejected(self, z1):
         omega = congruence_quotient(z1, 8)
-        full = set(omega.elements)
-        with pytest.raises(ContractError):
-            greedy_fill(omega, full, [(0,), (1,)], [(0,)],
-                        ThetaParams(Fraction(1, 4), Fraction(3, 2)))
+        with pytest.raises(ContractError, match="B may not exhaust"):
+            greedy_fill(omega, np.ones(8, dtype=bool), [(0,), (1,)], [(0,)],
+                        ThetaParams(Fraction(1, 4), Fraction(3, 2)), Fraction(0))
 
     def test_perfect_box_packing(self, z2):
         omega = congruence_quotient(z2, 16)
         box = [(a, b) for a in range(4) for b in range(4)]
-        res = greedy_fill(omega, set(), box, box,
-                          ThetaParams(Fraction(1, 10), Fraction(2)))
+        res = greedy_fill(omega, np.zeros(256, dtype=bool), box, box,
+                          ThetaParams(Fraction(1, 10), Fraction(2)), Fraction(0))
         assert res.s == 16
         assert res.mu == 1
-        assert len(res.covered) == 256
+        assert res.covered.all()
         assert res.mu_at_least_delta and res.coverage_identity_ok
 
     def test_b_outside_the_listing_rejected(self, z1):
-        # (-1,) is the coset (7,) written another way; its index would be -1
+        # B is a bool mask over the 8 listed cosets and nothing else: not a
+        # set of cosets ((-1,) is the coset (7,) written another way), not a
+        # mask of another length, not a 0/1 array of integers
         omega = congruence_quotient(z1, 8)
-        with pytest.raises(ContractError):
-            greedy_fill(omega, {(-1,)}, [(0,), (1,)], [(0,)],
-                        ThetaParams(Fraction(1, 4), Fraction(3, 2)))
+        for region in ({(-1,)}, [False] * 8, np.zeros(7, dtype=bool),
+                       np.zeros(9, dtype=bool), np.zeros((8, 1), dtype=bool),
+                       np.zeros(8, dtype=np.int64)):
+            with pytest.raises(ContractError, match="bool mask"):
+                greedy_fill(omega, region, [(0,), (1,)], [(0,)],
+                            ThetaParams(Fraction(1, 4), Fraction(3, 2)), Fraction(0))
 
     def test_injectivity_precondition(self, z1):
         omega = congruence_quotient(z1, 4)
         with pytest.raises(ContractError):
-            greedy_fill(omega, set(), [(0,), (4,)], [(0,)],
-                        ThetaParams(Fraction(1, 4), Fraction(3, 2)))
+            greedy_fill(omega, np.zeros(4, dtype=bool), [(0,), (4,)], [(0,)],
+                        ThetaParams(Fraction(1, 4), Fraction(3, 2)), Fraction(0))
 
     def test_tiles_partition_covered_growth(self, z1):
         omega = congruence_quotient(z1, 8)
         k = [(0,), (1,), (2,), (3,)]
-        res = greedy_fill(omega, set(), k, k, ThetaParams(Fraction(3, 10), Fraction(2)))
-        union = set()
-        total = 0
-        for t in res.tiles:
-            union |= t
-            total += len(t)
-        assert union == res.covered
-        assert total == len(res.covered)
+        region = mask_of(omega, [(6,)])
+        res = greedy_fill(omega, region, k, k, ThetaParams(Fraction(3, 10), Fraction(2)),
+                          Fraction(1, 2))
+        assert not region[7]  # the input region is left as it was
+        carved = [{omega.act(x, g) for g in itertools.compress(k, kept)}
+                  for x, kept in zip(res.centers, res.tiles)]
+        union = set().union(*carved)
+        assert union == cosets_of(omega, res.covered & ~region)
+        assert sum(map(len, carved)) == np.count_nonzero(res.covered) - 1
 
 
 # The set-based covering pass that greedy_fill replaced, kept verbatim as the
@@ -254,28 +289,28 @@ class TestGreedyFillDifferential:
                                       unique=True))
         k = [_lift(omega, c, data) for c in k_cosets]
         l = [_lift(omega, c, data) for c in data.draw(st.lists(cosets, max_size=6))]
-        b = set(data.draw(st.lists(cosets, max_size=n - 1, unique=True)))
+        b = set(data.draw(st.lists(cosets, max_size=n, unique=True)))
         # delta * #K is a multiple of 1/4, so overlaps hit the threshold exactly
         delta = Fraction(data.draw(st.integers(1, 4 * len(k) - 1)), 4 * len(k))
         zeta = data.draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(4)]))
         params = ThetaParams(delta, zeta)
-        nu = alpha = None
         if data.draw(st.booleans()):
-            nu = Fraction(data.draw(st.sampled_from([len(b), n - 1])), n)
             alpha = Fraction(data.draw(st.integers(0, n - 1)), n)
-        args = (omega, b, k, l, params, nu, alpha)
-        fast, ref = _outcome(greedy_fill, *args), _outcome(reference_greedy_fill, *args)
+        else:  # max(#(BK*), #(BL*)) / #Omega, which may reach 1
+            alpha = Fraction(max(len({omega.act(c, omega.oracle.inv(x)) for c in b for x in xs})
+                                 for xs in (k, l)), n)
+        fast = _outcome(greedy_fill, omega, mask_of(omega, b), k, l, params, alpha)
+        ref = _outcome(reference_greedy_fill, omega, b, k, l, params, Fraction(len(b), n), alpha)
         if isinstance(ref, tuple):
             assert fast == ref
             return
-        for field in dataclasses.fields(GreedyFillResult):
-            assert getattr(fast, field.name) == getattr(ref, field.name), field.name
+        assert_same_fill(omega, k, fast, ref)
 
     @pytest.mark.parametrize("omega", DIFFERENTIAL_QUOTIENTS, ids=lambda q: q.name)
     def test_indices_follow_the_listing(self, omega):
         assert list(omega.index(omega.elements)) == list(range(omega.size()))
         g = tuple(range(3, 3 + len(omega.elements[0])))
-        acted = omega.act_indices(np.array(omega.elements), np.array([omega.project(g)]))
+        acted = omega.act_indices(np.arange(omega.size()), np.array([omega.project(g)]))
         assert list(acted[:, 0]) == list(omega.index([omega.act(x, g) for x in omega.elements]))
 
 
@@ -318,9 +353,8 @@ class TestCoverLevels:
         assert [res.s for res in fills] == [4, 0, 12]
         assert [res.nu_out for res in fills] == [Fraction(13, 16), Fraction(13, 16), 1]
         assert len(fills) == len(ref_fills)
-        for got, want in zip(fills, ref_fills):
-            for field in dataclasses.fields(GreedyFillResult):
-                assert getattr(got, field.name) == getattr(want, field.name), field.name
+        for level, got, want in zip(levels, fills, ref_fills):
+            assert_same_fill(omega, level, got, want)
 
 
 def reference_worst_case_height(params: ThetaParams, k_size: int, epsilon: Fraction) -> int:
@@ -378,6 +412,25 @@ class TestRecipeConstants:
         with pytest.raises(SearchFailedError):
             worst_case_height(ThetaParams(Fraction(1, 2**40), Fraction(1)), 1,
                               Fraction(1, 2))
+
+
+class TestCoveringCountsOnIndices:
+    @pytest.mark.parametrize("argv,sha1", [
+        (["tile", "--group", "z2", "--epsilon", "1/2"], "f0f9d23b0d38c83bb26180202866ccbdf633b016"),
+        (["tile", "--group", "z", "--epsilon", "1/2"], "3383a083ccbf337df573544c6d314cb2b0f28e41"),
+        (["tile-algebra-probe", "--p", "2", "--epsilon", "1/2"],
+         "f51fc2211f1916d5e36ca0e6aee8c5d41e534de6"),
+    ], ids=["tile-z2", "tile-z", "probe"])
+    def test_no_command_calls_the_tuple_action(self, monkeypatch, capsys, argv, sha1):
+        """greedy_fill and the lift count on coset indices: with every `act`
+        binding raising, tile and the probe print the bytes recorded while
+        they still called it."""
+        def unreachable(self, coset, g):
+            raise AssertionError("QuotientSet.act called")
+        for cls in (QuotientSet, ZdQuotient, HeisenbergQuotient):
+            monkeypatch.setattr(cls, "act", unreachable)
+        assert main(argv) == 0
+        assert hashlib.sha1(capsys.readouterr().out.encode()).hexdigest() == sha1
 
 
 class TestQuotients:
